@@ -27,6 +27,7 @@ import numpy as np
 from .kernels import SmoothnessParams
 from .problems import Objective
 from .first_order import (
+    DIVERGENCE_GUARD,
     IterRecord,
     StepRule,
     Trace,
@@ -236,18 +237,12 @@ def agmsdr_run(
         if g == 0.0:
             termination = "StationaryExact"
             break
-        if not math.isfinite(f_x) or abs(f_x) > 1e150:
+        if not math.isfinite(f_x) or abs(f_x) > DIVERGENCE_GUARD:
             termination = "Diverged"
             break
 
     records.append(arrival_record(len(records)))
-    return Trace(
-        records=records,
-        final_x=x,
-        termination=termination,
-        method="agmsdr",
-        value_calls=0,
-    )
+    return Trace(records=records, final_x=x, termination=termination, method="agmsdr")
 
 
 @dataclass(frozen=True)
@@ -326,7 +321,6 @@ def two_stage_run(
             final_x=stage1.final_x,
             termination=stage1.termination,
             method="two_stage",
-            value_calls=stage1.value_calls,
         )
 
     stage2 = agmsdr_run(
@@ -350,5 +344,4 @@ def two_stage_run(
         final_x=stage2.final_x,
         termination=stage2.termination,
         method="two_stage",
-        value_calls=stage1.value_calls,
     )

@@ -10,7 +10,8 @@ certify  sample-check a curvature pair for a problem on a ball
 Problems and methods are addressed by compact spec strings with the
 grammar `name:key=value,key=value,...`.  Vector-valued keys use
 semicolon-separated components (e.g. `a=3;4`).  Parse errors name the
-offending token and its position and exit with status 2.
+offending token and its position and exit with status 2, as do run-time
+failures such as an overflow or a failed line search.
 
 CSV columns: k,f_val,f_gap,grad_norm,step_len,oracle_calls,stage.  Floats
 are written with repr-faithful precision and no locale formatting, so a
@@ -694,10 +695,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"max_violation={report.max_violation:.6g}"
             )
             return 0 if report.passes(args.tol) else 1
-    except SpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RuntimeError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2

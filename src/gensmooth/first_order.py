@@ -10,16 +10,18 @@ Four stepsize rules drive the plain update x <- x - eta * grad:
 with g = ||grad f(x)||.  The first three need the curvature pair (l0, l1);
 Polyak needs the optimal value instead.  The normalized method moves a
 preset distance along the unit gradient and needs neither, only a distance
-estimate r_hat.
+estimate r_hat.  All of them share one loop, x <- x - s_k * grad/||grad||,
+with the move length s_k = eta*g or beta_k.
 
 Budgets count gradient evaluations (one per iteration for every rule
-here); value evaluations are tracked on the trace but are free.
+here); value evaluations are free.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -46,31 +48,19 @@ class StepRule:
     """Stepsize rule selector.
 
     `params` is required for the optimal/simplified/clipped variants and
-    ignored by polyak/normalized ones.  `f_star` overrides the objective's
-    optimal value for the polyak rule.  `r_hat` (and `horizon` for the
-    fixed schedule) configure the normalized variants.
+    ignored by polyak.  `f_star` overrides the objective's optimal value
+    for the polyak rule.
     """
 
     variant: str
     params: SmoothnessParams | None = None
     f_star: float | None = None
-    r_hat: float | None = None
-    horizon: int | None = None
-    schedule: str | None = None
 
     def __post_init__(self):
-        known = GD_VARIANTS + ("normalized",)
-        if self.variant not in known:
+        if self.variant not in GD_VARIANTS:
             raise ValueError(f"unknown stepsize variant {self.variant!r}")
-        if self.variant in ("optimal", "simplified", "clipped") and self.params is None:
+        if self.variant != "polyak" and self.params is None:
             raise ValueError(f"{self.variant} rule requires smoothness constants")
-        if self.variant == "normalized":
-            if self.r_hat is None or self.r_hat <= 0:
-                raise ValueError("normalized rule requires r_hat > 0")
-            if self.schedule not in NGD_SCHEDULES:
-                raise ValueError(f"schedule must be one of {NGD_SCHEDULES}")
-            if self.schedule == "fixed" and (self.horizon is None or self.horizon < 1):
-                raise ValueError("fixed schedule requires horizon >= 1")
 
 
 @dataclass(slots=True)
@@ -108,7 +98,6 @@ class Trace:
     final_x: np.ndarray
     termination: str
     method: str = ""
-    value_calls: int = 0
 
     def __post_init__(self):
         if not self.records:
@@ -119,17 +108,9 @@ class Trace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def f_values(self) -> np.ndarray:
-        return np.array([r.f_val for r in self.records])
-
     def gaps(self) -> np.ndarray:
         return np.array(
             [r.f_gap if r.f_gap is not None else np.nan for r in self.records]
-        )
-
-    def grad_norms(self) -> np.ndarray:
-        return np.array(
-            [r.grad_norm if r.grad_norm is not None else np.nan for r in self.records]
         )
 
 
@@ -180,31 +161,17 @@ def stepsize_polyak(f_val: float, f_star: float, grad_norm: float) -> float:
     return (f_val - f_star) / grad_norm**2
 
 
-def _gd_step_len(rule: StepRule, g: float, f_val: float, f_star: float | None) -> float:
-    if g == 0.0:
-        return 0.0
-    if rule.variant == "optimal":
-        return stepsize_optimal(g, rule.params) * g
-    if rule.variant == "simplified":
-        return stepsize_simplified(g, rule.params) * g
-    if rule.variant == "clipped":
-        return stepsize_clipped(g, rule.params) * g
-    if rule.variant == "polyak":
-        return stepsize_polyak(f_val, f_star, g) * g
-    raise ValueError(f"rule {rule.variant!r} is not a plain gradient rule")
-
-
 def _make_record(
     f: Objective,
     k: int,
     x: np.ndarray,
     f_val: float,
     grad: np.ndarray,
+    g: float,
     step_len: float,
     calls: int,
     f_star: float | None,
 ) -> IterRecord:
-    g = float(np.linalg.norm(grad))
     gap = f_val - f_star if f_star is not None else None
     support = None
     dist = None
@@ -225,6 +192,57 @@ def _make_record(
     )
 
 
+def _descent(
+    f: Objective,
+    x: np.ndarray,
+    budget: int,
+    step_len: Callable[[int, float, float], float],
+    method: str,
+    f_star: float | None,
+    grad_tol: float = 0.0,
+    gap_tol: float | None = None,
+) -> Trace:
+    """The loop x <- x - s_k * grad/||grad|| shared by every plain method.
+
+    `step_len(k, g, f_val)` gives the move length s_k at a nonzero
+    gradient; an exactly stationary iterate records a zero step.
+    """
+    f_val = f.value(x)
+    if not math.isfinite(f_val):
+        raise ValueError("objective is not finite at the starting point")
+    grad = f.gradient(x)
+    calls = 1
+    records: list[IterRecord] = []
+
+    while True:
+        k = len(records)
+        g = float(np.linalg.norm(grad))
+        if not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD or not math.isfinite(g):
+            records.append(_make_record(f, k, x, f_val, grad, g, 0.0, calls, f_star))
+            termination = "Diverged"
+            break
+        step = step_len(k, g, f_val) if g > 0 else 0.0
+        records.append(_make_record(f, k, x, f_val, grad, g, step, calls, f_star))
+        if g == 0.0:
+            termination = "StationaryExact"
+            break
+        if g <= grad_tol:
+            termination = "GradToleranceMet"
+            break
+        if gap_tol is not None and f_val - f_star <= gap_tol:
+            termination = "GapToleranceMet"
+            break
+        if calls >= budget:
+            termination = "BudgetExhausted"
+            break
+        x = x - step * (grad / g)
+        f_val = f.value(x)
+        grad = f.gradient(x)
+        calls += 1
+
+    return Trace(records=records, final_x=x, termination=termination, method=method)
+
+
 def gd_run(
     f: Objective,
     rule: StepRule,
@@ -241,8 +259,6 @@ def gd_run(
     the divergence guard.  The initial gradient evaluation consumes one
     unit of budget, so a budget of b yields at most max(1, b) records.
     """
-    if rule.variant not in GD_VARIANTS:
-        raise ValueError(f"gd_run does not handle the {rule.variant!r} rule")
     x = f.check_point(x0)
     f_star = rule.f_star if rule.f_star is not None else f.f_star
     if rule.variant == "polyak" and f_star is None:
@@ -250,47 +266,16 @@ def gd_run(
     if gap_tol is not None and f_star is None:
         raise ValueError("gap_tol requires a known f_star")
 
-    f_val = f.value(x)
-    if not math.isfinite(f_val):
-        raise ValueError("objective is not finite at the starting point")
-    grad = f.gradient(x)
-    calls = 1
-    value_calls = 1
-    records: list[IterRecord] = []
-
-    while True:
-        g = float(np.linalg.norm(grad))
-        if not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD or not math.isfinite(g):
-            records.append(_make_record(f, len(records), x, f_val, grad, 0.0, calls, f_star))
-            termination = "Diverged"
-            break
-        step_len = _gd_step_len(rule, g, f_val, f_star)
-        records.append(_make_record(f, len(records), x, f_val, grad, step_len, calls, f_star))
-        if g == 0.0:
-            termination = "StationaryExact"
-            break
-        if g <= grad_tol:
-            termination = "GradToleranceMet"
-            break
-        if gap_tol is not None and f_val - f_star <= gap_tol:
-            termination = "GapToleranceMet"
-            break
-        if calls >= budget:
-            termination = "BudgetExhausted"
-            break
-        x = x - step_len * (grad / g)
-        f_val = f.value(x)
-        grad = f.gradient(x)
-        calls += 1
-        value_calls += 1
-
-    return Trace(
-        records=records,
-        final_x=x,
-        termination=termination,
-        method=f"gd:{rule.variant}",
-        value_calls=value_calls,
-    )
+    if rule.variant == "polyak":
+        step_len = lambda k, g, f_val: stepsize_polyak(f_val, f_star, g) * g
+    else:
+        stepsize = {
+            "optimal": stepsize_optimal,
+            "simplified": stepsize_simplified,
+            "clipped": stepsize_clipped,
+        }[rule.variant]
+        step_len = lambda k, g, f_val: stepsize(g, rule.params) * g
+    return _descent(f, x, budget, step_len, f"gd:{rule.variant}", f_star, grad_tol, gap_tol)
 
 
 def ngd_run(
@@ -318,52 +303,16 @@ def ngd_run(
     if schedule == "fixed":
         if horizon is None or horizon < 1:
             raise ValueError("fixed schedule requires horizon >= 1")
-        beta = lambda k: r_hat / math.sqrt(horizon + 1)
+        # record K is reached after K+1 gradient calls
+        budget = min(budget, horizon + 1)
+        beta = lambda k, g, f_val: r_hat / math.sqrt(horizon + 1)
     elif schedule == "sqrt":
-        beta = lambda k: r_hat / math.sqrt(k + 1)
+        beta = lambda k, g, f_val: r_hat / math.sqrt(k + 1)
     else:
-        beta = lambda k: r_hat / (k + 1)
+        beta = lambda k, g, f_val: r_hat / (k + 1)
 
     x = f.check_point(x0)
-    f_val = f.value(x)
-    if not math.isfinite(f_val):
-        raise ValueError("objective is not finite at the starting point")
-    grad = f.gradient(x)
-    calls = 1
-    value_calls = 1
-    records: list[IterRecord] = []
-
-    while True:
-        k = len(records)
-        g = float(np.linalg.norm(grad))
-        if not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD or not math.isfinite(g):
-            records.append(_make_record(f, k, x, f_val, grad, 0.0, calls, f.f_star))
-            termination = "Diverged"
-            break
-        step_len = beta(k) if g > 0 else 0.0
-        records.append(_make_record(f, k, x, f_val, grad, step_len, calls, f.f_star))
-        if g == 0.0:
-            termination = "StationaryExact"
-            break
-        if schedule == "fixed" and k >= horizon:
-            termination = "BudgetExhausted"
-            break
-        if calls >= budget:
-            termination = "BudgetExhausted"
-            break
-        x = x - step_len * (grad / g)
-        f_val = f.value(x)
-        grad = f.gradient(x)
-        calls += 1
-        value_calls += 1
-
-    return Trace(
-        records=records,
-        final_x=x,
-        termination=termination,
-        method=f"ngd:{schedule}",
-        value_calls=value_calls,
-    )
+    return _descent(f, x, budget, beta, f"ngd:{schedule}", f.f_star)
 
 
 def best_iterate(trace: Trace) -> tuple[int, float]:

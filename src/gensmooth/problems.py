@@ -329,27 +329,11 @@ def sample_ball(rng: np.random.Generator, dim: int, radius: float, n: int) -> np
     return directions / norms * radii[:, None]
 
 
-def spectral_norm(h: np.ndarray, rng: np.random.Generator,
-                  tol: float = 1e-10, max_iter: int = 500) -> float:
-    """Largest-magnitude eigenvalue of a symmetric matrix by power iteration."""
-    n = h.shape[0]
-    if n == 1:
+def spectral_norm(h: np.ndarray) -> float:
+    """Largest-magnitude eigenvalue of a symmetric matrix, exactly."""
+    if h.shape[0] == 1:
         return abs(float(h[0, 0]))
-    v = rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(max_iter):
-        hv = h @ v
-        norm_hv = np.linalg.norm(hv)
-        if norm_hv == 0.0:
-            return 0.0
-        new_lam = float(v @ hv)
-        v = hv / norm_hv
-        if abs(new_lam - lam) <= tol * max(1.0, abs(new_lam)):
-            lam = new_lam
-            break
-        lam = new_lam
-    return abs(lam)
+    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
 
 
 def certify_smoothness(
@@ -364,8 +348,8 @@ def certify_smoothness(
         ||hess f(x)|| - l0 - l1 * ||grad f(x)||.
 
     Nonpositive max violation certifies the constants on the sampled region;
-    a clearly positive value is a counterexample (up to power-iteration
-    tolerance).  Deterministic for a fixed seed.
+    a clearly positive value is a counterexample (the spectral norm is
+    exact up to rounding).  Deterministic for a fixed seed.
     """
     if f.hessian is None:
         raise ValueError(f"objective {f.name!r} does not provide a Hessian")
@@ -376,7 +360,7 @@ def certify_smoothness(
     worst = -math.inf
     worst_point = None
     for x in points:
-        h_norm = spectral_norm(f.hessian(x), rng)
+        h_norm = spectral_norm(f.hessian(x))
         violation = h_norm - params.l0 - params.l1 * float(np.linalg.norm(f.gradient(x)))
         if violation > worst:
             worst = violation

@@ -321,6 +321,14 @@ class TestMainEntry:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_run_overflow_exits_2(self, tmp_path, capsys):
+        """An OverflowError inside the accelerated line search is a clean error."""
+        code = main(["run", "--problem", "exp_phi:d=2,l0=1,l1=1",
+                     "--method", "agmsdr:", "--radius", "300",
+                     "--out", str(tmp_path / "overflow.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_verify_subcommand_exit_codes(self, tmp_path, capsys):
         assert main(["verify", "--scope", "kernels",
                      "--report", str(tmp_path / "r.txt")]) == 0

@@ -263,10 +263,8 @@ class TestGdRun:
         assert rec.dist_opt == pytest.approx(3.0)
 
     def test_rejects_normalized_variant(self):
-        f = power_norm(2, 4, 1)
-        rule = StepRule(variant="normalized", r_hat=1.0, schedule="sqrt")
-        with pytest.raises(ValueError):
-            gd_run(f, rule, np.array([1.0, 0.0]), budget=10)
+        with pytest.raises(ValueError, match="unknown stepsize variant"):
+            StepRule(variant="normalized")
 
 
 class TestNgdRun:
@@ -302,10 +300,15 @@ class TestNgdRun:
             if rec.grad_norm > 0:
                 assert rec.step_len == pytest.approx(2.0 / (rec.k + 1))
 
-    def test_horizon_limits_iterations(self):
+    @pytest.mark.parametrize("budget, horizon, last_k", [
+        (10**4, 25, 25),  # the horizon stops the run
+        (10, 25, 9),      # the budget runs out first
+    ])
+    def test_horizon_limits_iterations(self, budget, horizon, last_k):
         f = power_norm(2, 6, 1)
-        trace = ngd_run(f, 1.0, "fixed", np.array([10.0, 0.0]), 10**4, horizon=25)
-        assert trace.records[-1].k == 25
+        trace = ngd_run(f, 1.0, "fixed", np.array([10.0, 0.0]), budget, horizon=horizon)
+        assert trace.records[-1].k == last_k
+        assert trace.termination == "BudgetExhausted"
 
     def test_rejects_bad_args(self):
         f = power_norm(2, 4, 1)

@@ -290,12 +290,11 @@ class TestSpectralNorm:
         for _ in range(20):
             m = rng.standard_normal((4, 4))
             h = m + m.T
-            expected = float(np.max(np.abs(np.linalg.eigvalsh(h))))
-            assert spectral_norm(h, rng) == pytest.approx(expected, rel=1e-6)
+            expected = float(np.linalg.norm(h, 2))
+            assert spectral_norm(h) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_matrix(self):
-        rng = np.random.default_rng(8)
-        assert spectral_norm(np.zeros((3, 3)), rng) == 0.0
+        assert spectral_norm(np.zeros((3, 3))) == 0.0
 
 
 class TestCertifier:
