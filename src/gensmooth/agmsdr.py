@@ -37,6 +37,13 @@ from .first_order import (
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 
+# Largest rise f(x_{k+1}) - f(y_k) the accelerated loop tolerates as rounding.
+MONOTONE_TOL = 1e-9
+
+# Stage-1 descent rules and hand-over targets the two-stage driver accepts.
+STAGE1_RULES = ("optimal", "simplified")
+STAGE1_TARGETS = ("auto", "gap", "grad")
+
 
 class LineSearchError(RuntimeError):
     """Non-finite value met during the segment search."""
@@ -97,7 +104,6 @@ def segment_line_search(
     x: np.ndarray,
     tol: float = 1e-10,
     max_evals: int = 60,
-    f_v: float | None = None,
     f_x: float | None = None,
 ) -> LineSearchResult:
     """Golden-section minimization of beta -> f(v + beta*(x - v)) on [0, 1].
@@ -105,8 +111,8 @@ def segment_line_search(
     Convexity of f makes the restriction unimodal, so the bracket shrinks
     by the golden ratio per evaluation.  Both endpoints are always in the
     candidate set, so the returned value never exceeds min(f(v), f(x)).
-    Known endpoint values can be passed in to save evaluations; `evals`
-    counts the calls actually made here.
+    A known f(x) can be passed in to save an evaluation; `evals` counts
+    the calls actually made here.
     """
     direction = x - v
     evals = 0
@@ -128,10 +134,7 @@ def segment_line_search(
         best_beta, best_val = 1.0, f_x
     if float(np.linalg.norm(direction)) == 0.0:
         return LineSearchResult(y=x.copy(), f_y=f_x, beta=1.0, evals=evals)
-    if f_v is None:
-        f_v = h(0.0)
-    elif f_v < best_val:
-        best_beta, best_val = 0.0, f_v
+    h(0.0)
 
     lo, hi = 0.0, 1.0
     b1 = hi - _INV_GOLDEN * (hi - lo)
@@ -159,7 +162,6 @@ def agmsdr_run(
     ls_tol: float = 1e-10,
     ls_max_evals: int = 60,
     t_params: SmoothnessParams | None = None,
-    monotone_tol: float = 1e-9,
 ) -> Trace:
     """Accelerated loop from x0 with scaling constant l_const.
 
@@ -169,7 +171,7 @@ def agmsdr_run(
     plus the iteration products f(y_k), ||grad f(y_k)|| and the search
     cost.  Oracle calls accumulate value and gradient evaluations alike.
 
-    A rise f(x_{k+1}) > f(y_k) beyond `monotone_tol` aborts: on a convex
+    A rise f(x_{k+1}) > f(y_k) beyond `MONOTONE_TOL` aborts: on a convex
     objective that can only mean the curvature constants are wrong.
     """
     if l_const <= 0:
@@ -217,7 +219,7 @@ def agmsdr_run(
         x_next = y - step_len * (grad_y / g) if g > 0 else y
         f_next = f.value(x_next)
         calls += 1
-        if f_next > f_y + monotone_tol:
+        if f_next > f_y + MONOTONE_TOL:
             raise RuntimeError(
                 f"descent step increased the value at iteration {k} "
                 f"({f_y} -> {f_next}): curvature constants do not match the objective"
@@ -245,74 +247,60 @@ def agmsdr_run(
     return Trace(records=records, final_x=x, termination=termination, method="agmsdr")
 
 
-@dataclass(frozen=True)
-class TwoStageConfig:
-    """Knobs for the two-stage procedure.
-
-    `l_const` is the scaling constant handed to the accelerated stage
-    (default 3*l0, which the simplified descent step supports once the
-    gradient norm is at most l0/l1).  `stage1_target` picks the hand-over
-    test: "gap" stops when f - f_star <= l0/(5*l1^2) and needs a known
-    optimum; "grad" stops at ||grad|| <= l0/l1 and is the documented
-    fallback when f_star is unavailable.  "auto" prefers "gap".
-    """
-
-    l_const: float | None = None
-    stage1_variant: str = "simplified"
-    stage1_target: str = "auto"
-    line_search_tol: float = 1e-10
-    line_search_max_evals: int = 60
-
-    def __post_init__(self):
-        if self.l_const is not None and self.l_const <= 0:
-            raise ValueError("l_const must be positive")
-        if self.stage1_variant not in ("optimal", "simplified"):
-            raise ValueError("stage 1 must use the optimal or simplified rule")
-        if self.stage1_target not in ("auto", "gap", "grad"):
-            raise ValueError("stage1_target must be 'auto', 'gap' or 'grad'")
-        if self.line_search_tol <= 0:
-            raise ValueError("line_search_tol must be positive")
-
-
 def two_stage_run(
     f: Objective,
     x_s: np.ndarray,
     p: SmoothnessParams,
-    cfg: TwoStageConfig = TwoStageConfig(),
     budget: int = 10**6,
+    *,
+    l_const: float | None = None,
+    rule: str = "simplified",
+    target: str = "auto",
+    ls_tol: float = 1e-10,
+    ls_max_evals: int = 60,
 ) -> Trace:
     """Gradient descent until the hand-over target, then the accelerated loop.
+
+    `l_const` is the scaling constant handed to the accelerated stage
+    (default 3*l0, which the simplified descent step supports once the
+    gradient norm is at most l0/l1); `rule` is the stage-1 stepsize rule.
+    `target` picks the hand-over test: "gap" stops when f - f_star <=
+    l0/(5*l1^2) and needs a known optimum; "grad" stops at ||grad|| <=
+    l0/l1 and is the fallback when f_star is unavailable; "auto" prefers
+    "gap".  `ls_tol` and `ls_max_evals` go to the segment search.
 
     With l1 = 0 the target is vacuous and stage 1 is skipped entirely.
     Stage-2 records continue the combined iteration index and oracle
     count; stage-1 rows are marked stage 1, accelerated rows stage 2.
     Returns the partial stage-1 trace if its budget runs out first.
     """
-    l_const = cfg.l_const if cfg.l_const is not None else 3.0 * p.l0
+    if l_const is not None and l_const <= 0:
+        raise ValueError("l_const must be positive")
+    if rule not in STAGE1_RULES:
+        raise ValueError("stage 1 must use the optimal or simplified rule")
+    if target not in STAGE1_TARGETS:
+        raise ValueError("stage1_target must be 'auto', 'gap' or 'grad'")
+    if ls_tol <= 0:
+        raise ValueError("line_search_tol must be positive")
+    if l_const is None:
+        l_const = 3.0 * p.l0
     if p.l1 == 0.0:
         return agmsdr_run(
-            f,
-            x_s,
-            l_const,
-            budget,
-            ls_tol=cfg.line_search_tol,
-            ls_max_evals=cfg.line_search_max_evals,
-            t_params=p,
+            f, x_s, l_const, budget, ls_tol=ls_tol, ls_max_evals=ls_max_evals, t_params=p
         )
 
-    target = cfg.stage1_target
     if target == "auto":
         target = "gap" if f.f_star is not None else "grad"
     if target == "gap" and f.f_star is None:
         raise ValueError("the 'gap' hand-over target requires a known f_star")
 
-    rule = StepRule(variant=cfg.stage1_variant, params=p)
+    step_rule = StepRule(variant=rule, params=p)
     if target == "gap":
         stage1 = gd_run(
-            f, rule, x_s, budget, grad_tol=0.0, gap_tol=p.l0 / (5.0 * p.l1**2)
+            f, step_rule, x_s, budget, grad_tol=0.0, gap_tol=p.l0 / (5.0 * p.l1**2)
         )
     else:
-        stage1 = gd_run(f, rule, x_s, budget, grad_tol=p.l0 / p.l1)
+        stage1 = gd_run(f, step_rule, x_s, budget, grad_tol=p.l0 / p.l1)
 
     stage1_calls = stage1.records[-1].oracle_calls
     if stage1.termination in ("BudgetExhausted", "Diverged"):
@@ -328,8 +316,8 @@ def two_stage_run(
         stage1.final_x,
         l_const,
         budget - stage1_calls,
-        ls_tol=cfg.line_search_tol,
-        ls_max_evals=cfg.line_search_max_evals,
+        ls_tol=ls_tol,
+        ls_max_evals=ls_max_evals,
         t_params=p,
     )
 

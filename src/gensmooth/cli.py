@@ -15,7 +15,7 @@ failures such as an overflow or a failed line search.
 
 CSV columns: k,f_val,f_gap,grad_norm,step_len,oracle_calls,stage.  Floats
 are written with repr-faithful precision and no locale formatting, so a
-rerun with the same seed produces byte-identical files.
+rerun with the same config produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,8 @@ from .problems import (
     power_norm,
     separable_pnorm,
 )
-from .first_order import StepRule, Trace, gd_run, ngd_run
-from .agmsdr import TwoStageConfig, agmsdr_run, two_stage_run
+from .first_order import GD_VARIANTS, NGD_SCHEDULES, StepRule, Trace, gd_run, ngd_run
+from .agmsdr import STAGE1_RULES, STAGE1_TARGETS, agmsdr_run, two_stage_run
 from . import verify as verify_mod
 
 CSV_HEADER = "k,f_val,f_gap,grad_norm,step_len,oracle_calls,stage"
@@ -55,96 +55,113 @@ class SpecError(ValueError):
         self.pos = pos
 
 
-def _split_spec(spec: str) -> tuple[str, dict[str, str]]:
+def _split_spec(spec: str) -> tuple[str, dict[str, tuple[str, int]]]:
+    """Name and {key: (raw value, offset of the key=value token)}."""
     name, _, rest = spec.partition(":")
     if not name:
         raise SpecError(spec, 0, "missing name")
-    pairs: dict[str, str] = {}
+    pairs: dict[str, tuple[str, int]] = {}
     pos = len(name) + 1
     if rest:
         for token in rest.split(","):
-            if "=" not in token:
-                raise SpecError(spec, pos, f"token {token!r} is not key=value")
-            key, val = token.split("=", 1)
-            if not key or not val:
+            key, eq, val = token.partition("=")
+            if not key or not eq or not val:
                 raise SpecError(spec, pos, f"token {token!r} is not key=value")
             if key in pairs:
                 raise SpecError(spec, pos, f"duplicate key {key!r}")
-            pairs[key] = val
+            pairs[key] = (val, pos)
             pos += len(token) + 1
     return name, pairs
 
 
-def _take(pairs: dict[str, str], spec: str, key: str, convert, required: bool = True, default=None):
-    if key not in pairs:
-        if required:
-            raise SpecError(spec, 0, f"missing required key {key!r}")
-        return default
-    raw = pairs.pop(key)
-    try:
-        return convert(raw)
-    except SpecError:
-        raise
-    except ValueError as exc:
-        raise SpecError(spec, spec.find(raw), f"key {key!r}: {exc}") from exc
+REQUIRED = object()  # default marker of a key the spec must give
 
 
-def _parse_vector(raw: str) -> np.ndarray:
-    return np.array([float(part) for part in raw.split(";")])
+def _float_list(raw: str) -> list[float]:
+    return [float(part) for part in raw.split(";")]
 
 
-def _reject_unknown(pairs: dict[str, str], spec: str):
-    if pairs:
-        key = next(iter(pairs))
-        raise SpecError(spec, spec.find(key), f"unknown key {key!r}")
+def _bind(spec: str, name: str, pairs: dict[str, tuple[str, int]], keys: dict) -> dict:
+    """Convert the spec's pairs by the `keys` table of `name`.
+
+    `keys` maps spec key -> (field, converter or tuple of allowed values,
+    default or REQUIRED); the result maps each field to its value.
+    """
+    values = {}
+    for key, (field, convert, default) in keys.items():
+        if key not in pairs:
+            if default is REQUIRED:
+                raise SpecError(spec, 0, f"missing required key {key!r}")
+            values[field] = default
+            continue
+        raw, pos = pairs[key]
+        pos += len(key) + 1
+        if isinstance(convert, tuple):
+            if raw not in convert:
+                raise SpecError(
+                    spec, pos, f"unknown {name} {key} {raw!r} (expected {'|'.join(convert)})"
+                )
+            values[field] = raw
+            continue
+        try:
+            values[field] = convert(raw)
+        except ValueError as exc:
+            raise SpecError(spec, pos, f"key {key!r}: {exc}") from exc
+    for key, (_, pos) in pairs.items():
+        if key not in keys:
+            raise SpecError(spec, pos, f"unknown key {key!r}")
+    return values
+
+
+_PNORM_KEYS = {
+    "d": ("dim", int, REQUIRED),
+    "p": ("p", float, REQUIRED),
+    "l1": ("l1", float, REQUIRED),
+}
+
+# problem name -> (builder, {spec key: (builder argument, converter, default)})
+PROBLEMS = {
+    "power_norm": (power_norm, _PNORM_KEYS),
+    "logistic": (logistic_1d, {"l1": ("l1", float, 0.0)}),
+    "affine_logistic": (
+        affine_logistic,
+        {
+            "a": ("a", _float_list, REQUIRED),
+            "b": ("b", float, 0.0),
+            "l1": ("l1", float, REQUIRED),
+        },
+    ),
+    "exp_phi": (
+        lambda dim, l0, l1: exp_phi(dim, SmoothnessParams(l0, l1)),
+        {
+            "d": ("dim", int, REQUIRED),
+            "l0": ("l0", float, REQUIRED),
+            "l1": ("l1", float, REQUIRED),
+        },
+    ),
+    "separable_pnorm": (separable_pnorm, _PNORM_KEYS),
+}
 
 
 def parse_problem(spec: str) -> Objective:
-    """Build an objective from a spec string.
-
-    Known names: power_norm(d,p,l1), logistic(l1), affine_logistic(a,b,l1),
-    exp_phi(d,l0,l1), separable_pnorm(d,p,l1).
-    """
+    """Build an objective from a spec string; `PROBLEMS` lists the names and keys."""
     name, pairs = _split_spec(spec)
+    if name not in PROBLEMS:
+        raise SpecError(spec, 0, f"unknown problem {name!r}")
+    builder, keys = PROBLEMS[name]
+    values = _bind(spec, name, pairs, keys)
     try:
-        if name == "power_norm":
-            d = _take(pairs, spec, "d", int)
-            p = _take(pairs, spec, "p", float)
-            l1 = _take(pairs, spec, "l1", float)
-            _reject_unknown(pairs, spec)
-            return power_norm(d, p, l1)
-        if name == "logistic":
-            l1 = _take(pairs, spec, "l1", float, required=False, default=0.0)
-            _reject_unknown(pairs, spec)
-            return logistic_1d(l1)
-        if name == "affine_logistic":
-            a = _take(pairs, spec, "a", _parse_vector)
-            b = _take(pairs, spec, "b", float, required=False, default=0.0)
-            l1 = _take(pairs, spec, "l1", float)
-            _reject_unknown(pairs, spec)
-            return affine_logistic(a, b, l1)
-        if name == "exp_phi":
-            d = _take(pairs, spec, "d", int)
-            l0 = _take(pairs, spec, "l0", float)
-            l1 = _take(pairs, spec, "l1", float)
-            _reject_unknown(pairs, spec)
-            return exp_phi(d, SmoothnessParams(l0, l1))
-        if name == "separable_pnorm":
-            d = _take(pairs, spec, "d", int)
-            p = _take(pairs, spec, "p", float)
-            l1 = _take(pairs, spec, "l1", float)
-            _reject_unknown(pairs, spec)
-            return separable_pnorm(d, p, l1)
-    except SpecError:
-        raise
+        return builder(**values)
     except ValueError as exc:
         raise SpecError(spec, 0, str(exc)) from exc
-    raise SpecError(spec, 0, f"unknown problem {name!r}")
 
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """Parsed method description; `kind` is gd/ngd/agmsdr/two_stage."""
+    """Parsed method description; `kind` is gd/ngd/agmsdr/two_stage.
+
+    Fields a kind does not take stay None; `METHODS` holds the defaults.
+    """
 
     kind: str
     rule_variant: str | None = None
@@ -155,62 +172,48 @@ class MethodSpec:
     schedule: str | None = None
     horizon: int | None = None
     l_const: float | None = None
-    ls_tol: float = 1e-10
-    ls_max: int = 60
-    target: str = "auto"
+    ls_tol: float | None = None
+    ls_max: int | None = None
+    target: str | None = None
+
+
+_SEGMENT_KEYS = {
+    "l": ("l_const", float, None),
+    "ls_tol": ("ls_tol", float, 1e-10),
+    "ls_max": ("ls_max", int, 60),
+}
+
+# method kind -> {spec key: (MethodSpec field, converter or choices, default)}
+METHODS = {
+    "gd": {
+        "rule": ("rule_variant", GD_VARIANTS, REQUIRED),
+        "l0": ("l0", float, None),
+        "l1": ("l1", float, None),
+        "f_star": ("f_star", float, None),
+    },
+    "ngd": {
+        "r_hat": ("r_hat", float, REQUIRED),
+        "schedule": ("schedule", NGD_SCHEDULES, REQUIRED),
+        "horizon": ("horizon", int, None),
+    },
+    "agmsdr": _SEGMENT_KEYS,
+    "two_stage": {
+        **_SEGMENT_KEYS,
+        "rule": ("rule_variant", STAGE1_RULES, "simplified"),
+        "target": ("target", STAGE1_TARGETS, "auto"),
+    },
+}
 
 
 def parse_method(spec: str) -> MethodSpec:
-    """Parse a method spec string.
-
-    Known forms:
-      gd:rule=optimal|simplified|clipped|polyak[,l0=..][,l1=..][,f_star=..]
-      ngd:r_hat=..,schedule=fixed|sqrt|linear[,horizon=..]
-      agmsdr:[l=..][,ls_tol=..][,ls_max=..]
-      two_stage:[l=..][,rule=..][,target=gap|grad][,ls_tol=..][,ls_max=..]
-    """
+    """Parse a method spec string; `METHODS` lists the kinds and keys."""
     name, pairs = _split_spec(spec)
-    if name == "gd":
-        rule = _take(pairs, spec, "rule", str)
-        if rule not in ("optimal", "simplified", "clipped", "polyak"):
-            raise SpecError(spec, spec.find(rule), f"unknown gd rule {rule!r}")
-        l0 = _take(pairs, spec, "l0", float, required=False)
-        l1 = _take(pairs, spec, "l1", float, required=False)
-        f_star = _take(pairs, spec, "f_star", float, required=False)
-        _reject_unknown(pairs, spec)
-        return MethodSpec(kind="gd", rule_variant=rule, l0=l0, l1=l1, f_star=f_star)
-    if name == "ngd":
-        r_hat = _take(pairs, spec, "r_hat", float)
-        schedule = _take(pairs, spec, "schedule", str)
-        if schedule not in ("fixed", "sqrt", "linear"):
-            raise SpecError(spec, spec.find(schedule), f"unknown schedule {schedule!r}")
-        horizon = _take(pairs, spec, "horizon", int, required=False)
-        _reject_unknown(pairs, spec)
-        if schedule == "fixed" and horizon is None:
-            raise SpecError(spec, 0, "fixed schedule requires horizon")
-        return MethodSpec(kind="ngd", r_hat=r_hat, schedule=schedule, horizon=horizon)
-    if name == "agmsdr":
-        l_const = _take(pairs, spec, "l", float, required=False)
-        ls_tol = _take(pairs, spec, "ls_tol", float, required=False, default=1e-10)
-        ls_max = _take(pairs, spec, "ls_max", int, required=False, default=60)
-        _reject_unknown(pairs, spec)
-        return MethodSpec(kind="agmsdr", l_const=l_const, ls_tol=ls_tol, ls_max=ls_max)
-    if name == "two_stage":
-        l_const = _take(pairs, spec, "l", float, required=False)
-        rule = _take(pairs, spec, "rule", str, required=False, default="simplified")
-        target = _take(pairs, spec, "target", str, required=False, default="auto")
-        ls_tol = _take(pairs, spec, "ls_tol", float, required=False, default=1e-10)
-        ls_max = _take(pairs, spec, "ls_max", int, required=False, default=60)
-        _reject_unknown(pairs, spec)
-        return MethodSpec(
-            kind="two_stage",
-            rule_variant=rule,
-            l_const=l_const,
-            target=target,
-            ls_tol=ls_tol,
-            ls_max=ls_max,
-        )
-    raise SpecError(spec, 0, f"unknown method {name!r}")
+    if name not in METHODS:
+        raise SpecError(spec, 0, f"unknown method {name!r}")
+    method = MethodSpec(kind=name, **_bind(spec, name, pairs, METHODS[name]))
+    if method.schedule == "fixed" and method.horizon is None:
+        raise SpecError(spec, 0, "fixed schedule requires horizon")
+    return method
 
 
 @dataclass
@@ -228,17 +231,7 @@ class RunConfig:
     label: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "problem_spec": self.problem_spec,
-            "method_spec": self.method_spec,
-            "radius": self.radius,
-            "x0": self.x0,
-            "budget": self.budget,
-            "grad_tol": self.grad_tol,
-            "seed": self.seed,
-            "output_path": self.output_path,
-            "label": self.label,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "RunConfig":
@@ -281,29 +274,22 @@ def initial_point(f: Objective, cfg: RunConfig) -> np.ndarray:
     return x0
 
 
-def _resolve_params(f: Objective, method: MethodSpec) -> SmoothnessParams:
-    l0 = method.l0
-    l1 = method.l1
-    if l0 is None and l1 is None and f.params is not None:
-        return f.params
+def _resolve_params(f: Objective, l0: float | None, l1: float | None) -> SmoothnessParams:
+    """The problem's constants with any given l0/l1 overriding them."""
     base = f.params
-    if l0 is None:
-        if base is None:
-            raise ValueError("method needs l0: problem carries no constants")
-        l0 = base.l0
-    if l1 is None:
-        if base is None:
-            raise ValueError("method needs l1: problem carries no constants")
-        l1 = base.l1
-    return SmoothnessParams(l0, l1)
+    if base is None and (l0 is None or l1 is None):
+        raise ValueError("problem carries no constants: give both l0 and l1")
+    if l0 is None and l1 is None:
+        return base
+    return SmoothnessParams(base.l0 if l0 is None else l0, base.l1 if l1 is None else l1)
 
 
 def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
                    budget: int, grad_tol: float) -> Trace:
     if method.kind == "gd":
         params = None
-        if method.rule_variant in ("optimal", "simplified", "clipped"):
-            params = _resolve_params(f, method)
+        if method.rule_variant != "polyak":
+            params = _resolve_params(f, method.l0, method.l1)
         rule = StepRule(
             variant=method.rule_variant, params=params, f_star=method.f_star
         )
@@ -313,22 +299,18 @@ def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
             f, method.r_hat, method.schedule, x0, budget, horizon=method.horizon
         )
     if method.kind == "agmsdr":
-        params = _resolve_params(f, method)
+        params = _resolve_params(f, method.l0, method.l1)
         l_const = method.l_const if method.l_const is not None else 3.0 * params.l0
         return agmsdr_run(
             f, x0, l_const, budget,
             ls_tol=method.ls_tol, ls_max_evals=method.ls_max, t_params=params,
         )
     if method.kind == "two_stage":
-        params = _resolve_params(f, method)
-        cfg = TwoStageConfig(
-            l_const=method.l_const,
-            stage1_variant=method.rule_variant or "simplified",
-            stage1_target=method.target,
-            line_search_tol=method.ls_tol,
-            line_search_max_evals=method.ls_max,
+        return two_stage_run(
+            f, x0, _resolve_params(f, method.l0, method.l1), budget,
+            l_const=method.l_const, rule=method.rule_variant, target=method.target,
+            ls_tol=method.ls_tol, ls_max_evals=method.ls_max,
         )
-        return two_stage_run(f, x0, params, cfg, budget)
     raise ValueError(f"unknown method kind {method.kind!r}")
 
 
@@ -564,7 +546,7 @@ def _add_run_flags(sub):
     sub.add_argument("--problem", help="problem spec, e.g. power_norm:d=2,p=4,l1=1")
     sub.add_argument("--method", help="method spec, e.g. gd:rule=optimal")
     sub.add_argument("--radius", type=float, help="start at radius*e1")
-    sub.add_argument("--x0", help="explicit start, semicolon-separated")
+    sub.add_argument("--x0", type=_float_list, help="explicit start, semicolon-separated")
     sub.add_argument("--budget", type=int, default=None)
     sub.add_argument("--grad-tol", type=float, default=None)
     sub.add_argument("--seed", type=int, default=None)
@@ -572,27 +554,27 @@ def _add_run_flags(sub):
     sub.add_argument("--config", help="JSON file with RunConfig fields; flags override")
 
 
+# `run` flag (argparse dest) -> the RunConfig field it overrides
+_RUN_FLAGS = (
+    ("problem", "problem_spec"),
+    ("method", "method_spec"),
+    ("radius", "radius"),
+    ("x0", "x0"),
+    ("budget", "budget"),
+    ("grad_tol", "grad_tol"),
+    ("seed", "seed"),
+    ("out", "output_path"),
+)
+
+
 def _config_from_args(args) -> RunConfig:
     data: dict = {}
     if args.config:
         data = json.loads(Path(args.config).read_text())
     cfg = RunConfig.from_json(data) if data else RunConfig(problem_spec="", method_spec="")
-    if args.problem is not None:
-        cfg.problem_spec = args.problem
-    if args.method is not None:
-        cfg.method_spec = args.method
-    if args.radius is not None:
-        cfg.radius = args.radius
-    if args.x0 is not None:
-        cfg.x0 = [float(part) for part in args.x0.split(";")]
-    if args.budget is not None:
-        cfg.budget = args.budget
-    if args.grad_tol is not None:
-        cfg.grad_tol = args.grad_tol
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.out is not None:
-        cfg.output_path = args.out
+    for flag, field in _RUN_FLAGS:
+        if getattr(args, flag) is not None:
+            setattr(cfg, field, getattr(args, flag))
     if not cfg.problem_spec or not cfg.method_spec:
         raise SpecError(cfg.problem_spec or cfg.method_spec, 0,
                         "both --problem and --method are required")
@@ -679,14 +661,7 @@ def main(argv: list[str] | None = None) -> int:
             return code
         if args.command == "certify":
             f = parse_problem(args.problem)
-            if args.l0 is not None or args.l1 is not None:
-                base = f.params
-                params = SmoothnessParams(
-                    args.l0 if args.l0 is not None else base.l0,
-                    args.l1 if args.l1 is not None else base.l1,
-                )
-            else:
-                params = f.params
+            params = _resolve_params(f, args.l0, args.l1)
             report = certify_smoothness(f, params, args.radius, args.samples, args.seed)
             status = "ok" if report.passes(args.tol) else "FAIL"
             print(

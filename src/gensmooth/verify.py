@@ -24,15 +24,6 @@ from .kernels import SmoothnessParams, phi, phi_star
 from .problems import Objective, sample_ball
 from .first_order import Trace
 
-MONITOR_BOUNDS = (
-    "min_grad",
-    "convex_gap",
-    "normalized",
-    "polyak",
-    "accelerated",
-    "two_stage",
-)
-
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
 
 
@@ -304,6 +295,24 @@ def conjugate_grid_consistency(
     return margins.report("kernel_conjugate_grid", seed=seed)
 
 
+def _first_hit(recs, eps: float):
+    """First record whose running best gap is <= eps; None if there is none
+    before the trace ends or reaches a record with an unknown gap."""
+    best = math.inf
+    for rec in recs:
+        if rec.f_gap is None:
+            return None
+        best = min(best, rec.f_gap)
+        if best <= eps:
+            return rec
+    return None
+
+
+def _descent_threshold(params: SmoothnessParams, r: float):
+    """Iterations after which gap <= eps is guaranteed for the gradient rules."""
+    return lambda eps: max(4.0 * params.l0 * r * r / eps, 36.0 * params.l1**2 * r * r)
+
+
 def _gap_threshold_check(
     margins: _Margins,
     trace: Trace,
@@ -320,8 +329,7 @@ def _gap_threshold_check(
     as unverifiable rather than counted either way.
     """
     recs = trace.records
-    gaps = [rec.f_gap for rec in recs]
-    if any(gap is None for gap in gaps):
+    if any(rec.f_gap is None for rec in recs):
         raise ValueError("gap monitors require a known optimal value on every record")
     if not use_best:
         for prev, nxt in zip(recs, recs[1:]):
@@ -329,17 +337,154 @@ def _gap_threshold_check(
     horizon = recs[-1].k
     for eps in eps_grid:
         limit = threshold(eps)
-        best = math.inf
-        hit = None
-        for rec in recs:
-            best = min(best, rec.f_gap)
-            if best <= eps:
-                hit = rec.k
-                break
+        hit = _first_hit(recs, eps)
         if hit is not None:
-            margins.add(float(limit - hit), f"eps={eps}")
+            margins.add(float(limit - hit.k), f"eps={eps}")
         elif horizon >= limit:
             margins.add(-math.inf, f"eps={eps} never reached")
+
+
+def _min_grad(trace, tol, eps_grid, params, f0) -> CheckReport:
+    recs = trace.records
+    if any(rec.grad_norm is None for rec in recs):
+        raise ValueError("min_grad monitor requires gradient norms on every record")
+    margins = _Margins(tol=tol)
+    running = math.inf
+    for rec in recs:
+        running = min(running, rec.grad_norm)
+        k1 = rec.k + 1
+        limit = math.sqrt(2.0 * params.l0 * f0 / k1) + 3.0 * params.l1 * f0 / k1
+        margins.add(limit - running, f"K={rec.k}")
+    return margins.report("rate_min_grad")
+
+
+def _convex_gap(trace, tol, eps_grid, params, r) -> CheckReport:
+    margins = _Margins(tol=tol)
+    _gap_threshold_check(
+        margins, trace, eps_grid, _descent_threshold(params, r), use_best=False
+    )
+    return margins.report(
+        "rate_convex_gap", informational=(trace.method == "gd:clipped")
+    )
+
+
+def _normalized(trace, tol, eps_grid, params, r, r_hat) -> CheckReport:
+    recs = trace.records
+    if all(rec.support_dist is None for rec in recs):
+        raise ValueError(
+            "normalized monitor requires recorded support distances (known x_star)"
+        )
+    margins = _Margins(tol=tol)
+    if trace.method == "ngd:fixed":
+        horizon = recs[-1].k
+        v_min = min(rec.support_dist for rec in recs if rec.support_dist is not None)
+        v_bound = (r * r + r_hat * r_hat) / (2.0 * r_hat * math.sqrt(horizon + 1))
+        margins.add(v_bound - v_min, f"K={horizon}")
+        r_bar = r * r / r_hat + r_hat
+        if horizon >= (4.0 / 9.0) * params.l1**2 * r_bar**2:
+            eps = params.l0 * r_bar**2 / horizon
+            best_gap = min(rec.f_gap for rec in recs if rec.f_gap is not None)
+            margins.add(eps - best_gap, f"gap at K={horizon}")
+        return margins.report("rate_normalized_fixed")
+    running = math.inf
+    v_at = {}
+    for rec in recs:
+        if rec.support_dist is not None:
+            running = min(running, rec.support_dist)
+        v_at[rec.k] = running
+    if 16 in v_at and math.isfinite(v_at[16]):
+        c = v_at[16] * math.sqrt(17.0) / math.log(17.0)
+        for k, v in v_at.items():
+            if k >= 16:
+                margins.add(c * math.log(k + 1) / math.sqrt(k + 1) - v, f"K={k}")
+    return margins.report("rate_normalized_decay", informational=True)
+
+
+def _polyak(trace, tol, eps_grid, params, r) -> CheckReport:
+    recs = trace.records
+    margins = _Margins(tol=tol)
+    for prev, nxt in zip(recs, recs[1:]):
+        if prev.dist_opt is None or not prev.grad_norm:
+            continue
+        drop = (prev.f_gap / prev.grad_norm) ** 2
+        margins.add(prev.dist_opt**2 - drop - nxt.dist_opt**2, f"k={prev.k}")
+    _gap_threshold_check(
+        margins, trace, eps_grid, _descent_threshold(params, r), use_best=True
+    )
+    return margins.report("rate_polyak")
+
+
+def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
+    recs = trace.records
+    if recs[0].a_capital is None:
+        raise ValueError("accelerated monitor requires an accelerated-method trace")
+    margins = _Margins(tol=tol)
+    cert = _Margins(tol=1e-7)
+    for rec, nxt in zip(recs, recs[1:]):
+        if rec.f_y is not None:
+            margins.add(rec.f_val - rec.f_y, f"f(y)<=f(x) at k={rec.k}")
+            margins.add(rec.f_y - nxt.f_val, f"f(x+)<=f(y) at k={rec.k}")
+            # descent-operator contract backing the 1/k^2 rate
+            required = rec.grad_norm**2 / (2.0 * l_const)
+            margins.add(
+                rec.f_y - nxt.f_val - required, f"step progress k={rec.k}"
+            )
+    for rec in recs:
+        cert.add(rec.zeta_star - rec.a_capital * rec.f_val, f"certificate k={rec.k}")
+        if rec.k >= 1:
+            margins.add(
+                rec.a_capital - rec.k**2 / (4.0 * l_const), f"A_k growth k={rec.k}"
+            )
+            if rec.f_gap is not None:
+                margins.add(
+                    2.0 * l_const * r * r / rec.k**2 - rec.f_gap,
+                    f"gap bound k={rec.k}",
+                )
+    return merge_reports(
+        [margins.report("rate_accelerated"), cert.report("rate_accelerated")]
+    )
+
+
+def _two_stage(trace, tol, eps_grid, params, r) -> CheckReport:
+    recs = trace.records
+    margins = _Margins(tol=tol)
+    stage1 = [rec for rec in recs if rec.stage == 1]
+    stage2 = [rec for rec in recs if rec.stage == 2]
+    if params.l1 > 0 and stage1:
+        margins.add(
+            params.l0 / params.l1 - stage1[-1].grad_norm, "stage-1 exit gradient"
+        )
+    if stage2:
+        start_val = stage2[0].f_val
+        for rec in stage2:
+            margins.add(start_val - rec.f_val, f"sublevel k={rec.k}")
+            if rec.grad_norm is not None and params.l1 > 0:
+                margins.add(
+                    params.l0 / params.l1 + 1e-6 - rec.grad_norm,
+                    f"stage-2 gradient k={rec.k}",
+                )
+        ls = [rec.ls_evals for rec in stage2 if rec.ls_evals is not None]
+        mbar = float(np.mean(ls)) if ls else 1.0
+        for eps in eps_grid:
+            limit = (
+                mbar * math.sqrt(12.0 * params.l0 * r * r / eps)
+                + 36.0 * params.l1**2 * r * r
+            )
+            hit = _first_hit(recs, eps)
+            if hit is not None:
+                margins.add(limit - hit.oracle_calls, f"oracle calls to eps={eps}")
+    return margins.report("rate_two_stage")
+
+
+# bound -> (check, keyword arguments it needs besides tol and eps_grid)
+MONITOR_BOUNDS = {
+    "min_grad": (_min_grad, ("params", "f0")),
+    "convex_gap": (_convex_gap, ("params", "r")),
+    "normalized": (_normalized, ("params", "r", "r_hat")),
+    "polyak": (_polyak, ("params", "r")),
+    "accelerated": (_accelerated, ("l_const", "r")),
+    "two_stage": (_two_stage, ("params", "r")),
+}
 
 
 def rate_monitor(
@@ -381,154 +526,9 @@ def rate_monitor(
     """
     if bound not in MONITOR_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}")
-    recs = trace.records
-
-    if bound == "min_grad":
-        if params is None or f0 is None:
-            raise ValueError("min_grad monitor needs params and f0")
-        if any(rec.grad_norm is None for rec in recs):
-            raise ValueError("min_grad monitor requires gradient norms on every record")
-        margins = _Margins(tol=tol)
-        running = math.inf
-        for rec in recs:
-            running = min(running, rec.grad_norm)
-            k1 = rec.k + 1
-            limit = math.sqrt(2.0 * params.l0 * f0 / k1) + 3.0 * params.l1 * f0 / k1
-            margins.add(limit - running, f"K={rec.k}")
-        return margins.report("rate_min_grad")
-
-    if bound == "convex_gap":
-        if params is None or r is None:
-            raise ValueError("convex_gap monitor needs params and r")
-        margins = _Margins(tol=tol)
-        _gap_threshold_check(
-            margins,
-            trace,
-            eps_grid,
-            lambda e: max(4.0 * params.l0 * r * r / e, 36.0 * params.l1**2 * r * r),
-            use_best=False,
-        )
-        return margins.report(
-            "rate_convex_gap", informational=(trace.method == "gd:clipped")
-        )
-
-    if bound == "normalized":
-        if params is None or r is None or r_hat is None:
-            raise ValueError("normalized monitor needs params, r and r_hat")
-        if all(rec.support_dist is None for rec in recs):
-            raise ValueError(
-                "normalized monitor requires recorded support distances (known x_star)"
-            )
-        if trace.method == "ngd:fixed":
-            margins = _Margins(tol=tol)
-            horizon = recs[-1].k
-            v_min = min(rec.support_dist for rec in recs if rec.support_dist is not None)
-            v_bound = (r * r + r_hat * r_hat) / (2.0 * r_hat * math.sqrt(horizon + 1))
-            margins.add(v_bound - v_min, f"K={horizon}")
-            r_bar = r * r / r_hat + r_hat
-            if horizon >= (4.0 / 9.0) * params.l1**2 * r_bar**2:
-                eps = params.l0 * r_bar**2 / horizon
-                best_gap = min(rec.f_gap for rec in recs if rec.f_gap is not None)
-                margins.add(eps - best_gap, f"gap at K={horizon}")
-            return margins.report("rate_normalized_fixed")
-        margins = _Margins(tol=tol)
-        running = math.inf
-        v_at = {}
-        for rec in recs:
-            if rec.support_dist is not None:
-                running = min(running, rec.support_dist)
-            v_at[rec.k] = running
-        if 16 in v_at and math.isfinite(v_at[16]):
-            c = v_at[16] * math.sqrt(17.0) / math.log(17.0)
-            for k, v in v_at.items():
-                if k >= 16:
-                    margins.add(c * math.log(k + 1) / math.sqrt(k + 1) - v, f"K={k}")
-        return margins.report("rate_normalized_decay", informational=True)
-
-    if bound == "polyak":
-        if params is None or r is None:
-            raise ValueError("polyak monitor needs params and r")
-        margins = _Margins(tol=tol)
-        for prev, nxt in zip(recs, recs[1:]):
-            if prev.dist_opt is None or not prev.grad_norm:
-                continue
-            drop = (prev.f_gap / prev.grad_norm) ** 2
-            margins.add(prev.dist_opt**2 - drop - nxt.dist_opt**2, f"k={prev.k}")
-        _gap_threshold_check(
-            margins,
-            trace,
-            eps_grid,
-            lambda e: max(4.0 * params.l0 * r * r / e, 36.0 * params.l1**2 * r * r),
-            use_best=True,
-        )
-        return margins.report("rate_polyak")
-
-    if bound == "accelerated":
-        if l_const is None or r is None:
-            raise ValueError("accelerated monitor needs l_const and r")
-        if recs[0].a_capital is None:
-            raise ValueError("accelerated monitor requires an accelerated-method trace")
-        margins = _Margins(tol=tol)
-        cert = _Margins(tol=1e-7)
-        for rec, nxt in zip(recs, recs[1:]):
-            if rec.f_y is not None:
-                margins.add(rec.f_val - rec.f_y, f"f(y)<=f(x) at k={rec.k}")
-                margins.add(rec.f_y - nxt.f_val, f"f(x+)<=f(y) at k={rec.k}")
-                # descent-operator contract backing the 1/k^2 rate
-                required = rec.grad_norm**2 / (2.0 * l_const)
-                margins.add(
-                    rec.f_y - nxt.f_val - required, f"step progress k={rec.k}"
-                )
-        for rec in recs:
-            cert.add(rec.zeta_star - rec.a_capital * rec.f_val, f"certificate k={rec.k}")
-            if rec.k >= 1:
-                margins.add(
-                    rec.a_capital - rec.k**2 / (4.0 * l_const), f"A_k growth k={rec.k}"
-                )
-                if rec.f_gap is not None:
-                    margins.add(
-                        2.0 * l_const * r * r / rec.k**2 - rec.f_gap,
-                        f"gap bound k={rec.k}",
-                    )
-        return merge_reports(
-            [margins.report("rate_accelerated"), cert.report("rate_accelerated")]
-        )
-
-    # two_stage
-    if params is None or r is None:
-        raise ValueError("two_stage monitor needs params and r")
-    margins = _Margins(tol=tol)
-    stage1 = [rec for rec in recs if rec.stage == 1]
-    stage2 = [rec for rec in recs if rec.stage == 2]
-    if params.l1 > 0 and stage1:
-        margins.add(
-            params.l0 / params.l1 - stage1[-1].grad_norm, "stage-1 exit gradient"
-        )
-    if stage2:
-        start_val = stage2[0].f_val
-        for rec in stage2:
-            margins.add(start_val - rec.f_val, f"sublevel k={rec.k}")
-            if rec.grad_norm is not None and params.l1 > 0:
-                margins.add(
-                    params.l0 / params.l1 + 1e-6 - rec.grad_norm,
-                    f"stage-2 gradient k={rec.k}",
-                )
-        ls = [rec.ls_evals for rec in stage2 if rec.ls_evals is not None]
-        mbar = float(np.mean(ls)) if ls else 1.0
-        for eps in eps_grid:
-            limit = (
-                mbar * math.sqrt(12.0 * params.l0 * r * r / eps)
-                + 36.0 * params.l1**2 * r * r
-            )
-            best = math.inf
-            hit_calls = None
-            for rec in recs:
-                if rec.f_gap is None:
-                    break
-                best = min(best, rec.f_gap)
-                if best <= eps:
-                    hit_calls = rec.oracle_calls
-                    break
-            if hit_calls is not None:
-                margins.add(limit - hit_calls, f"oracle calls to eps={eps}")
-    return margins.report("rate_two_stage")
+    check, needs = MONITOR_BOUNDS[bound]
+    given = {"params": params, "f0": f0, "r": r, "r_hat": r_hat, "l_const": l_const}
+    if any(given[name] is None for name in needs):
+        listed = ", ".join(needs[:-1]) + " and " + needs[-1]
+        raise ValueError(f"{bound} monitor needs {listed}")
+    return check(trace, tol, eps_grid, **{name: given[name] for name in needs})

@@ -10,7 +10,6 @@ from gensmooth.problems import Objective, power_norm
 from gensmooth.agmsdr import (
     EstimateState,
     LineSearchError,
-    TwoStageConfig,
     agmsdr_run,
     segment_line_search,
     two_stage_run,
@@ -214,7 +213,7 @@ class TestTwoStage:
         f = quadratic()
         x0 = np.array([3.0, 4.0])
         direct = agmsdr_run(f, x0, 3.0, budget=300)
-        staged = two_stage_run(f, x0, f.params, TwoStageConfig(l_const=3.0), budget=300)
+        staged = two_stage_run(f, x0, f.params, budget=300, l_const=3.0)
         assert staged.method == "agmsdr"
         assert [r.f_val for r in staged.records] == [r.f_val for r in direct.records]
 
@@ -250,8 +249,8 @@ class TestTwoStage:
             dim=f.dim, value=f.value, gradient=f.gradient, hessian=f.hessian,
             params=f.params, name="hidden-optimum",
         )
-        cfg = TwoStageConfig(stage1_target="grad")
-        trace = two_stage_run(hidden, np.array([10.0, 0.0]), f.params, cfg, budget=10**4)
+        trace = two_stage_run(hidden, np.array([10.0, 0.0]), f.params, budget=10**4,
+                              target="grad")
         stage1 = [r for r in trace.records if r.stage == 1]
         assert stage1[-1].grad_norm <= f.params.l0 / f.params.l1
 
@@ -260,8 +259,7 @@ class TestTwoStage:
         hidden = Objective(dim=f.dim, value=f.value, gradient=f.gradient,
                            params=f.params, name="hidden")
         with pytest.raises(ValueError):
-            two_stage_run(hidden, np.ones(2), f.params,
-                          TwoStageConfig(stage1_target="gap"), budget=100)
+            two_stage_run(hidden, np.ones(2), f.params, budget=100, target="gap")
 
     def test_budget_exhaustion_returns_partial_stage1(self):
         f = power_norm(2, 6, 1)

@@ -8,6 +8,9 @@ import pytest
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.cli import (
     CSV_HEADER,
+    METHODS,
+    PROBLEMS,
+    REQUIRED,
     RunConfig,
     SpecError,
     initial_point,
@@ -59,10 +62,20 @@ class TestParseProblem:
         with pytest.raises(SpecError, match="missing required key 'p'"):
             parse_problem("power_norm:d=2,l1=1")
 
-    def test_malformed_token_reports_position(self):
+    @pytest.mark.parametrize(
+        "spec,pos",
+        [
+            ("power_norm:d=2,p4,l1=1", 15),  # offset of the bad token
+            ("power_norm:d=2,p=4,l1=1,o=3", 24),  # unknown key, not the 'o' in the name
+            ("power_norm:d=2,p=4,l1=p", 22),  # offset of the unconvertible value
+            ("exp_phi:d=2,l0=1,l1=1,e=1", 22),
+        ],
+        ids=["not_key_value", "unknown_key", "bad_value", "exp_phi_unknown_key"],
+    )
+    def test_malformed_token_reports_position(self, spec, pos):
         with pytest.raises(SpecError) as err:
-            parse_problem("power_norm:d=2,p4,l1=1")
-        assert err.value.pos == 15  # offset of the bad token
+            parse_problem(spec)
+        assert err.value.pos == pos
 
     def test_duplicate_key(self):
         with pytest.raises(SpecError, match="duplicate key"):
@@ -95,9 +108,46 @@ class TestParseMethod:
         m = parse_method("two_stage:l=1024,target=grad")
         assert m.kind == "two_stage" and m.target == "grad"
 
-    def test_unknown_rule(self):
-        with pytest.raises(SpecError, match="unknown gd rule"):
-            parse_method("gd:rule=momentum")
+    @pytest.mark.parametrize(
+        "spec",
+        ["gd:rule=momentum", "two_stage:target=foo", "two_stage:rule=clipped"],
+        ids=["gd_rule", "two_stage_target", "two_stage_rule"],
+    )
+    def test_unknown_rule(self, spec):
+        with pytest.raises(SpecError, match="unknown") as err:
+            parse_method(spec)
+        assert err.value.pos == spec.index("=") + 1  # offset of the bad value
+
+
+# One valid value per key that some spec requires.
+SAMPLE_VALUES = {
+    "d": "2", "p": "4", "l0": "1", "l1": "1", "a": "3;4",
+    "rule": "optimal", "r_hat": "20", "schedule": "linear",
+}
+
+
+@pytest.mark.parametrize(
+    "name,keys,parse",
+    [(name, keys, parse_problem) for name, (_, keys) in PROBLEMS.items()]
+    + [(name, keys, parse_method) for name, keys in METHODS.items()],
+    ids=[*PROBLEMS, *METHODS],
+)
+def test_spec_table_entry(name, keys, parse):
+    """Minimal spec parses; an extra key and each dropped required key fail."""
+    required = [key for key, (_, _, default) in keys.items() if default is REQUIRED]
+    tokens = [f"{key}={SAMPLE_VALUES[key]}" for key in required]
+    minimal = f"{name}:" + ",".join(tokens)
+    parse(minimal)
+
+    extra = minimal + ("," if tokens else "") + "zz=1"
+    with pytest.raises(SpecError, match="unknown key 'zz'") as err:
+        parse(extra)
+    assert err.value.pos == extra.index("zz=1")
+
+    for i, key in enumerate(required):
+        dropped = f"{name}:" + ",".join(tokens[:i] + tokens[i + 1:])
+        with pytest.raises(SpecError, match=f"missing required key '{key}'"):
+            parse(dropped)
 
 
 class TestInitialPoint:
