@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SmoothnessParams
-from .problems import Objective
+from .problems import Objective, _norm
 from .first_order import (
     DIVERGENCE_GUARD,
     IterRecord,
@@ -132,7 +132,7 @@ def segment_line_search(
         f_x = h(1.0)
     else:
         best_beta, best_val = 1.0, f_x
-    if float(np.linalg.norm(direction)) == 0.0:
+    if float(_norm(direction)) == 0.0:
         return LineSearchResult(y=x.copy(), f_y=f_x, beta=1.0, evals=evals)
     h(0.0)
 
@@ -152,6 +152,13 @@ def segment_line_search(
     return LineSearchResult(
         y=v + best_beta * direction, f_y=best_val, beta=best_beta, evals=evals
     )
+
+
+def _check_line_search(ls_tol: float, ls_max_evals: int):
+    if ls_tol <= 0:
+        raise ValueError("ls_tol must be positive")
+    if ls_max_evals < 1:
+        raise ValueError("ls_max_evals must be at least 1")
 
 
 def agmsdr_run(
@@ -176,6 +183,7 @@ def agmsdr_run(
     """
     if l_const <= 0:
         raise ValueError("l_const must be positive")
+    _check_line_search(ls_tol, ls_max_evals)
     params = t_params if t_params is not None else f.params
     if params is None:
         raise ValueError("objective carries no smoothness constants for the descent step")
@@ -200,7 +208,7 @@ def agmsdr_run(
             stage=2,
             a_capital=state.a_capital,
             zeta_star=state.zeta_star_lower,
-            dist_opt=float(np.linalg.norm(x - f.x_star)) if f.x_star is not None else None,
+            dist_opt=float(_norm(x - f.x_star)) if f.x_star is not None else None,
         )
 
     while calls < budget:
@@ -213,7 +221,7 @@ def agmsdr_run(
 
         grad_y = f.gradient(y)
         calls += 1
-        g = float(np.linalg.norm(grad_y))
+        g = float(_norm(grad_y))
 
         step_len = stepsize_simplified(g, params) * g if g > 0 else 0.0
         x_next = y - step_len * (grad_y / g) if g > 0 else y
@@ -279,9 +287,8 @@ def two_stage_run(
     if rule not in STAGE1_RULES:
         raise ValueError("stage 1 must use the optimal or simplified rule")
     if target not in STAGE1_TARGETS:
-        raise ValueError("stage1_target must be 'auto', 'gap' or 'grad'")
-    if ls_tol <= 0:
-        raise ValueError("line_search_tol must be positive")
+        raise ValueError("target must be 'auto', 'gap' or 'grad'")
+    _check_line_search(ls_tol, ls_max_evals)
     if l_const is None:
         l_const = 3.0 * p.l0
     if p.l1 == 0.0:

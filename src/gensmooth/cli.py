@@ -325,19 +325,13 @@ def write_csv(trace: Trace, path: str | Path):
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [CSV_HEADER]
     for rec in trace.records:
-        lines.append(
-            ",".join(
-                [
-                    str(rec.k),
-                    _fmt(rec.f_val),
-                    _fmt(rec.f_gap),
-                    _fmt(rec.grad_norm),
-                    _fmt(rec.step_len),
-                    str(rec.oracle_calls),
-                    str(rec.stage),
-                ]
-            )
-        )
+        row = (rec.k, rec.f_val, rec.f_gap, rec.grad_norm, rec.step_len,
+               rec.oracle_calls, rec.stage)
+        if None in row:
+            lines.append(",".join([str(rec.k), *map(_fmt, row[1:5]),
+                                   str(rec.oracle_calls), str(rec.stage)]))
+        else:
+            lines.append("%d,%.17g,%.17g,%.17g,%.17g,%d,%d" % row)
     path.write_text("\n".join(lines) + "\n")
 
 

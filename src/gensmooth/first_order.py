@@ -26,7 +26,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import SmoothnessParams
-from .problems import Objective
+from .problems import Objective, _norm
 
 GD_VARIANTS = ("optimal", "simplified", "clipped", "polyak")
 NGD_SCHEDULES = ("fixed", "sqrt", "linear")
@@ -177,19 +177,10 @@ def _make_record(
     dist = None
     if f.x_star is not None:
         diff = x - f.x_star
-        dist = float(np.linalg.norm(diff))
+        dist = float(_norm(diff))
         if g > 0:
             support = max(float(grad @ diff), 0.0) / g
-    return IterRecord(
-        k=k,
-        f_val=f_val,
-        f_gap=gap,
-        grad_norm=g,
-        step_len=step_len,
-        oracle_calls=calls,
-        support_dist=support,
-        dist_opt=dist,
-    )
+    return IterRecord(k, f_val, gap, g, step_len, calls, 1, support, dist)
 
 
 def _descent(
@@ -216,7 +207,7 @@ def _descent(
 
     while True:
         k = len(records)
-        g = float(np.linalg.norm(grad))
+        g = float(_norm(grad))
         if not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD or not math.isfinite(g):
             records.append(_make_record(f, k, x, f_val, grad, g, 0.0, calls, f_star))
             termination = "Diverged"

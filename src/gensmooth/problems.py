@@ -61,6 +61,18 @@ class CertificateReport:
         return self.max_violation <= tol
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
+def _norm(v) -> np.floating:
+    """np.linalg.norm(v), bit for bit, without its dispatch cost on the 1-D
+    float64 points the methods pass.  A numpy scalar, so an overflow reads
+    inf instead of raising."""
+    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1:
+        return np.sqrt(v.dot(v))
+    return np.linalg.norm(v)
+
+
 def power_norm(dim: int, p: float, l1: float) -> Objective:
     """(1/p) * ||x||^p with p > 2; minimal l0 for a chosen l1 is ((p-2)/l1)^(p-2)."""
     if p <= 2:
@@ -71,16 +83,16 @@ def power_norm(dim: int, p: float, l1: float) -> Objective:
         raise ValueError("dim must be positive")
 
     def value(x):
-        return float(np.linalg.norm(x) ** p / p)
+        return float(_norm(x) ** p / p)
 
     def gradient(x):
-        r = np.linalg.norm(x)
+        r = _norm(x)
         if r == 0.0:
             return np.zeros(dim)
         return r ** (p - 2) * x
 
     def hessian(x):
-        r = np.linalg.norm(x)
+        r = _norm(x)
         if r == 0.0:
             # 0/0 at the origin; the limit is the zero matrix for p > 2
             return np.zeros((dim, dim))
@@ -176,17 +188,17 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
     l0, l1 = params.l0, params.l1
 
     def value(x):
-        r = np.linalg.norm(x)
+        r = _norm(x)
         return float(l0 / l1**2 * (math.expm1(l1 * r) - l1 * r))
 
     def gradient(x):
-        r = np.linalg.norm(x)
+        r = _norm(x)
         if r == 0.0:
             return np.zeros(dim)
         return (l0 / l1) * math.expm1(l1 * r) * x / r
 
     def hessian(x):
-        r = np.linalg.norm(x)
+        r = _norm(x)
         if r == 0.0:
             # radial and tangential curvatures both tend to l0 at the origin
             return l0 * np.eye(dim)
@@ -261,24 +273,22 @@ def separable_sum(parts: list[Objective]) -> Objective:
         raise ValueError("parts must be nonempty")
     if any(p.params is None for p in parts):
         raise ValueError("every part must carry smoothness constants")
-    dims = [p.dim for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    total = int(offsets[-1])
+    blocks, total = [], 0
+    for p in parts:
+        blocks.append((p, slice(total, total + p.dim)))
+        total += p.dim
     have_hessians = all(p.hessian is not None for p in parts)
 
-    def blocks(x):
-        return [x[offsets[i] : offsets[i + 1]] for i in range(len(parts))]
-
     def value(x):
-        return float(sum(p.value(b) for p, b in zip(parts, blocks(x))))
+        return float(sum(p.value(x[b]) for p, b in blocks))
 
     def gradient(x):
-        return np.concatenate([p.gradient(b) for p, b in zip(parts, blocks(x))])
+        return np.concatenate([p.gradient(x[b]) for p, b in blocks])
 
     def hessian(x):
         out = np.zeros((total, total))
-        for p, (i, j) in zip(parts, zip(offsets, offsets[1:])):
-            out[i:j, i:j] = p.hessian(x[i:j])
+        for p, b in blocks:
+            out[b, b] = p.hessian(x[b])
         return out
 
     f_star = None
@@ -361,7 +371,7 @@ def certify_smoothness(
     worst_point = None
     for x in points:
         h_norm = spectral_norm(f.hessian(x))
-        violation = h_norm - params.l0 - params.l1 * float(np.linalg.norm(f.gradient(x)))
+        violation = h_norm - params.l0 - params.l1 * float(_norm(f.gradient(x)))
         if violation > worst:
             worst = violation
             worst_point = x.copy()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SmoothnessParams, phi, phi_star
-from .problems import Objective, sample_ball
+from .problems import Objective, _norm, sample_ball
 from .first_order import Trace
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
@@ -136,14 +136,14 @@ def fd_gradient_check(
     points = sample_ball(rng, f.dim, radius, n_points)
     margins = _Margins(tol=0.0)
     for x in points:
-        h = 1e-6 * (1.0 + float(np.linalg.norm(x)))
+        h = 1e-6 * (1.0 + float(_norm(x)))
         fd = np.empty(f.dim)
         for j in range(f.dim):
             e = np.zeros(f.dim)
             e[j] = h
             fd[j] = (f.value(x + e) - f.value(x - e)) / (2.0 * h)
         grad = f.gradient(x)
-        err = float(np.linalg.norm(fd - grad)) / (1.0 + float(np.linalg.norm(grad)))
+        err = float(_norm(fd - grad)) / (1.0 + float(_norm(grad)))
         margins.add(rel_tol - err, f"x={x.tolist()}")
     return margins.report(f"fd_gradient[{f.name}]", seed=seed)
 
@@ -179,15 +179,15 @@ def check_smoothness_envelopes(
     for x, y in zip(xs, ys):
         gx = f.gradient(x)
         gy = f.gradient(y)
-        a = p.l0 + p.l1 * float(np.linalg.norm(gx))
-        s = float(np.linalg.norm(y - x))
+        a = p.l0 + p.l1 * float(_norm(gx))
+        s = float(_norm(y - x))
         if p.l1 > 0:
             grad_bound = a * math.expm1(p.l1 * s) / p.l1
             taylor_bound = a * float(phi(p.l1 * s)) / p.l1**2
         else:
             grad_bound = a * s
             taylor_bound = 0.5 * a * s * s
-        m1 = grad_bound - float(np.linalg.norm(gy - gx))
+        m1 = grad_bound - float(_norm(gy - gx))
         m2 = taylor_bound - abs(f.value(y) - f.value(x) - float(gx @ (y - x)))
         margins.add(min(m1, m2), f"x={x.tolist()} y={y.tolist()}")
     return margins.report(f"smoothness_envelopes[{f.name}]", seed=seed)
@@ -228,9 +228,9 @@ def check_convex_lower_bounds(
     margins = _Margins(tol=tol)
     for x, y in zip(xs, ys):
         gx, gy = f.gradient(x), f.gradient(y)
-        a_x = p.l0 + p.l1 * float(np.linalg.norm(gx))
-        a_y = p.l0 + p.l1 * float(np.linalg.norm(gy))
-        s = float(np.linalg.norm(gy - gx))
+        a_x = p.l0 + p.l1 * float(_norm(gx))
+        a_y = p.l0 + p.l1 * float(_norm(gy))
+        s = float(_norm(gy - gx))
         bregman = f.value(y) - f.value(x) - float(gx @ (y - x))
         m1 = bregman - _conjugate_term(s, a_y, p.l1)
         m2 = float((gx - gy) @ (x - y)) - (
@@ -247,7 +247,7 @@ def support_distance(f: Objective, x: np.ndarray, x_star: np.ndarray) -> float:
     at x: max(<grad f(x), x - x_star>, 0) / ||grad f(x)||."""
     x = np.asarray(x, dtype=float)
     grad = f.gradient(x)
-    g = float(np.linalg.norm(grad))
+    g = float(_norm(grad))
     if g == 0.0:
         raise ValueError("support distance undefined at a stationary point")
     return max(float(grad @ (x - np.asarray(x_star, float))), 0.0) / g

@@ -198,6 +198,18 @@ class TestAgmsdrRun:
                 t_params=SmoothnessParams(0.05, 0.0),
             )
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"ls_tol": -1.0}, "ls_tol must be positive"),
+            ({"ls_max_evals": 0}, "ls_max_evals must be at least 1"),
+        ],
+    )
+    def test_rejects_bad_line_search(self, kwargs, message):
+        f = quadratic()
+        with pytest.raises(ValueError, match=message):
+            agmsdr_run(f, np.ones(2), 1.0, 100, **kwargs)
+
     def test_oracle_calls_cover_line_search(self):
         f = power_norm(2, 6, 1)
         trace = agmsdr_run(f, np.array([2.0, 0.0]), 3.0 * f.params.l0, budget=2000)
@@ -260,6 +272,19 @@ class TestTwoStage:
                            params=f.params, name="hidden")
         with pytest.raises(ValueError):
             two_stage_run(hidden, np.ones(2), f.params, budget=100, target="gap")
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"target": "x"}, "target must be 'auto', 'gap' or 'grad'"),
+            ({"ls_tol": 0.0}, "ls_tol must be positive"),
+            ({"ls_max_evals": 0}, "ls_max_evals must be at least 1"),
+        ],
+    )
+    def test_rejects_bad_keywords(self, kwargs, message):
+        f = power_norm(2, 6, 1)
+        with pytest.raises(ValueError, match=message):
+            two_stage_run(f, np.ones(2), f.params, budget=100, **kwargs)
 
     def test_budget_exhaustion_returns_partial_stage1(self):
         f = power_norm(2, 6, 1)

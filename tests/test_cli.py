@@ -1,10 +1,12 @@
 """Spec parsing, CSV emission, presets, and end-to-end CLI behavior."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
+from gensmooth.first_order import IterRecord, Trace
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.cli import (
     CSV_HEADER,
@@ -20,6 +22,7 @@ from gensmooth.cli import (
     preset_figure,
     run_experiment,
     run_verify_suite,
+    write_csv,
 )
 
 
@@ -263,6 +266,32 @@ class TestRunExperiment:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+class TestWriteCsv:
+    def test_golden_rows(self, tmp_path):
+        """Full rows, missing gaps and gradient norms, and non-finite or
+        signed-zero values all print as the per-field writer printed them."""
+        inf, nan = math.inf, math.nan
+        records = [
+            IterRecord(0, 12.5, 12.5, 5.0, 0.1, 1),
+            IterRecord(1, 3.141592653589793, None, 0.30000000000000004, 1e-300, 2),
+            IterRecord(2, 1e-20, 1e-20, None, 0.0, 75, stage=2),
+            IterRecord(3, inf, inf, nan, -0.0, 76, stage=2),
+            IterRecord(4, -0.0, -0.0, inf, nan, 77, stage=2),
+            IterRecord(5, nan, None, None, -inf, 78, stage=2),
+        ]
+        trace = Trace(records=records, final_x=np.zeros(2), termination="Diverged")
+        write_csv(trace, tmp_path / "golden.csv")
+        assert (tmp_path / "golden.csv").read_text() == (
+            "k,f_val,f_gap,grad_norm,step_len,oracle_calls,stage\n"
+            "0,12.5,12.5,5,0.10000000000000001,1,1\n"
+            "1,3.1415926535897931,,0.30000000000000004,1e-300,2,1\n"
+            "2,9.9999999999999995e-21,9.9999999999999995e-21,,0,75,2\n"
+            "3,inf,inf,nan,-0,76,2\n"
+            "4,-0,-0,inf,nan,77,2\n"
+            "5,nan,,,-inf,78,2\n"
+        )
+
+
 class TestPresets:
     def test_fig1_constants(self):
         configs = preset_figure("fig1")
@@ -376,6 +405,14 @@ class TestMainEntry:
         code = main(["run", "--problem", "exp_phi:d=2,l0=1,l1=1",
                      "--method", "agmsdr:", "--radius", "300",
                      "--out", str(tmp_path / "overflow.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["agmsdr:ls_tol=-1", "agmsdr:ls_max=0"])
+    def test_run_rejects_bad_line_search(self, method, tmp_path, capsys):
+        code = main(["run", "--problem", "power_norm:d=2,p=4,l1=1",
+                     "--method", method, "--radius", "10", "--budget", "2000",
+                     "--out", str(tmp_path / "ls.csv")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
 

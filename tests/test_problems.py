@@ -8,6 +8,7 @@ import pytest
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import (
     Objective,
+    _norm,
     affine_logistic,
     certify_smoothness,
     exp_phi,
@@ -74,6 +75,14 @@ class TestPowerNorm:
         assert f.value(zero) == 0.0
         np.testing.assert_allclose(f.gradient(zero), zero)
         np.testing.assert_allclose(f.hessian(zero), np.zeros((3, 3)))
+
+    def test_overflow_gives_inf_not_an_exception(self):
+        f = power_norm(2, 8, 1)
+        x = np.array([1e60, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert f.value(x) == math.inf
+            assert f.value(x.tolist()) == math.inf
+            assert not np.isfinite(f.gradient(x)).all()
 
     def test_oracles(self):
         assert_oracles_consistent(power_norm(3, 4, 1))
@@ -282,6 +291,34 @@ class TestSeparableSum:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             separable_sum([])
+
+
+class TestNorm:
+    @staticmethod
+    def assert_bitwise_linalg_norm(v):
+        got = _norm(v)
+        assert isinstance(got, np.float64)
+        assert got.tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_matches_linalg_norm_on_random_vectors(self, dim):
+        rng = np.random.default_rng(dim)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(50):
+                self.assert_bitwise_linalg_norm(scale * rng.standard_normal(dim))
+
+    @pytest.mark.parametrize("entry", [0.0, 1e-170, 1e160, math.nan])
+    def test_matches_linalg_norm_on_edge_cases(self, entry):
+        with np.errstate(over="ignore", under="ignore"):
+            for dim in (1, 2, 3):
+                self.assert_bitwise_linalg_norm(np.full(dim, entry))
+
+    @pytest.mark.parametrize(
+        "v", [[3.0, 4.0], np.array([3, 4]), np.array([[1.0, 2.0], [3.0, 4.0]])],
+        ids=["list", "int_array", "matrix"],
+    )
+    def test_other_inputs_fall_back_to_linalg_norm(self, v):
+        assert _norm(v) == np.linalg.norm(v)
 
 
 class TestSpectralNorm:
