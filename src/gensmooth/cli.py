@@ -24,7 +24,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -234,11 +234,20 @@ class RunConfig:
         return asdict(self)
 
     @classmethod
-    def from_json(cls, data: dict) -> "RunConfig":
-        known = set(cls.__dataclass_fields__)
-        unknown = set(data) - known
+    def from_json(cls, data) -> "RunConfig":
+        """A config from a JSON object, each field checked for its type."""
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for field, (flag, kind, _) in _RUN_FLAGS.items():
+            default = getattr(cls, field, REQUIRED)
+            value = data.get(field, default)
+            if value is REQUIRED:
+                raise ValueError(f"missing {field} (flag {flag})")
+            if value is not default and not _fits(value, kind):
+                raise ValueError(f"config field {field} must be {_TYPE_NAMES[kind]}: {value!r}")
         return cls(**data)
 
 
@@ -361,86 +370,56 @@ def _fig_l0(p: float, l1: float) -> float:
     return ((p - 2.0) / l1) ** (p - 2.0)
 
 
+# Figure presets, one row per run: (file stem, label, problem spec, method
+# spec, radius); every run starts at radius*e1 with a budget of 10^5.
+#   fig1: p in {4,6,8} on (1/p)||x||^p, R = 10, l1 = 1; all four gradient
+#         rules, the normalized method with r_hat = 2R and beta_k =
+#         r_hat/(k+1), and the two-stage procedure.
+#   fig2: the same objectives, optimal-rule runs across l1 in
+#         {1,2,4,8,16} with the matching minimal l0 per panel.
+#   fig3: p = 6, R in {5,100,500}; optimal-rule descent against the
+#         two-stage procedure with the heavier scaling constant 4*l0.
+# Baselines from other software (similar-triangle variants) are out of
+# scope here; emitted metadata notes the omission.
+PRESETS = {
+    "fig1": [
+        (f"fig1_p{p}_{name}", f"fig1 p={p} {name}", f"power_norm:d=2,p={p},l1=1", method, 10.0)
+        for p in (4, 6, 8)
+        for name, method in (
+            ("gd_optimal", "gd:rule=optimal"),
+            ("gd_simplified", "gd:rule=simplified"),
+            ("gd_clipped", "gd:rule=clipped"),
+            ("gd_polyak", "gd:rule=polyak"),
+            ("ngd", "ngd:r_hat=20,schedule=linear"),
+            ("two_stage", "two_stage:"),
+        )
+    ],
+    "fig2": [
+        (f"fig2_p{p}_l1_{l1}", f"fig2 p={p} l1={l1}", f"power_norm:d=2,p={p},l1=1",
+         f"gd:rule=optimal,l0={_fig_l0(p, l1):.17g},l1={l1}", 10.0)
+        for p in (4, 6, 8)
+        for l1 in (1, 2, 4, 8, 16)
+    ],
+    "fig3": [
+        (f"fig3_R{r}_{name}", f"fig3 R={r} {name}", "power_norm:d=2,p=6,l1=1", method, float(r))
+        for r in (5, 100, 500)
+        for name, method in (
+            ("gd_optimal", "gd:rule=optimal"),
+            ("two_stage", f"two_stage:l={4 * _fig_l0(6, 1):g}"),
+        )
+    ],
+}
+
+
 def preset_figure(which: str, out_dir: str | Path = ".") -> list[RunConfig]:
-    """Experiment presets.
-
-    fig1: p in {4,6,8} on (1/p)||x||^p, R = 10, l1 = 1; all four gradient
-          rules, the normalized method with r_hat = 2R and beta_k =
-          r_hat/(k+1), and the two-stage procedure.
-    fig2: the same objectives, optimal-rule runs across l1 in
-          {1,2,4,8,16} with the matching minimal l0 per panel.
-    fig3: p = 6, R in {5,100,500}; optimal-rule descent against the
-          two-stage procedure with the heavier scaling constant 4*l0.
-
-    Baselines from other software (similar-triangle variants) are out of
-    scope here; emitted metadata notes the omission.
-    """
-    out = Path(out_dir)
-    configs: list[RunConfig] = []
-    if which == "fig1":
-        r = 10.0
-        l1 = 1.0
-        for p in (4, 6, 8):
-            problem = f"power_norm:d=2,p={p},l1={l1:g}"
-            methods = [
-                ("gd_optimal", "gd:rule=optimal"),
-                ("gd_simplified", "gd:rule=simplified"),
-                ("gd_clipped", "gd:rule=clipped"),
-                ("gd_polyak", "gd:rule=polyak"),
-                ("ngd", f"ngd:r_hat={2 * r:g},schedule=linear"),
-                ("two_stage", "two_stage:"),
-            ]
-            for label, method in methods:
-                configs.append(
-                    RunConfig(
-                        problem_spec=problem,
-                        method_spec=method,
-                        radius=r,
-                        budget=10**5,
-                        output_path=str(out / f"fig1_p{p}_{label}.csv"),
-                        label=f"fig1 p={p} {label}",
-                    )
-                )
-        return configs
-    if which == "fig2":
-        r = 10.0
-        for p in (4, 6, 8):
-            problem = f"power_norm:d=2,p={p},l1=1"
-            for l1 in (1, 2, 4, 8, 16):
-                l0 = _fig_l0(p, l1)
-                configs.append(
-                    RunConfig(
-                        problem_spec=problem,
-                        method_spec=f"gd:rule=optimal,l0={l0:.17g},l1={l1:g}",
-                        radius=r,
-                        budget=10**5,
-                        output_path=str(out / f"fig2_p{p}_l1_{l1}.csv"),
-                        label=f"fig2 p={p} l1={l1}",
-                    )
-                )
-        return configs
-    if which == "fig3":
-        p = 6
-        l1 = 1.0
-        l0 = _fig_l0(p, l1)
-        problem = f"power_norm:d=2,p={p},l1={l1:g}"
-        for r in (5, 100, 500):
-            for label, method in (
-                ("gd_optimal", "gd:rule=optimal"),
-                ("two_stage", f"two_stage:l={4 * l0:g}"),
-            ):
-                configs.append(
-                    RunConfig(
-                        problem_spec=problem,
-                        method_spec=method,
-                        radius=float(r),
-                        budget=10**5,
-                        output_path=str(out / f"fig3_R{r}_{label}.csv"),
-                        label=f"fig3 R={r} {label}",
-                    )
-                )
-        return configs
-    raise ValueError(f"unknown preset {which!r} (expected fig1, fig2 or fig3)")
+    """The runs of preset `which` (a key of `PRESETS`), writing into `out_dir`."""
+    if which not in PRESETS:
+        raise ValueError(f"unknown preset {which!r} (expected {'|'.join(PRESETS)})")
+    return [
+        RunConfig(problem, method, radius=radius,
+                  output_path=str(Path(out_dir) / f"{stem}.csv"), label=label)
+        for stem, label, problem, method, radius in PRESETS[which]
+    ]
 
 
 SHIPPED_FOR_VERIFY = (
@@ -451,6 +430,19 @@ SHIPPED_FOR_VERIFY = (
     "affine_logistic:a=3;0,b=0,l1=1",
     "exp_phi:d=2,l0=1,l1=1",
     "separable_pnorm:d=3,p=4,l1=1",
+)
+
+
+# The rate theorems' runs, each from THEOREM_RADIUS*e1: (problem spec,
+# method spec, budget, the `verify.rate_monitor` bounds replayed on its trace)
+THEOREM_RADIUS = 10.0
+THEOREM_RUNS = (
+    ("power_norm:d=2,p=4,l1=1", "gd:rule=optimal", 4000, ("min_grad", "convex_gap")),
+    ("power_norm:d=2,p=4,l1=1", "gd:rule=simplified", 4000, ("min_grad", "convex_gap")),
+    ("power_norm:d=2,p=4,l1=1", "gd:rule=polyak", 4000, ("polyak",)),
+    ("power_norm:d=2,p=4,l1=1", "ngd:r_hat=10,schedule=fixed,horizon=1000", 10**4,
+     ("normalized",)),
+    ("power_norm:d=2,p=6,l1=1", "two_stage:", 10**5, ("two_stage",)),
 )
 
 
@@ -487,41 +479,21 @@ def run_verify_suite(
             )
 
     if scope in ("theorems", "all"):
-        f = parse_problem("power_norm:d=2,p=4,l1=1")
-        x0 = np.zeros(2)
-        x0[0] = 10.0
-        r = 10.0
-        f0 = f.value(x0)
-        for variant in ("optimal", "simplified"):
-            trace = gd_run(f, StepRule(variant=variant, params=f.params), x0, 4000)
-            reports.append(
-                verify_mod.rate_monitor(trace, "min_grad", params=f.params, f0=f0)
-            )
-            reports.append(
-                verify_mod.rate_monitor(trace, "convex_gap", params=f.params, r=r)
-            )
-        trace = gd_run(f, StepRule(variant="polyak"), x0, 4000)
-        reports.append(verify_mod.rate_monitor(trace, "polyak", params=f.params, r=r))
-        trace = ngd_run(f, r, "fixed", x0, 10**4, horizon=1000)
-        reports.append(
-            verify_mod.rate_monitor(trace, "normalized", params=f.params, r=r, r_hat=r)
-        )
-        p6 = parse_problem("power_norm:d=2,p=6,l1=1")
-        trace = two_stage_run(p6, x0, p6.params, budget=10**5)
-        reports.append(verify_mod.rate_monitor(trace, "two_stage", params=p6.params, r=r))
+        for problem, method_spec, budget, bounds in THEOREM_RUNS:
+            f = parse_problem(problem)
+            method = parse_method(method_spec)
+            x0 = initial_point(f, RunConfig(problem, method_spec, radius=THEOREM_RADIUS))
+            trace = execute_method(f, method, x0, budget, 0.0)
+            for bound in bounds:
+                reports.append(verify_mod.rate_monitor(
+                    trace, bound, params=f.params, f0=trace.records[0].f_val,
+                    r=THEOREM_RADIUS, r_hat=method.r_hat,
+                ))
 
     if negative_controls:
         f = parse_problem("power_norm:d=2,p=4,l1=1")
-        broken = Objective(
-            dim=f.dim,
-            value=f.value,
-            gradient=lambda x: f.gradient(x) + np.eye(f.dim)[0] * 0.01,
-            hessian=f.hessian,
-            f_star=f.f_star,
-            x_star=f.x_star,
-            params=f.params,
-            name="corrupted_gradient",
-        )
+        broken = replace(f, gradient=lambda x: f.gradient(x) + np.eye(f.dim)[0] * 0.01,
+                         name="corrupted_gradient")
         reports.append(verify_mod.fd_gradient_check(broken, n_points=50, seed=seed))
         halved = SmoothnessParams(f.params.l0 / 2.0, f.params.l1)
         rep = verify_mod.check_smoothness_envelopes(
@@ -536,43 +508,39 @@ def run_verify_suite(
     return (0 if failures == 0 else 1), reports
 
 
-def _add_run_flags(sub):
-    sub.add_argument("--problem", help="problem spec, e.g. power_norm:d=2,p=4,l1=1")
-    sub.add_argument("--method", help="method spec, e.g. gd:rule=optimal")
-    sub.add_argument("--radius", type=float, help="start at radius*e1")
-    sub.add_argument("--x0", type=_float_list, help="explicit start, semicolon-separated")
-    sub.add_argument("--budget", type=int, default=None)
-    sub.add_argument("--grad-tol", type=float, default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--out", help="CSV output path")
-    sub.add_argument("--config", help="JSON file with RunConfig fields; flags override")
+# RunConfig field -> (`run` flag, type, help).  The type converts the flag
+# and is the type a --config file must give the field; label has no flag.
+_RUN_FLAGS = {
+    "problem_spec": ("--problem", str, "problem spec, e.g. power_norm:d=2,p=4,l1=1"),
+    "method_spec": ("--method", str, "method spec, e.g. gd:rule=optimal"),
+    "radius": ("--radius", float, "start at radius*e1"),
+    "x0": ("--x0", _float_list, "explicit start, semicolon-separated"),
+    "budget": ("--budget", int, None),
+    "grad_tol": ("--grad-tol", float, None),
+    "seed": ("--seed", int, None),
+    "output_path": ("--out", str, "CSV output path"),
+    "label": (None, str, None),
+}
+_TYPE_NAMES = {str: "a string", int: "an integer", float: "a number",
+               _float_list: "a list of numbers"}
 
 
-# `run` flag (argparse dest) -> the RunConfig field it overrides
-_RUN_FLAGS = (
-    ("problem", "problem_spec"),
-    ("method", "method_spec"),
-    ("radius", "radius"),
-    ("x0", "x0"),
-    ("budget", "budget"),
-    ("grad_tol", "grad_tol"),
-    ("seed", "seed"),
-    ("out", "output_path"),
-)
+def _fits(value, kind) -> bool:
+    """Whether a JSON value has the type that `kind` converts a flag to."""
+    if kind is _float_list:
+        return isinstance(value, list) and all(_fits(v, float) for v in value)
+    numeric = (int, float) if kind is float else kind
+    return isinstance(value, numeric) and not isinstance(value, bool)
 
 
 def _config_from_args(args) -> RunConfig:
-    data: dict = {}
-    if args.config:
-        data = json.loads(Path(args.config).read_text())
-    cfg = RunConfig.from_json(data) if data else RunConfig(problem_spec="", method_spec="")
-    for flag, field in _RUN_FLAGS:
-        if getattr(args, flag) is not None:
-            setattr(cfg, field, getattr(args, flag))
-    if not cfg.problem_spec or not cfg.method_spec:
-        raise SpecError(cfg.problem_spec or cfg.method_spec, 0,
-                        "both --problem and --method are required")
-    return cfg
+    """The --config file's fields, then the flags given over them, checked once."""
+    data = json.loads(Path(args.config).read_text()) if args.config else {}
+    if isinstance(data, dict):  # from_json rejects anything else
+        for field, (flag, _, _) in _RUN_FLAGS.items():
+            if flag and getattr(args, field) is not None:
+                data[field] = getattr(args, field)
+    return RunConfig.from_json(data)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -583,10 +551,13 @@ def main(argv: list[str] | None = None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
 
     run_p = subs.add_parser("run", help="run one experiment, write a CSV trace")
-    _add_run_flags(run_p)
+    for field, (flag, kind, text) in _RUN_FLAGS.items():
+        if flag:
+            run_p.add_argument(flag, dest=field, type=kind, help=text)
+    run_p.add_argument("--config", help="JSON file with RunConfig fields; flags override")
 
     preset_p = subs.add_parser("preset", help="run a figure preset")
-    preset_p.add_argument("which", choices=("fig1", "fig2", "fig3"))
+    preset_p.add_argument("which", choices=tuple(PRESETS))
     preset_p.add_argument("--out-dir", default="results")
     preset_p.add_argument("--budget", type=int, default=None, help="override preset budgets")
 
@@ -618,9 +589,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "run":
-            cfg = _config_from_args(args)
-            report = run_experiment(cfg)
-            print(report.summary())
+            print(run_experiment(_config_from_args(args)).summary())
             return 0
         if args.command == "preset":
             configs = preset_figure(args.which, out_dir=args.out_dir)
@@ -633,12 +602,10 @@ def main(argv: list[str] | None = None) -> int:
             for cfg in configs:
                 if args.budget is not None:
                     cfg.budget = args.budget
-                report = run_experiment(cfg)
-                print(report.summary())
+                print(run_experiment(cfg).summary())
                 meta["configs"].append(cfg.to_json())
-            out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"{args.which}_meta.json").write_text(
+            # every run above wrote its CSV into out_dir, creating it
+            (Path(args.out_dir) / f"{args.which}_meta.json").write_text(
                 json.dumps(meta, indent=2) + "\n"
             )
             return 0

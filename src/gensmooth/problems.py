@@ -89,7 +89,7 @@ def power_norm(dim: int, p: float, l1: float) -> Objective:
         r = _norm(x)
         if r == 0.0:
             return np.zeros(dim)
-        return r ** (p - 2) * x
+        return np.multiply(r ** (p - 2), x)  # x may be a list
 
     def hessian(x):
         r = _norm(x)
@@ -195,7 +195,7 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
         r = _norm(x)
         if r == 0.0:
             return np.zeros(dim)
-        return (l0 / l1) * math.expm1(l1 * r) * x / r
+        return np.multiply((l0 / l1) * math.expm1(l1 * r), x) / r  # x may be a list
 
     def hessian(x):
         r = _norm(x)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gensmooth.kernels import SmoothnessParams
 from gensmooth.cli import (
     CSV_HEADER,
     METHODS,
+    PRESETS,
     PROBLEMS,
     REQUIRED,
     RunConfig,
@@ -292,7 +295,114 @@ class TestWriteCsv:
         )
 
 
+# preset_figure(which, "out") row by row: (problem_spec, method_spec, radius,
+# output_path, label); every row also has x0=None, budget=100000, grad_tol=0.0,
+# seed=0.
+PRESET_GOLDEN = {
+    "fig1": [
+        ("power_norm:d=2,p=4,l1=1", "gd:rule=optimal", 10.0,
+         "out/fig1_p4_gd_optimal.csv", "fig1 p=4 gd_optimal"),
+        ("power_norm:d=2,p=4,l1=1", "gd:rule=simplified", 10.0,
+         "out/fig1_p4_gd_simplified.csv", "fig1 p=4 gd_simplified"),
+        ("power_norm:d=2,p=4,l1=1", "gd:rule=clipped", 10.0,
+         "out/fig1_p4_gd_clipped.csv", "fig1 p=4 gd_clipped"),
+        ("power_norm:d=2,p=4,l1=1", "gd:rule=polyak", 10.0,
+         "out/fig1_p4_gd_polyak.csv", "fig1 p=4 gd_polyak"),
+        ("power_norm:d=2,p=4,l1=1", "ngd:r_hat=20,schedule=linear", 10.0,
+         "out/fig1_p4_ngd.csv", "fig1 p=4 ngd"),
+        ("power_norm:d=2,p=4,l1=1", "two_stage:", 10.0,
+         "out/fig1_p4_two_stage.csv", "fig1 p=4 two_stage"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=optimal", 10.0,
+         "out/fig1_p6_gd_optimal.csv", "fig1 p=6 gd_optimal"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=simplified", 10.0,
+         "out/fig1_p6_gd_simplified.csv", "fig1 p=6 gd_simplified"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=clipped", 10.0,
+         "out/fig1_p6_gd_clipped.csv", "fig1 p=6 gd_clipped"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=polyak", 10.0,
+         "out/fig1_p6_gd_polyak.csv", "fig1 p=6 gd_polyak"),
+        ("power_norm:d=2,p=6,l1=1", "ngd:r_hat=20,schedule=linear", 10.0,
+         "out/fig1_p6_ngd.csv", "fig1 p=6 ngd"),
+        ("power_norm:d=2,p=6,l1=1", "two_stage:", 10.0,
+         "out/fig1_p6_two_stage.csv", "fig1 p=6 two_stage"),
+        ("power_norm:d=2,p=8,l1=1", "gd:rule=optimal", 10.0,
+         "out/fig1_p8_gd_optimal.csv", "fig1 p=8 gd_optimal"),
+        ("power_norm:d=2,p=8,l1=1", "gd:rule=simplified", 10.0,
+         "out/fig1_p8_gd_simplified.csv", "fig1 p=8 gd_simplified"),
+        ("power_norm:d=2,p=8,l1=1", "gd:rule=clipped", 10.0,
+         "out/fig1_p8_gd_clipped.csv", "fig1 p=8 gd_clipped"),
+        ("power_norm:d=2,p=8,l1=1", "gd:rule=polyak", 10.0,
+         "out/fig1_p8_gd_polyak.csv", "fig1 p=8 gd_polyak"),
+        ("power_norm:d=2,p=8,l1=1", "ngd:r_hat=20,schedule=linear", 10.0,
+         "out/fig1_p8_ngd.csv", "fig1 p=8 ngd"),
+        ("power_norm:d=2,p=8,l1=1", "two_stage:", 10.0,
+         "out/fig1_p8_two_stage.csv", "fig1 p=8 two_stage"),
+    ],
+    "fig2": [
+        ("power_norm:d=2,p=4,l1=1", "gd:rule=optimal,l0=4,l1=1", 10.0,
+         "out/fig2_p4_l1_1.csv", "fig2 p=4 l1=1"),
+        ("power_norm:d=2,p=4,l1=1", "gd:rule=optimal,l0=1,l1=2", 10.0,
+         "out/fig2_p4_l1_2.csv", "fig2 p=4 l1=2"),
+        ("power_norm:d=2,p=4,l1=1", "gd:rule=optimal,l0=0.25,l1=4", 10.0,
+         "out/fig2_p4_l1_4.csv", "fig2 p=4 l1=4"),
+        ("power_norm:d=2,p=4,l1=1", "gd:rule=optimal,l0=0.0625,l1=8", 10.0,
+         "out/fig2_p4_l1_8.csv", "fig2 p=4 l1=8"),
+        ("power_norm:d=2,p=4,l1=1", "gd:rule=optimal,l0=0.015625,l1=16", 10.0,
+         "out/fig2_p4_l1_16.csv", "fig2 p=4 l1=16"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=optimal,l0=256,l1=1", 10.0,
+         "out/fig2_p6_l1_1.csv", "fig2 p=6 l1=1"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=optimal,l0=16,l1=2", 10.0,
+         "out/fig2_p6_l1_2.csv", "fig2 p=6 l1=2"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=optimal,l0=1,l1=4", 10.0,
+         "out/fig2_p6_l1_4.csv", "fig2 p=6 l1=4"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=optimal,l0=0.0625,l1=8", 10.0,
+         "out/fig2_p6_l1_8.csv", "fig2 p=6 l1=8"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=optimal,l0=0.00390625,l1=16", 10.0,
+         "out/fig2_p6_l1_16.csv", "fig2 p=6 l1=16"),
+        ("power_norm:d=2,p=8,l1=1", "gd:rule=optimal,l0=46656,l1=1", 10.0,
+         "out/fig2_p8_l1_1.csv", "fig2 p=8 l1=1"),
+        ("power_norm:d=2,p=8,l1=1", "gd:rule=optimal,l0=729,l1=2", 10.0,
+         "out/fig2_p8_l1_2.csv", "fig2 p=8 l1=2"),
+        ("power_norm:d=2,p=8,l1=1", "gd:rule=optimal,l0=11.390625,l1=4", 10.0,
+         "out/fig2_p8_l1_4.csv", "fig2 p=8 l1=4"),
+        ("power_norm:d=2,p=8,l1=1", "gd:rule=optimal,l0=0.177978515625,l1=8", 10.0,
+         "out/fig2_p8_l1_8.csv", "fig2 p=8 l1=8"),
+        ("power_norm:d=2,p=8,l1=1", "gd:rule=optimal,l0=0.002780914306640625,l1=16", 10.0,
+         "out/fig2_p8_l1_16.csv", "fig2 p=8 l1=16"),
+    ],
+    "fig3": [
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=optimal", 5.0,
+         "out/fig3_R5_gd_optimal.csv", "fig3 R=5 gd_optimal"),
+        ("power_norm:d=2,p=6,l1=1", "two_stage:l=1024", 5.0,
+         "out/fig3_R5_two_stage.csv", "fig3 R=5 two_stage"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=optimal", 100.0,
+         "out/fig3_R100_gd_optimal.csv", "fig3 R=100 gd_optimal"),
+        ("power_norm:d=2,p=6,l1=1", "two_stage:l=1024", 100.0,
+         "out/fig3_R100_two_stage.csv", "fig3 R=100 two_stage"),
+        ("power_norm:d=2,p=6,l1=1", "gd:rule=optimal", 500.0,
+         "out/fig3_R500_gd_optimal.csv", "fig3 R=500 gd_optimal"),
+        ("power_norm:d=2,p=6,l1=1", "two_stage:l=1024", 500.0,
+         "out/fig3_R500_two_stage.csv", "fig3 R=500 two_stage"),
+    ],
+}
+
+
 class TestPresets:
+    @pytest.mark.parametrize("which", sorted(PRESET_GOLDEN))
+    def test_golden_configs(self, which):
+        """Every field of every run, in the order and types the metadata echoes."""
+        want = [
+            {"problem_spec": problem, "method_spec": method, "radius": radius, "x0": None,
+             "budget": 100000, "grad_tol": 0.0, "seed": 0, "output_path": path,
+             "label": label}
+            for problem, method, radius, path, label in PRESET_GOLDEN[which]
+        ]
+        got = [cfg.to_json() for cfg in preset_figure(which, "out")]
+        assert json.dumps(got) == json.dumps(want)
+
+    def test_unknown_preset(self):
+        with pytest.raises(ValueError, match="unknown preset 'fig4'"):
+            preset_figure("fig4")
+
     def test_fig1_constants(self):
         configs = preset_figure("fig1")
         p6 = [c for c in configs if "p=6" in c.problem_spec]
@@ -365,6 +475,20 @@ class TestVerifySuite:
         with pytest.raises(ValueError):
             run_verify_suite(scope="everything")
 
+    def test_theorems_report_golden(self, tmp_path):
+        """The rate-theorem runs and their monitors, line for line."""
+        code, _ = run_verify_suite(scope="theorems", seed=0, report_path=tmp_path / "t.txt")
+        assert code == 0
+        assert (tmp_path / "t.txt").read_text() == (
+            "rate_min_grad\t4000\t0\t4.111056758699597\t0\n"
+            "rate_convex_gap\t4002\t0\t3.1482987575853599e-11\t0\n"
+            "rate_min_grad\t4000\t0\t4.1110567565997496\t0\n"
+            "rate_convex_gap\t4002\t0\t3.1494776352376334e-11\t0\n"
+            "rate_polyak\t443\t0\t5.9975534042069783e-109\t0\n"
+            "rate_normalized_fixed\t2\t0\t0.20183711076428867\t0\n"
+            "rate_two_stage\t3781\t0\t0\t0\n"
+        )
+
 
 class TestMainEntry:
     def test_run_subcommand(self, tmp_path, capsys):
@@ -392,6 +516,54 @@ class TestMainEntry:
         assert code == 0
         rows = (tmp_path / "override.csv").read_text().splitlines()
         assert len(rows) - 1 == 75  # flag beats file
+
+    def test_config_file_with_specs_from_flags(self, tmp_path, capsys):
+        """A file may leave out fields the flags supply."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"radius": 10, "budget": 50}))
+        code = main(["run", "--config", str(cfg_file),
+                     "--problem", "power_norm:d=2,p=4,l1=1", "--method", "gd:rule=optimal",
+                     "--out", str(tmp_path / "partial.csv")])
+        assert code == 0
+        assert len((tmp_path / "partial.csv").read_text().splitlines()) - 1 == 50
+
+    def test_config_missing_spec_exits_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"radius": 10, "budget": 50}))
+        code = main(["run", "--config", str(cfg_file), "--method", "gd:rule=optimal",
+                     "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "problem_spec" in err and "--problem" in err
+
+    @pytest.mark.parametrize("text", ["5", "[]", "null"])
+    def test_config_not_an_object_exits_2(self, text, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(text)
+        code = main(["run", "--config", str(cfg_file),
+                     "--problem", "power_norm:d=2,p=4,l1=1", "--method", "gd:rule=optimal",
+                     "--radius", "10", "--budget", "5", "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: config must be a JSON object")
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("budget", "100"), ("radius", "10"), ("x0", [1.0, "a"]), ("grad_tol", True),
+         ("problem_spec", 5), ("label", 5)],
+        ids=["budget_str", "radius_str", "x0_str_item", "grad_tol_bool", "problem_spec_int",
+             "label_int"],
+    )
+    def test_config_wrong_type_exits_2(self, field, value, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({
+            "problem_spec": "power_norm:d=2,p=4,l1=1", "method_spec": "gd:rule=optimal",
+            "radius": 10.0, "budget": 5, "output_path": str(tmp_path / "never.csv"),
+            field: value,
+        }))
+        code = main(["run", "--config", str(cfg_file)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: config field {field} must be")
+        assert not (tmp_path / "never.csv").exists()
 
     def test_parse_error_exits_2(self, capsys):
         code = main(["run", "--problem", "power_norm:d=2,p=2,l1=1",
@@ -443,3 +615,17 @@ class TestMainEntry:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["run", "--radius", "1"]) == 2
+
+
+def test_readme_documents_spec_tables():
+    """The README's CLI section shows every key of every problem and method
+    spec, and names every preset."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    tables = {name: keys for name, (_, keys) in PROBLEMS.items()} | METHODS
+    for name, keys in tables.items():
+        shown = re.search(rf"`{name}:([^`]*)`", cli_section)
+        assert shown, f"README shows no {name}: spec"
+        assert set(re.findall(r"(\w+)=", shown.group(1))) == set(keys), name
+    for which in PRESETS:
+        assert f"`{which}`" in cli_section, which

@@ -321,6 +321,21 @@ class TestNorm:
         assert _norm(v) == np.linalg.norm(v)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [power_norm(2, 8, 1.0), exp_phi(2, SmoothnessParams(1.0, 1.0)), separable_pnorm(3, 4, 1.0)],
+    ids=["power_norm", "exp_phi", "separable_pnorm"],
+)
+def test_oracles_accept_lists(f):
+    """A list point gives bit for bit what the same ndarray point gives."""
+    rng = np.random.default_rng(11)
+    for x in [np.zeros(f.dim), np.eye(f.dim)[0], *rng.standard_normal((5, f.dim))]:
+        as_list = x.tolist()
+        assert f.value(as_list) == f.value(x)
+        np.testing.assert_array_equal(f.gradient(as_list), f.gradient(x))
+        np.testing.assert_array_equal(f.hessian(as_list), f.hessian(x))
+
+
 class TestSpectralNorm:
     def test_matches_eigvalsh(self):
         rng = np.random.default_rng(8)
