@@ -40,9 +40,10 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
 # Largest rise f(x_{k+1}) - f(y_k) the accelerated loop tolerates as rounding.
 MONOTONE_TOL = 1e-9
 
-# Stage-1 descent rules and hand-over targets the two-stage driver accepts.
-STAGE1_RULES = ("optimal", "simplified")
-STAGE1_TARGETS = ("auto", "gap", "grad")
+# The segment search stops once its bracket is this narrow or it has made
+# this many value calls.
+LS_TOL = 1e-10
+LS_MAX_EVALS = 60
 
 
 class LineSearchError(RuntimeError):
@@ -99,24 +100,19 @@ class LineSearchResult:
 
 
 def segment_line_search(
-    f: Objective,
-    v: np.ndarray,
-    x: np.ndarray,
-    tol: float = 1e-10,
-    max_evals: int = 60,
-    f_x: float | None = None,
+    f: Objective, v: np.ndarray, x: np.ndarray, f_x: float
 ) -> LineSearchResult:
     """Golden-section minimization of beta -> f(v + beta*(x - v)) on [0, 1].
 
     Convexity of f makes the restriction unimodal, so the bracket shrinks
     by the golden ratio per evaluation.  Both endpoints are always in the
-    candidate set, so the returned value never exceeds min(f(v), f(x)).
-    A known f(x) can be passed in to save an evaluation; `evals` counts
-    the calls actually made here.
+    candidate set, so the returned value never exceeds min(f(v), f_x),
+    where f_x = f(x) is known to the caller; `evals` counts the calls made
+    here.
     """
     direction = x - v
     evals = 0
-    best_beta, best_val = 1.0, math.inf
+    best_beta, best_val = 1.0, f_x
 
     def h(beta: float) -> float:
         nonlocal evals, best_beta, best_val
@@ -128,10 +124,6 @@ def segment_line_search(
             best_beta, best_val = beta, val
         return val
 
-    if f_x is None:
-        f_x = h(1.0)
-    else:
-        best_beta, best_val = 1.0, f_x
     if float(_norm(direction)) == 0.0:
         return LineSearchResult(y=x.copy(), f_y=f_x, beta=1.0, evals=evals)
     h(0.0)
@@ -140,7 +132,7 @@ def segment_line_search(
     b1 = hi - _INV_GOLDEN * (hi - lo)
     b2 = lo + _INV_GOLDEN * (hi - lo)
     h1, h2 = h(b1), h(b2)
-    while hi - lo > tol and evals < max_evals:
+    while hi - lo > LS_TOL and evals < LS_MAX_EVALS:
         if h1 <= h2:
             hi, b2, h2 = b2, b1, h1
             b1 = hi - _INV_GOLDEN * (hi - lo)
@@ -154,39 +146,33 @@ def segment_line_search(
     )
 
 
-def _check_line_search(ls_tol: float, ls_max_evals: int):
-    if ls_tol <= 0:
-        raise ValueError("ls_tol must be positive")
-    if ls_max_evals < 1:
-        raise ValueError("ls_max_evals must be at least 1")
-
-
 def agmsdr_run(
     f: Objective,
     x0: np.ndarray,
-    l_const: float,
+    l_const: float | None,
     budget: int,
-    ls_tol: float = 1e-10,
-    ls_max_evals: int = 60,
     t_params: SmoothnessParams | None = None,
 ) -> Trace:
     """Accelerated loop from x0 with scaling constant l_const.
 
     The descent operator is the simplified-stepsize gradient step, using
-    `t_params` (default: the objective's own constants).  Each record k
-    carries f(x_k), the model scale A_k and the model minimum at arrival,
-    plus the iteration products f(y_k), ||grad f(y_k)|| and the search
-    cost.  Oracle calls accumulate value and gradient evaluations alike.
+    `t_params` (default: the objective's own constants).  `l_const` None
+    means 3*l0 of those constants, which the step supports once the
+    gradient norm is at most l0/l1.  Each record k carries f(x_k), the
+    model scale A_k and the model minimum at arrival, plus the iteration
+    products f(y_k), ||grad f(y_k)|| and the search cost.  Oracle calls
+    accumulate value and gradient evaluations alike.
 
     A rise f(x_{k+1}) > f(y_k) beyond `MONOTONE_TOL` aborts: on a convex
     objective that can only mean the curvature constants are wrong.
     """
-    if l_const <= 0:
-        raise ValueError("l_const must be positive")
-    _check_line_search(ls_tol, ls_max_evals)
     params = t_params if t_params is not None else f.params
     if params is None:
         raise ValueError("objective carries no smoothness constants for the descent step")
+    if l_const is None:
+        l_const = 3.0 * params.l0
+    if l_const <= 0:
+        raise ValueError("l_const must be positive")
     x = f.check_point(x0)
 
     state = EstimateState(x0=x.copy())
@@ -213,9 +199,7 @@ def agmsdr_run(
 
     while calls < budget:
         k = len(records)
-        ls = segment_line_search(
-            f, state.minimizer, x, tol=ls_tol, max_evals=ls_max_evals, f_x=f_x
-        )
+        ls = segment_line_search(f, state.minimizer, x, f_x)
         calls += ls.evals
         y, f_y = ls.y, ls.f_y
 
@@ -262,20 +246,13 @@ def two_stage_run(
     budget: int = 10**6,
     *,
     l_const: float | None = None,
-    rule: str = "simplified",
-    target: str = "auto",
-    ls_tol: float = 1e-10,
-    ls_max_evals: int = 60,
 ) -> Trace:
     """Gradient descent until the hand-over target, then the accelerated loop.
 
-    `l_const` is the scaling constant handed to the accelerated stage
-    (default 3*l0, which the simplified descent step supports once the
-    gradient norm is at most l0/l1); `rule` is the stage-1 stepsize rule.
-    `target` picks the hand-over test: "gap" stops when f - f_star <=
-    l0/(5*l1^2) and needs a known optimum; "grad" stops at ||grad|| <=
-    l0/l1 and is the fallback when f_star is unavailable; "auto" prefers
-    "gap".  `ls_tol` and `ls_max_evals` go to the segment search.
+    Stage 1 takes simplified-rule steps.  It hands over once f - f_star <=
+    l0/(5*l1^2) when the optimum is known, and otherwise once ||grad|| <=
+    l0/l1.  `l_const` is the scaling constant of the accelerated stage
+    (`agmsdr_run`'s default when None).
 
     With l1 = 0 the target is vacuous and stage 1 is skipped entirely.
     Stage-2 records continue the combined iteration index and oracle
@@ -284,25 +261,11 @@ def two_stage_run(
     """
     if l_const is not None and l_const <= 0:
         raise ValueError("l_const must be positive")
-    if rule not in STAGE1_RULES:
-        raise ValueError("stage 1 must use the optimal or simplified rule")
-    if target not in STAGE1_TARGETS:
-        raise ValueError("target must be 'auto', 'gap' or 'grad'")
-    _check_line_search(ls_tol, ls_max_evals)
-    if l_const is None:
-        l_const = 3.0 * p.l0
     if p.l1 == 0.0:
-        return agmsdr_run(
-            f, x_s, l_const, budget, ls_tol=ls_tol, ls_max_evals=ls_max_evals, t_params=p
-        )
+        return agmsdr_run(f, x_s, l_const, budget, t_params=p)
 
-    if target == "auto":
-        target = "gap" if f.f_star is not None else "grad"
-    if target == "gap" and f.f_star is None:
-        raise ValueError("the 'gap' hand-over target requires a known f_star")
-
-    step_rule = StepRule(variant=rule, params=p)
-    if target == "gap":
+    step_rule = StepRule(variant="simplified", params=p)
+    if f.f_star is not None:
         stage1 = gd_run(
             f, step_rule, x_s, budget, grad_tol=0.0, gap_tol=p.l0 / (5.0 * p.l1**2)
         )
@@ -318,15 +281,7 @@ def two_stage_run(
             method="two_stage",
         )
 
-    stage2 = agmsdr_run(
-        f,
-        stage1.final_x,
-        l_const,
-        budget - stage1_calls,
-        ls_tol=ls_tol,
-        ls_max_evals=ls_max_evals,
-        t_params=p,
-    )
+    stage2 = agmsdr_run(f, stage1.final_x, l_const, budget - stage1_calls, t_params=p)
 
     combined: list[IterRecord] = list(stage1.records)
     offset_k = stage1.records[-1].k + 1

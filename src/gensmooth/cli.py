@@ -40,7 +40,7 @@ from .problems import (
     separable_pnorm,
 )
 from .first_order import GD_VARIANTS, NGD_SCHEDULES, StepRule, Trace, gd_run, ngd_run
-from .agmsdr import STAGE1_RULES, STAGE1_TARGETS, agmsdr_run, two_stage_run
+from .agmsdr import agmsdr_run, two_stage_run
 from . import verify as verify_mod
 
 CSV_HEADER = "k,f_val,f_gap,grad_norm,step_len,oracle_calls,stage"
@@ -172,16 +172,7 @@ class MethodSpec:
     schedule: str | None = None
     horizon: int | None = None
     l_const: float | None = None
-    ls_tol: float | None = None
-    ls_max: int | None = None
-    target: str | None = None
 
-
-_SEGMENT_KEYS = {
-    "l": ("l_const", float, None),
-    "ls_tol": ("ls_tol", float, 1e-10),
-    "ls_max": ("ls_max", int, 60),
-}
 
 # method kind -> {spec key: (MethodSpec field, converter or choices, default)}
 METHODS = {
@@ -196,12 +187,8 @@ METHODS = {
         "schedule": ("schedule", NGD_SCHEDULES, REQUIRED),
         "horizon": ("horizon", int, None),
     },
-    "agmsdr": _SEGMENT_KEYS,
-    "two_stage": {
-        **_SEGMENT_KEYS,
-        "rule": ("rule_variant", STAGE1_RULES, "simplified"),
-        "target": ("target", STAGE1_TARGETS, "auto"),
-    },
+    "agmsdr": {"l": ("l_const", float, None)},
+    "two_stage": {"l": ("l_const", float, None)},
 }
 
 
@@ -308,18 +295,11 @@ def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
             f, method.r_hat, method.schedule, x0, budget, horizon=method.horizon
         )
     if method.kind == "agmsdr":
-        params = _resolve_params(f, method.l0, method.l1)
-        l_const = method.l_const if method.l_const is not None else 3.0 * params.l0
-        return agmsdr_run(
-            f, x0, l_const, budget,
-            ls_tol=method.ls_tol, ls_max_evals=method.ls_max, t_params=params,
-        )
+        return agmsdr_run(f, x0, method.l_const, budget,
+                          t_params=_resolve_params(f, method.l0, method.l1))
     if method.kind == "two_stage":
-        return two_stage_run(
-            f, x0, _resolve_params(f, method.l0, method.l1), budget,
-            l_const=method.l_const, rule=method.rule_variant, target=method.target,
-            ls_tol=method.ls_tol, ls_max_evals=method.ls_max,
-        )
+        return two_stage_run(f, x0, _resolve_params(f, method.l0, method.l1), budget,
+                             l_const=method.l_const)
     raise ValueError(f"unknown method kind {method.kind!r}")
 
 
@@ -486,7 +466,7 @@ def run_verify_suite(
             trace = execute_method(f, method, x0, budget, 0.0)
             for bound in bounds:
                 reports.append(verify_mod.rate_monitor(
-                    trace, bound, params=f.params, f0=trace.records[0].f_val,
+                    trace, bound, params=f.params, f0=trace.records[0].f_gap,
                     r=THEOREM_RADIUS, r_hat=method.r_hat,
                 ))
 

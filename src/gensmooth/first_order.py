@@ -108,11 +108,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.records)
 
-    def gaps(self) -> np.ndarray:
-        return np.array(
-            [r.f_gap if r.f_gap is not None else np.nan for r in self.records]
-        )
-
 
 def stepsize_optimal(grad_norm: float, p: SmoothnessParams) -> float:
     """Stepsize minimizing the tight growth envelope around the iterate."""

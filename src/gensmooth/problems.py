@@ -14,7 +14,7 @@ constants that are too small (the negative controls in the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -316,16 +316,8 @@ def separable_sum(parts: list[Objective]) -> Objective:
 
 def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
     """(1/p) * sum_i |x_i|^p, the separable composition of 1-D power terms."""
-    obj = separable_sum([power_norm(1, p, l1) for _ in range(dim)])
-    return Objective(
-        dim=obj.dim,
-        value=obj.value,
-        gradient=obj.gradient,
-        hessian=obj.hessian,
-        f_star=obj.f_star,
-        x_star=obj.x_star,
-        params=obj.params,
-        convex=True,
+    return replace(
+        separable_sum([power_norm(1, p, l1) for _ in range(dim)]),
         name=f"separable_pnorm(d={dim},p={p},l1={l1})",
     )
 

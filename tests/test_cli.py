@@ -1,5 +1,6 @@
 """Spec parsing, CSV emission, presets, and end-to-end CLI behavior."""
 
+import hashlib
 import json
 import math
 import re
@@ -107,22 +108,27 @@ class TestParseMethod:
             parse_method("ngd:r_hat=20,schedule=fixed")
 
     def test_agmsdr(self):
-        m = parse_method("agmsdr:l=768,ls_max=40")
-        assert m.l_const == 768.0 and m.ls_max == 40
+        m = parse_method("agmsdr:l=768")
+        assert m.kind == "agmsdr" and m.l_const == 768.0
 
     def test_two_stage(self):
-        m = parse_method("two_stage:l=1024,target=grad")
-        assert m.kind == "two_stage" and m.target == "grad"
+        m = parse_method("two_stage:l=1024")
+        assert m.kind == "two_stage" and m.l_const == 1024.0
 
     @pytest.mark.parametrize(
-        "spec",
-        ["gd:rule=momentum", "two_stage:target=foo", "two_stage:rule=clipped"],
+        "spec, message, pos",
+        [
+            ("gd:rule=momentum", "unknown gd rule 'momentum'", 8),
+            # two_stage always takes simplified steps and derives its target
+            ("two_stage:target=foo", "unknown key 'target'", 10),
+            ("two_stage:rule=clipped", "unknown key 'rule'", 10),
+        ],
         ids=["gd_rule", "two_stage_target", "two_stage_rule"],
     )
-    def test_unknown_rule(self, spec):
-        with pytest.raises(SpecError, match="unknown") as err:
+    def test_unknown_rule(self, spec, message, pos):
+        with pytest.raises(SpecError, match=message) as err:
             parse_method(spec)
-        assert err.value.pos == spec.index("=") + 1  # offset of the bad value
+        assert err.value.pos == pos
 
 
 # One valid value per key that some spec requires.
@@ -252,6 +258,32 @@ class TestRunExperiment:
         )
         report = run_experiment(cfg)
         assert report.best_gap is not None
+
+    @pytest.mark.parametrize(
+        "problem, method, radius, budget, lines, stage1, digest",
+        [
+            # hand-over on the gap target: power_norm knows f_star
+            ("power_norm:d=2,p=6,l1=1", "two_stage:", 10.0, 4000, 93, 14,
+             "9175a84a14aecb5b099999d70221fcf3105846c8f2b94c793cad46fbc6945a9e"),
+            # hand-over on the gradient target: logistic has no f_star
+            ("logistic:l1=0.5", "two_stage:", 3.0, 2000, 47, 6,
+             "bf5350f09defd66de08a19c79ac372aa0b6ba787c8eb7d60a9cc5f9d24e230d3"),
+            ("power_norm:d=2,p=6,l1=1", "agmsdr:", 2.0, 2000, 41, 0,
+             "317d0919e457d7e392929cfa1450fe83f4d64cad12156f65ca9a1e50f28eb308"),
+        ],
+        ids=["two_stage_gap", "two_stage_grad", "agmsdr"],
+    )
+    def test_accelerated_csv_golden(self, problem, method, radius, budget, lines,
+                                    stage1, digest, tmp_path):
+        """The accelerated paths' CSV bytes, segment search and hand-over included."""
+        out = tmp_path / "acc.csv"
+        run_experiment(RunConfig(problem, method, radius=radius, budget=budget,
+                                 output_path=str(out)))
+        data = out.read_bytes()
+        rows = data.decode().splitlines()
+        assert len(rows) == lines  # header included
+        assert sum(row.endswith(",1") for row in rows[1:]) == stage1
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_byte_identical_rerun(self, tmp_path):
         paths = []
@@ -580,13 +612,22 @@ class TestMainEntry:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["agmsdr:ls_tol=-1", "agmsdr:ls_max=0"])
+    @pytest.mark.parametrize("method", ["agmsdr:ls_tol=-1", "agmsdr:ls_max=0",
+                                        "agmsdr:ls_max=60", "two_stage:l=1024,ls_tol=1e-10",
+                                        "two_stage:rule=optimal", "two_stage:target=gap"])
     def test_run_rejects_bad_line_search(self, method, tmp_path, capsys):
+        """The segment search and stage 1 take no spec keys: each exits 2
+        naming the key at its token's offset."""
         code = main(["run", "--problem", "power_norm:d=2,p=4,l1=1",
                      "--method", method, "--radius", "10", "--budget", "2000",
                      "--out", str(tmp_path / "ls.csv")])
         assert code == 2
-        assert "error:" in capsys.readouterr().err
+        key = re.findall(r"(\w+)=", method)[-1]
+        assert capsys.readouterr().err == (
+            f"error: bad spec {method!r} at position {method.index(key)}: "
+            f"unknown key {key!r}\n"
+        )
+        assert not (tmp_path / "ls.csv").exists()
 
     def test_verify_subcommand_exit_codes(self, tmp_path, capsys):
         assert main(["verify", "--scope", "kernels",
