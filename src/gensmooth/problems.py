@@ -73,6 +73,23 @@ def _norm(v) -> np.floating:
     return np.linalg.norm(v)
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each row of two 2-D float64 arrays, one BLAS dot per
+    row: einsum, (a*b).sum(1) and np.linalg.norm(axis=1) round differently
+    from it in the last bit."""
+    return np.array([u @ v for u, v in zip(a, b)])
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """_norm of each row of a 2-D float64 array, bit for bit."""
+    return np.sqrt(_row_dots(a, a))
+
+
+def _at_points(oracle, points: np.ndarray) -> np.ndarray:
+    """oracle(x) for each row x of `points`, one call per point, stacked."""
+    return np.array([oracle(x) for x in points], dtype=float)
+
+
 def power_norm(dim: int, p: float, l1: float) -> Objective:
     """(1/p) * ||x||^p with p > 2; minimal l0 for a chosen l1 is ((p-2)/l1)^(p-2)."""
     if p <= 2:
@@ -331,11 +348,14 @@ def sample_ball(rng: np.random.Generator, dim: int, radius: float, n: int) -> np
     return directions / norms * radii[:, None]
 
 
-def spectral_norm(h: np.ndarray) -> float:
-    """Largest-magnitude eigenvalue of a symmetric matrix, exactly."""
-    if h.shape[0] == 1:
-        return abs(float(h[0, 0]))
-    return float(np.max(np.abs(np.linalg.eigvalsh(h))))
+def spectral_norm(h: np.ndarray) -> float | np.ndarray:
+    """Largest-magnitude eigenvalue of a symmetric matrix, exactly; for an
+    (n, d, d) stack, the array of the n values, from one eigvalsh call."""
+    if h.shape[-1] == 1:
+        top = np.abs(h[..., 0, 0])
+    else:
+        top = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+    return float(top) if h.ndim == 2 else top
 
 
 def certify_smoothness(
@@ -351,7 +371,9 @@ def certify_smoothness(
 
     Nonpositive max violation certifies the constants on the sampled region;
     a clearly positive value is a counterexample (the spectral norm is
-    exact up to rounding).  Deterministic for a fixed seed.
+    exact up to rounding).  A NaN violation is the worst of all: the first
+    one found is reported, so NaN curvature never certifies.  Deterministic
+    for a fixed seed.
     """
     if f.hessian is None:
         raise ValueError(f"objective {f.name!r} does not provide a Hessian")
@@ -359,17 +381,15 @@ def certify_smoothness(
         raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, f.dim, region_radius, n_samples)
-    worst = -math.inf
-    worst_point = None
-    for x in points:
-        h_norm = spectral_norm(f.hessian(x))
-        violation = h_norm - params.l0 - params.l1 * float(_norm(f.gradient(x)))
-        if violation > worst:
-            worst = violation
-            worst_point = x.copy()
+    h_norms = spectral_norm(_at_points(f.hessian, points))
+    g_norms = _row_norms(_at_points(f.gradient, points))
+    violations = h_norms - params.l0 - params.l1 * g_norms
+    # argmax takes the first NaN, else the first of the largest
+    i = int(np.argmax(violations))
+    worst = float(violations[i])
     return CertificateReport(
         n_samples=n_samples,
         max_violation=worst,
-        violating_point=worst_point,
+        violating_point=None if worst == -math.inf else points[i].copy(),
         region_radius=region_radius,
     )

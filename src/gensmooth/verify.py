@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SmoothnessParams, phi, phi_star
-from .problems import Objective, _norm, sample_ball
+from .problems import Objective, _at_points, _norm, _row_dots, _row_norms, sample_ball
 from .first_order import Trace
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
@@ -62,7 +62,11 @@ class CheckReport:
 
 
 class _Margins:
-    """Accumulates (margin, case description) pairs against one tolerance."""
+    """Accumulates (margin, case description) pairs against one tolerance.
+
+    A NaN margin counts as a failure and is the worst margin there is: the
+    first one stays the worst.
+    """
 
     def __init__(self, tol: float):
         self.tol = tol
@@ -75,17 +79,20 @@ class _Margins:
         self.n_cases += 1
         if not (margin >= -self.tol):
             self.n_failures += 1
-        if margin < self.worst:
+        if margin < self.worst or (margin != margin and self.worst == self.worst):
             self.worst = margin
             self.worst_input = case
 
-    def add_grid(self, slack: np.ndarray, inputs: np.ndarray, label: str):
-        self.n_cases += slack.size
-        self.n_failures += int(np.sum(~(slack >= -self.tol)))
-        i = int(np.argmin(slack))
-        if slack[i] < self.worst:
-            self.worst = float(slack[i])
-            self.worst_input = f"{label}={inputs[i]}"
+    def add_all(self, margins: np.ndarray, describe):
+        """`add` for each entry in order; `describe(i)` names case i and is
+        called once, for the entry that can become the worst."""
+        if margins.size:
+            # argmin takes the first NaN, else the first of the lowest
+            i = int(np.argmin(margins))
+            self.add(float(margins[i]), describe(i))
+            rest = np.delete(margins, i)
+            self.n_cases += rest.size
+            self.n_failures += int(np.count_nonzero(~(rest >= -self.tol)))
 
     def report(self, name: str, seed: int = 0, informational: bool = False) -> CheckReport:
         worst = self.worst if self.n_cases else math.inf
@@ -101,10 +108,12 @@ class _Margins:
 
 
 def merge_reports(reports: list[CheckReport]) -> CheckReport:
-    """Combine shards of one check: counts add, margins take the minimum."""
+    """Combine shards of one check: counts add, margins take the minimum
+    (or the first NaN, as in `_Margins`)."""
     if not reports:
         raise ValueError("nothing to merge")
-    worst = min(reports, key=lambda r: r.worst_margin)
+    nan = [r for r in reports if math.isnan(r.worst_margin)]
+    worst = nan[0] if nan else min(reports, key=lambda r: r.worst_margin)
     return CheckReport(
         check_name=worst.check_name,
         n_cases=sum(r.n_cases for r in reports),
@@ -134,17 +143,16 @@ def fd_gradient_check(
     """
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, f.dim, radius, n_points)
+    h = 1e-6 * (1.0 + _row_norms(points))
+    # steps[i, j] = h_i * e_j; every point's 2*dim probes in one array
+    steps = h[:, None, None] * np.eye(f.dim)
+    probes = np.concatenate([points[:, None, :] + steps, points[:, None, :] - steps], axis=1)
+    vals = _at_points(f.value, probes.reshape(-1, f.dim)).reshape(len(points), 2 * f.dim)
+    fd = (vals[:, : f.dim] - vals[:, f.dim :]) / (2.0 * h[:, None])
+    grads = _at_points(f.gradient, points).reshape(points.shape)  # (0, dim) for no points
+    err = _row_norms(fd - grads) / (1.0 + _row_norms(grads))
     margins = _Margins(tol=0.0)
-    for x in points:
-        h = 1e-6 * (1.0 + float(_norm(x)))
-        fd = np.empty(f.dim)
-        for j in range(f.dim):
-            e = np.zeros(f.dim)
-            e[j] = h
-            fd[j] = (f.value(x + e) - f.value(x - e)) / (2.0 * h)
-        grad = f.gradient(x)
-        err = float(_norm(fd - grad)) / (1.0 + float(_norm(grad)))
-        margins.add(rel_tol - err, f"x={x.tolist()}")
+    margins.add_all(rel_tol - err, lambda i: f"x={points[i].tolist()}")
     return margins.report(f"fd_gradient[{f.name}]", seed=seed)
 
 
@@ -154,6 +162,19 @@ def _sample_pairs(rng, dim, n_pairs, max_sep, radius):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     seps = max_sep * rng.random(n_pairs)
     return xs, xs + dirs * seps[:, None]
+
+
+def _case_min(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
+    """Python's min over each case's margins (a tie keeps the earlier one,
+    so 0 beats a later -0), except that any NaN makes the case NaN."""
+    out = first
+    for m in rest:
+        out = np.where((m < out) | np.isnan(m), m, out)
+    return out
+
+
+def _pair_case(xs: np.ndarray, ys: np.ndarray):
+    return lambda i: f"x={xs[i].tolist()} y={ys[i].tolist()}"
 
 
 def check_smoothness_envelopes(
@@ -175,31 +196,36 @@ def check_smoothness_envelopes(
     """
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, f.dim, n_pairs, max_sep, radius)
+    gx, gy = _at_points(f.gradient, xs), _at_points(f.gradient, ys)
+    fx, fy = _at_points(f.value, xs), _at_points(f.value, ys)
+    a = p.l0 + p.l1 * _row_norms(gx)
+    s = _row_norms(ys - xs)
+    if p.l1 > 0:
+        # math.expm1 per case: numpy's SIMD expm1 differs from libm in the
+        # last bit on some hosts
+        growth = np.array([math.expm1(t) for t in (p.l1 * s).tolist()])
+        grad_bound = a * growth / p.l1
+        taylor_bound = a * phi(p.l1 * s) / p.l1**2
+    else:
+        grad_bound = a * s
+        taylor_bound = 0.5 * a * s * s
+    m1 = grad_bound - _row_norms(gy - gx)
+    m2 = taylor_bound - np.abs(fy - fx - _row_dots(gx, ys - xs))
     margins = _Margins(tol=tol)
-    for x, y in zip(xs, ys):
-        gx = f.gradient(x)
-        gy = f.gradient(y)
-        a = p.l0 + p.l1 * float(_norm(gx))
-        s = float(_norm(y - x))
-        if p.l1 > 0:
-            grad_bound = a * math.expm1(p.l1 * s) / p.l1
-            taylor_bound = a * float(phi(p.l1 * s)) / p.l1**2
-        else:
-            grad_bound = a * s
-            taylor_bound = 0.5 * a * s * s
-        m1 = grad_bound - float(_norm(gy - gx))
-        m2 = taylor_bound - abs(f.value(y) - f.value(x) - float(gx @ (y - x)))
-        margins.add(min(m1, m2), f"x={x.tolist()} y={y.tolist()}")
+    margins.add_all(_case_min(m1, m2), _pair_case(xs, ys))
     return margins.report(f"smoothness_envelopes[{f.name}]", seed=seed)
 
 
-def _conjugate_term(s: float, a: float, l1: float) -> float:
-    # (a/l1^2) * phi_star(l1*s/a), with the l1 -> 0 limit s^2/(2a)
-    if a <= 0:
-        return math.inf if s > 0 else 0.0
+def _conjugate_term(s: np.ndarray, a: np.ndarray, l1: float) -> np.ndarray:
+    # (a/l1^2) * phi_star(l1*s/a) per case, with the l1 -> 0 limit s^2/(2a)
+    out = np.where(s > 0, math.inf, 0.0)  # the a <= 0 cases
+    pos = ~(a <= 0)
+    sp, ap = s[pos], a[pos]
     if l1 == 0.0:
-        return s * s / (2.0 * a)
-    return a / l1**2 * float(phi_star(l1 * s / a))
+        out[pos] = sp * sp / (2.0 * ap)
+    else:
+        out[pos] = ap / l1**2 * phi_star(l1 * sp / ap)
+    return out
 
 
 def check_convex_lower_bounds(
@@ -225,20 +251,21 @@ def check_convex_lower_bounds(
         raise ValueError(f"objective {f.name!r} is not marked convex")
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, f.dim, n_pairs, max_sep, radius)
+    gx, gy = _at_points(f.gradient, xs), _at_points(f.gradient, ys)
+    fx, fy = _at_points(f.value, xs), _at_points(f.value, ys)
+    a_x = p.l0 + p.l1 * _row_norms(gx)
+    a_y = p.l0 + p.l1 * _row_norms(gy)
+    s = _row_norms(gy - gx)
+    bregman = fy - fx - _row_dots(gx, ys - xs)
+    conj_y, conj_x = _conjugate_term(np.stack([s, s]), np.stack([a_y, a_x]), p.l1)
+    m1 = bregman - conj_y
+    m2 = _row_dots(gx - gy, xs - ys) - (conj_y + conj_x)
+    denom = 2.0 * a_y + p.l1 * s
+    m3 = np.where(s == 0, 0.0, -math.inf)  # the denom <= 0 cases
+    pos = denom > 0
+    m3[pos] = bregman[pos] - s[pos] * s[pos] / denom[pos]
     margins = _Margins(tol=tol)
-    for x, y in zip(xs, ys):
-        gx, gy = f.gradient(x), f.gradient(y)
-        a_x = p.l0 + p.l1 * float(_norm(gx))
-        a_y = p.l0 + p.l1 * float(_norm(gy))
-        s = float(_norm(gy - gx))
-        bregman = f.value(y) - f.value(x) - float(gx @ (y - x))
-        m1 = bregman - _conjugate_term(s, a_y, p.l1)
-        m2 = float((gx - gy) @ (x - y)) - (
-            _conjugate_term(s, a_y, p.l1) + _conjugate_term(s, a_x, p.l1)
-        )
-        denom = 2.0 * a_y + p.l1 * s
-        m3 = bregman - s * s / denom if denom > 0 else (0.0 if s == 0 else -math.inf)
-        margins.add(min(m1, m2, m3), f"x={x.tolist()} y={y.tolist()}")
+    margins.add_all(_case_min(m1, m2, m3), _pair_case(xs, ys))
     return margins.report(f"convex_lower_bounds[{f.name}]", seed=seed)
 
 
@@ -264,18 +291,19 @@ def kernel_bound_checks(n_grid: int = 10**4, tol: float = 1e-12) -> list[CheckRe
 
     t = np.linspace(0.0, 3.0, n_grid, endpoint=False)
     margins = _Margins(tol=tol)
-    margins.add_grid(t * t / (2.0 - 2.0 * t / 3.0) - phi(t), t, "t")
+    margins.add_all(t * t / (2.0 - 2.0 * t / 3.0) - phi(t), lambda i: f"t={t[i]}")
     reports.append(margins.report("kernel_phi_upper"))
 
     g = np.linspace(0.0, 100.0, n_grid)
     ps = phi_star(g)
     margins = _Margins(tol=tol)
-    margins.add_grid(np.minimum(ps - g * g / (2.0 + g), g * g / 2.0 - ps), g, "g")
+    margins.add_all(np.minimum(ps - g * g / (2.0 + g), g * g / 2.0 - ps),
+                    lambda i: f"g={g[i]}")
     reports.append(margins.report("kernel_conjugate_sandwich"))
 
     ln = np.log1p(g)
     margins = _Margins(tol=tol)
-    margins.add_grid(np.minimum(ln - 2.0 * g / (2.0 + g), g - ln), g, "g")
+    margins.add_all(np.minimum(ln - 2.0 * g / (2.0 + g), g - ln), lambda i: f"g={g[i]}")
     reports.append(margins.report("kernel_log_bracket"))
 
     return reports

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -521,6 +522,113 @@ class TestVerifySuite:
             "rate_two_stage\t3781\t0\t0\t0\n"
         )
 
+    def test_all_scope_report_golden(self, tmp_path):
+        """Every scope plus the negative controls, line for line, and the
+        worst case each report names (which `line()` does not print)."""
+        code, reports = run_verify_suite(scope="all", seed=0, negative_controls=True,
+                                         report_path=tmp_path / "all.txt")
+        assert code == 1
+        assert (tmp_path / "all.txt").read_text() == (
+            "kernel_phi_upper\t10000\t0\t0\t0\n"
+            "kernel_conjugate_sandwich\t10000\t0\t0\t0\n"
+            "kernel_log_bracket\t10000\t0\t0\t0\n"
+            "kernel_conjugate_grid\t100\t0\t9.9468951195069617e-07\t0\n"
+            "fd_gradient[power_norm(d=2,p=4.0,l1=1.0)]\t50\t0\t9.9998831476701578e-06\t0\n"
+            "smoothness_envelopes[power_norm(d=2,p=4.0,l1=1.0)]\t"
+                "1000\t0\t1.6072097420838309e-09\t0\n"
+            "convex_lower_bounds[power_norm(d=2,p=4.0,l1=1.0)]\t"
+                "1000\t0\t9.0902634946555797e-10\t0\n"
+            "fd_gradient[power_norm(d=2,p=6.0,l1=1.0)]\t50\t0\t9.9998754656129495e-06\t0\n"
+            "smoothness_envelopes[power_norm(d=2,p=6.0,l1=1.0)]\t"
+                "1000\t0\t4.7009108597762412e-06\t0\n"
+            "convex_lower_bounds[power_norm(d=2,p=6.0,l1=1.0)]\t"
+                "1000\t0\t1.4903767016607482e-06\t0\n"
+            "fd_gradient[power_norm(d=2,p=8.0,l1=1.0)]\t50\t0\t9.9998718847567806e-06\t0\n"
+            "smoothness_envelopes[power_norm(d=2,p=8.0,l1=1.0)]\t"
+                "1000\t0\t0.0010792912449930406\t0\n"
+            "convex_lower_bounds[power_norm(d=2,p=8.0,l1=1.0)]\t"
+                "1000\t0\t1.3125680534342697e-05\t0\n"
+            "fd_gradient[logistic(l1=0.5)]\t50\t0\t9.9999480282777276e-06\t0\n"
+            "smoothness_envelopes[logistic(l1=0.5)]\t1000\t0\t6.2338347017572575e-09\t0\n"
+            "convex_lower_bounds[logistic(l1=0.5)]\t1000\t0\t2.0463546307835839e-09\t0\n"
+            "fd_gradient[affine_logistic(|a|=3,b=0.0,l1=1.0)]\t"
+                "50\t0\t9.9998987393819546e-06\t0\n"
+            "smoothness_envelopes[affine_logistic(|a|=3,b=0.0,l1=1.0)]\t"
+                "1000\t0\t4.1103491860946524e-08\t0\n"
+            "convex_lower_bounds[affine_logistic(|a|=3,b=0.0,l1=1.0)]\t"
+                "1000\t0\t1.4256191394081278e-11\t0\n"
+            "fd_gradient[exp_phi(d=2,l0=1.0,l1=1.0)]\t50\t0\t9.9998833234412783e-06\t0\n"
+            "smoothness_envelopes[exp_phi(d=2,l0=1.0,l1=1.0)]\t"
+                "1000\t0\t5.9453686823409989e-10\t0\n"
+            "convex_lower_bounds[exp_phi(d=2,l0=1.0,l1=1.0)]\t"
+                "1000\t0\t2.7659688689697799e-10\t0\n"
+            "fd_gradient[separable_pnorm(d=3,p=4.0,l1=1.0)]\t50\t0\t9.9999314995995788e-06\t0\n"
+            "smoothness_envelopes[separable_pnorm(d=3,p=4.0,l1=1.0)]\t"
+                "1000\t0\t6.4188910988127859e-06\t0\n"
+            "convex_lower_bounds[separable_pnorm(d=3,p=4.0,l1=1.0)]\t"
+                "1000\t0\t1.0187261561511586e-06\t0\n"
+            "rate_min_grad\t4000\t0\t4.111056758699597\t0\n"
+            "rate_convex_gap\t4002\t0\t3.1482987575853599e-11\t0\n"
+            "rate_min_grad\t4000\t0\t4.1110567565997496\t0\n"
+            "rate_convex_gap\t4002\t0\t3.1494776352376334e-11\t0\n"
+            "rate_polyak\t443\t0\t5.9975534042069783e-109\t0\n"
+            "rate_normalized_fixed\t2\t0\t0.20183711076428867\t0\n"
+            "rate_two_stage\t3781\t0\t0\t0\n"
+            "fd_gradient[corrupted_gradient]\t50\t50\t-0.0088618041261345794\t0\n"
+            "negative_control_halved_l0\t1000\t114\t-6.7352837861615384\t0\n"
+        )
+        assert [r.worst_case_input for r in reports] == [
+            "t=0.0",
+            "g=0.0",
+            "g=0.0",
+            "g=9.545904936907373",
+            "x=[-4.813891868792964, 0.31918329388905403]",
+            "x=[-0.3088148533554567, 2.060179698147804] "
+            "y=[-0.3088625921685082, 2.060390370599535]",
+            "x=[-0.3088148533554567, 2.060179698147804] "
+            "y=[-0.3088625921685082, 2.060390370599535]",
+            "x=[-4.813891868792964, 0.31918329388905403]",
+            "x=[-0.3088148533554567, 2.060179698147804] "
+            "y=[-0.3088625921685082, 2.060390370599535]",
+            "x=[-0.3088148533554567, 2.060179698147804] "
+            "y=[-0.3088625921685082, 2.060390370599535]",
+            "x=[-4.813891868792964, 0.31918329388905403]",
+            "x=[-0.3088148533554567, 2.060179698147804] "
+            "y=[-0.3088625921685082, 2.060390370599535]",
+            "x=[-0.3088148533554567, 2.060179698147804] "
+            "y=[-0.3088625921685082, 2.060390370599535]",
+            "x=[0.07353152482684644]",
+            "x=[-3.650860116752014] "
+            "y=[-3.650363179379057]",
+            "x=[-3.650860116752014] "
+            "y=[-3.650363179379057]",
+            "x=[4.329641857840848, 0.4505290686994142]",
+            "x=[-0.3088148533554567, 2.060179698147804] "
+            "y=[-0.3088625921685082, 2.060390370599535]",
+            "x=[-4.868203164323283, 0.9605742352067586] "
+            "y=[-4.865565775453137, 0.962313476327578]",
+            "x=[-4.813891868792964, 0.31918329388905403]",
+            "x=[-0.3088148533554567, 2.060179698147804] "
+            "y=[-0.3088625921685082, 2.060390370599535]",
+            "x=[-0.3088148533554567, 2.060179698147804] "
+            "y=[-0.3088625921685082, 2.060390370599535]",
+            "x=[2.2806146891580137, -1.403647227746005, 4.138909276018587]",
+            "x=[1.1429907112504696, -1.8843451470191415, -2.8150758774490807] "
+            "y=[1.1422594941882636, -1.8844037238020734, -2.8148090964466768]",
+            "x=[1.1429907112504696, -1.8843451470191415, -2.8150758774490807] "
+            "y=[1.1422594941882636, -1.8844037238020734, -2.8148090964466768]",
+            "K=3999",
+            "monotone gap k=3998",
+            "K=3999",
+            "monotone gap k=3998",
+            "k=439",
+            "K=1000",
+            "sublevel k=14",
+            "x=[0.13226839964880802, -0.4810084101516751]",
+            "x=[1.09195869375339, 0.2811188477545933] "
+            "y=[2.931178826835505, 0.7083632115675164]",
+        ]
+
 
 class TestMainEntry:
     def test_run_subcommand(self, tmp_path, capsys):
@@ -645,6 +753,17 @@ class TestMainEntry:
                      "--l0", "0.2", "--radius", "0.001",
                      "--samples", "1000", "--seed", "3"])
         assert code == 1
+
+    def test_certify_fails_on_nan_hessian(self, monkeypatch, capsys):
+        def nan_hessian(spec):
+            return replace(parse_problem(spec), hessian=lambda x: np.full((2, 2), np.nan))
+
+        monkeypatch.setattr("gensmooth.cli.parse_problem", nan_hessian)
+        code = main(["certify", "--problem", "power_norm:d=2,p=4,l1=1",
+                     "--radius", "5", "--samples", "100", "--seed", "3"])
+        assert code == 1
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL ") and out.endswith(" max_violation=nan\n")
 
     def test_preset_writes_metadata(self, tmp_path, capsys):
         code = main(["preset", "fig2", "--out-dir", str(tmp_path), "--budget", "50"])

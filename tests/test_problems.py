@@ -1,6 +1,7 @@
 """Objective constructors: constants, oracles, combinators, certification."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -348,6 +349,15 @@ class TestSpectralNorm:
     def test_zero_matrix(self):
         assert spectral_norm(np.zeros((3, 3))) == 0.0
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_stack_matches_each_matrix(self, d):
+        """An (n, d, d) stack gives, bit for bit, each matrix's own value."""
+        m = np.random.default_rng(d).standard_normal((50, d, d))
+        stack = m + m.transpose(0, 2, 1)
+        values = spectral_norm(stack)
+        assert values.shape == (50,)
+        assert values.tolist() == [spectral_norm(h) for h in stack]
+
 
 class TestCertifier:
     def test_power_norm_true_constants_pass(self):
@@ -383,3 +393,27 @@ class TestCertifier:
         bare = Objective(dim=2, value=f.value, gradient=f.gradient, name="bare")
         with pytest.raises(ValueError):
             certify_smoothness(bare, f.params, 1.0, 10, seed=0)
+
+    @pytest.mark.parametrize("oracle,shape", [("hessian", (2, 2)), ("gradient", (2,))])
+    def test_nan_curvature_never_certifies(self, oracle, shape):
+        """A NaN violation is the worst case: the first sampled point is
+        named and the report fails."""
+        f = power_norm(2, 4, 1)
+        broken = replace(f, **{oracle: lambda x: np.full(shape, np.nan)})
+        report = certify_smoothness(broken, f.params, 5.0, 100, seed=0)
+        assert math.isnan(report.max_violation)
+        assert not report.passes()
+        first = sample_ball(np.random.default_rng(0), 2, 5.0, 100)[0]
+        np.testing.assert_array_equal(report.violating_point, first)
+
+    def test_first_nan_beats_a_later_large_violation(self):
+        f = logistic_1d(0.0)
+        calls = []
+
+        def hessian(x):
+            calls.append(x)
+            return np.array([[np.nan if len(calls) == 3 else 1e9]])
+
+        report = certify_smoothness(replace(f, hessian=hessian), f.params, 1.0, 10, seed=1)
+        assert math.isnan(report.max_violation)
+        np.testing.assert_array_equal(report.violating_point, calls[2])
