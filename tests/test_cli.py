@@ -181,6 +181,42 @@ class TestInitialPoint:
             initial_point(f, cfg)
 
 
+# run_experiment CSVs of the descent methods, budget 2000, as
+# (problem, method, x0, termination, lines with header, sha256).
+_PN, _SP = "power_norm:d=2,p=6,l1=1", "separable_pnorm:d=3,p=4,l1=1"
+_NGD_FIXED = "ngd:r_hat=20,schedule=fixed,horizon=1500"
+DESCENT_CSV_GOLDEN = [
+    (_PN, "gd:rule=optimal", [6.0, -8.0], "BudgetExhausted", 2001,
+     "7ac92989a998f8eebaef85c1cc7b47919ce81a1b131f3eb13affeaf168e2dba5"),
+    (_PN, "gd:rule=simplified", [6.0, -8.0], "BudgetExhausted", 2001,
+     "95ff3a336e17d3ed90d55864c2afa7bb373b16d817b8e5a720608a19ac8707c2"),
+    (_PN, "gd:rule=clipped", [6.0, -8.0], "BudgetExhausted", 2001,
+     "fc7a771df5f3cd6ef51b51331050bfa0b02c859f7f03ce348ddc705e4102c7a8"),
+    (_PN, "gd:rule=polyak", [6.0, -8.0], "StationaryExact", 423,
+     "afb0c1698bd891759edbd0147978270c9cb2acbb6923ef170d7bc383b9957eea"),
+    (_PN, _NGD_FIXED, [6.0, -8.0], "BudgetExhausted", 1502,
+     "d87e5d02a75786ab211d62045e509837340f1a41eda6916f0f3b464adf88da82"),
+    (_PN, "ngd:r_hat=20,schedule=linear", [6.0, -8.0], "StationaryExact", 4,
+     "1c194862f1822afcc5f4655ac516daa84a970555bb004d0297f3b12f98f75f22"),
+    (_SP, "gd:rule=optimal", [3.0, -4.0, 5.0], "BudgetExhausted", 2001,
+     "fd957b5c89b4a23eb118b04a94c26cb8183f4f77cf72d6daa514138c209c210c"),
+    (_SP, "gd:rule=simplified", [3.0, -4.0, 5.0], "BudgetExhausted", 2001,
+     "a8fb53bf3ffc40f3eca847aef935b169ed946cee3d2c86b2c0d92a129ac941d9"),
+    (_SP, "gd:rule=clipped", [3.0, -4.0, 5.0], "BudgetExhausted", 2001,
+     "8bc15987c3e353ce2158964564dc2e2e775c46bea8ba6dad8fe79a2c8a36ed18"),
+    (_SP, "gd:rule=polyak", [3.0, -4.0, 5.0], "StationaryExact", 439,
+     "ba03698b72078c218e477603d2b270f69d7b408da97aa183c6ee9867e2ea4349"),
+    (_SP, _NGD_FIXED, [3.0, -4.0, 5.0], "BudgetExhausted", 1502,
+     "c29b571a7196ff19b79c2ee3162e71b34a7335efd6d8bd5a0e9b904552104ca1"),
+    (_SP, "ngd:r_hat=20,schedule=linear", [3.0, -4.0, 5.0], "BudgetExhausted", 2001,
+     "8363886228031c70c82f2af65c919f9f728a31b61354b8ce62e1f8e7e008a51c"),
+    ("logistic:l1=0.5", "gd:rule=optimal", [3.0], "BudgetExhausted", 2001,
+     "39229e2b3e4547304441d3692c0b510b84bf229e002a67a21dcfcef630b4de81"),
+    (_PN, "gd:rule=optimal,l0=1,l1=0", [10.0, 0.0], "Diverged", 5,
+     "8ab78251dc2a59641e4380baf8399ebe1e939e3790601fbd64cafeb5b8b6ed08"),
+]
+
+
 class TestRunExperiment:
     def test_csv_matches_trace_length(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -284,6 +320,22 @@ class TestRunExperiment:
         rows = data.decode().splitlines()
         assert len(rows) == lines  # header included
         assert sum(row.endswith(",1") for row in rows[1:]) == stage1
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "problem, method, x0, termination, lines, digest", DESCENT_CSV_GOLDEN,
+        ids=[f"{p.split(':')[0]}-{m}" for p, m, *_ in DESCENT_CSV_GOLDEN],
+    )
+    def test_descent_csv_golden(self, problem, method, x0, termination, lines, digest,
+                                tmp_path):
+        """The descent paths' CSV bytes: every gd rule and two ngd schedules off
+        the axis, an empty f_gap column, and a diverged run's inf/nan cells."""
+        out = tmp_path / "descent.csv"
+        report = run_experiment(RunConfig(problem, method, x0=x0, budget=2000,
+                                          output_path=str(out)))
+        data = out.read_bytes()
+        assert report.termination == termination
+        assert len(data.decode().splitlines()) == lines  # header included
         assert hashlib.sha256(data).hexdigest() == digest
 
     def test_byte_identical_rerun(self, tmp_path):
