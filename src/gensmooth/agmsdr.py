@@ -27,10 +27,11 @@ import numpy as np
 from .kernels import SmoothnessParams
 from .problems import Objective, _norm
 from .first_order import (
+    ARRAYS,
     DIVERGENCE_GUARD,
-    IterRecord,
     StepRule,
     Trace,
+    _Rows,
     gd_run,
     stepsize_simplified,
 )
@@ -180,25 +181,22 @@ def agmsdr_run(
     if not math.isfinite(f_x):
         raise ValueError("objective is not finite at the starting point")
     calls = 1
-    records: list[IterRecord] = []
     termination = "BudgetExhausted"
+    # every iteration costs at least two calls, and one more row ends the run
+    names = ("f_val", "a_capital", "zeta_star", "oracle_calls", "grad_norm", "step_len",
+             "f_y", "ls_evals", "X")
+    rows = _Rows(names, f.dim, max(budget, 0) // 2 + 2)
+    k = 0
 
-    def arrival_record(k: int) -> IterRecord:
-        return IterRecord(
-            k=k,
-            f_val=f_x,
-            f_gap=f_x - f.f_star if f.f_star is not None else None,
-            grad_norm=None,
-            step_len=0.0,
-            oracle_calls=calls,
-            stage=2,
-            a_capital=state.a_capital,
-            zeta_star=state.zeta_star_lower,
-            dist_opt=float(_norm(x - f.x_star)) if f.x_star is not None else None,
-        )
+    def arrival(k, *iteration):
+        """Row k: the iterate on arrival, then this iteration's products."""
+        if k == len(rows.arrays[0]):
+            rows.grow()
+        for a, v in zip(rows.arrays, (f_x, state.a_capital, state.zeta_star_lower, calls,
+                                      *iteration, x)):
+            a[k] = v
 
     while calls < budget:
-        k = len(records)
         ls = segment_line_search(f, state.minimizer, x, f_x)
         calls += ls.evals
         y, f_y = ls.y, ls.f_y
@@ -217,12 +215,8 @@ def agmsdr_run(
                 f"({f_y} -> {f_next}): curvature constants do not match the objective"
             )
 
-        rec = arrival_record(k)
-        rec.grad_norm = g
-        rec.step_len = step_len
-        rec.f_y = f_y
-        rec.ls_evals = ls.evals
-        records.append(rec)
+        arrival(k, g, step_len, f_y, ls.evals)
+        k += 1
 
         a_next = (1.0 + math.sqrt(1.0 + 4.0 * l_const * state.a_capital)) / (2.0 * l_const)
         state.accumulate(a_next, y, f_y, grad_y)
@@ -235,8 +229,12 @@ def agmsdr_run(
             termination = "Diverged"
             break
 
-    records.append(arrival_record(len(records)))
-    return Trace(records=records, final_x=x, termination=termination, method="agmsdr")
+    arrival(k, math.nan, 0.0, math.nan, 0)
+    last = np.arange(k + 1) == k  # the closing row has no iteration products
+    missing = {"grad_norm": last, "f_y": last, "ls_evals": last}
+    cols = rows.columns(k + 1, 2, f.f_star, missing)
+    return Trace(columns=cols, final_x=x, termination=termination, method="agmsdr",
+                 x_star=f.x_star)
 
 
 def two_stage_run(
@@ -272,26 +270,15 @@ def two_stage_run(
     else:
         stage1 = gd_run(f, step_rule, x_s, budget, grad_tol=p.l0 / p.l1)
 
-    stage1_calls = stage1.records[-1].oracle_calls
+    stage1.method = "two_stage"
     if stage1.termination in ("BudgetExhausted", "Diverged"):
-        return Trace(
-            records=stage1.records,
-            final_x=stage1.final_x,
-            termination=stage1.termination,
-            method="two_stage",
-        )
+        return stage1
 
+    stage1_calls = int(stage1.oracle_calls[-1])
     stage2 = agmsdr_run(f, stage1.final_x, l_const, budget - stage1_calls, t_params=p)
-
-    combined: list[IterRecord] = list(stage1.records)
-    offset_k = stage1.records[-1].k + 1
-    for rec in stage2.records:
-        rec.k = rec.k + offset_k
-        rec.oracle_calls += stage1_calls
-        combined.append(rec)
-    return Trace(
-        records=combined,
-        final_x=stage2.final_x,
-        termination=stage2.termination,
-        method="two_stage",
-    )
+    stage2.k += stage1.k[-1] + 1
+    stage2.oracle_calls += stage1_calls
+    cols = {name: np.concatenate([getattr(stage1, name), getattr(stage2, name)])
+            for name in ARRAYS}
+    return Trace(columns=cols, final_x=stage2.final_x, termination=stage2.termination,
+                 method="two_stage", x_star=f.x_star)

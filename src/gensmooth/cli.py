@@ -303,25 +303,28 @@ def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
     raise ValueError(f"unknown method kind {method.kind!r}")
 
 
+_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%d"
+
+
 def _fmt(value) -> str:
     if value is None:
         return ""
     return format(value, ".17g")
 
 
+def _csv_line(row: tuple) -> str:
+    """One CSV row; one with an empty cell is formatted field by field."""
+    if None in row:
+        return ",".join([str(row[0]), *map(_fmt, row[1:5]), str(row[5]), str(row[6])])
+    return _CSV_ROW % row
+
+
 def write_csv(trace: Trace, path: str | Path):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [CSV_HEADER]
-    for rec in trace.records:
-        row = (rec.k, rec.f_val, rec.f_gap, rec.grad_norm, rec.step_len,
-               rec.oracle_calls, rec.stage)
-        if None in row:
-            lines.append(",".join([str(rec.k), *map(_fmt, row[1:5]),
-                                   str(rec.oracle_calls), str(rec.stage)]))
-        else:
-            lines.append("%d,%.17g,%.17g,%.17g,%.17g,%d,%d" % row)
-    path.write_text("\n".join(lines) + "\n")
+    cols = [trace.column(name) for name in CSV_HEADER.split(",")]
+    line = _csv_line if None in cols[2] or None in cols[3] else _CSV_ROW.__mod__
+    path.write_text("\n".join([CSV_HEADER, *map(line, zip(*cols))]) + "\n")
 
 
 def run_experiment(cfg: RunConfig) -> RunReport:
@@ -333,14 +336,12 @@ def run_experiment(cfg: RunConfig) -> RunReport:
     trace = execute_method(f, method, x0, cfg.budget, cfg.grad_tol)
     elapsed = time.perf_counter() - start
     write_csv(trace, cfg.output_path)
-    best_gap = None
-    if all(rec.f_gap is not None for rec in trace.records):
-        best_gap = min(rec.f_gap for rec in trace.records)
+    gaps = trace.column("f_gap")
     return RunReport(
         config=cfg,
         termination=trace.termination,
-        best_gap=best_gap,
-        total_oracle_calls=trace.records[-1].oracle_calls,
+        best_gap=None if None in gaps else min(gaps),
+        total_oracle_calls=int(trace.oracle_calls[-1]),
         wall_time=elapsed,
         csv_path=str(cfg.output_path),
     )
@@ -466,7 +467,7 @@ def run_verify_suite(
             trace = execute_method(f, method, x0, budget, 0.0)
             for bound in bounds:
                 reports.append(verify_mod.rate_monitor(
-                    trace, bound, params=f.params, f0=trace.records[0].f_gap,
+                    trace, bound, params=f.params, f0=trace.column("f_gap")[0],
                     r=THEOREM_RADIUS, r_hat=method.r_hat,
                 ))
 

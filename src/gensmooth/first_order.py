@@ -20,13 +20,15 @@ here); value evaluations are free.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import starmap
 from typing import Callable
 
 import numpy as np
 
 from .kernels import SmoothnessParams
-from .problems import Objective, _norm
+from .problems import Objective, _norm, _row_dots, _row_norms
 
 GD_VARIANTS = ("optimal", "simplified", "clipped", "polyak")
 NGD_SCHEDULES = ("fixed", "sqrt", "linear")
@@ -65,13 +67,15 @@ class StepRule:
 
 @dataclass(slots=True)
 class IterRecord:
-    """One row of a run trace.
+    """One row of a run trace, as `Trace.records` presents it.
 
     `step_len` is the length of the move the rule prescribes at this
     iterate (eta*g for gradient rules, beta_k for normalized ones), zero
     when no step is defined.  `oracle_calls` is cumulative; for gradient
     methods it counts gradient evaluations, for the accelerated method it
-    counts gradient plus line-search value evaluations.
+    counts gradient plus line-search value evaluations.  `dist_opt` is
+    ||x - x_star|| and `support_dist` is max(<grad, x - x_star>, 0)/||grad||,
+    when x_star and that gradient are known.
     """
 
     k: int
@@ -90,23 +94,149 @@ class IterRecord:
     ls_evals: int | None = None
 
 
-@dataclass
+# Trace columns, one entry per record, in IterRecord order.  The OPTIONAL
+# ones can be None on a row, which the trace's `missing` mask records, so a
+# None and a NaN stay apart; "G" marks a row with no gradient at its iterate.
+COLUMNS = ("k", "f_val", "f_gap", "grad_norm", "step_len", "oracle_calls", "stage",
+           "f_y", "a_capital", "zeta_star", "ls_evals")
+OPTIONAL = ("f_gap", "grad_norm", "f_y", "a_capital", "zeta_star", "ls_evals", "G")
+ARRAYS = (*COLUMNS, "X", "G", "missing")  # everything a trace holds per row
+_INTS = ("k", "oracle_calls", "stage", "ls_evals")
+
+
 class Trace:
-    """Full record of one run."""
+    """Full record of one run, stored by column.
 
-    records: list[IterRecord]
-    final_x: np.ndarray
-    termination: str
-    method: str = ""
+    Each name in COLUMNS is a numpy array with one entry per record; `X`
+    and `G` (n, d) hold each record's iterate and the gradient there, and
+    `missing` (n, len(OPTIONAL)) marks the entries that are None.  The
+    loops pass these arrays by name as `columns`; hand-built `records`
+    give the same columns, without iterates.  `records` reads the rows
+    back as IterRecords, with distances to `x_star` derived from X and G.
+    """
 
-    def __post_init__(self):
-        if not self.records:
+    def __init__(self, records=None, final_x=None, termination=None, method="", *,
+                 columns=None, x_star=None):
+        if records is not None:
+            columns = _columns_of(records)
+        if not len(columns["k"]):
             raise ValueError("a trace must contain at least the initial record")
-        if self.termination not in TERMINATIONS:
-            raise ValueError(f"unknown termination {self.termination!r}")
+        if termination not in TERMINATIONS:
+            raise ValueError(f"unknown termination {termination!r}")
+        for name in ARRAYS:
+            setattr(self, name, columns[name])
+        self.final_x, self.termination, self.method, self.x_star = (
+            final_x, termination, method, x_star)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.k)
+
+    def column(self, name: str) -> list:
+        """One column as Python ints/floats, None where missing."""
+        values = getattr(self, name).tolist()
+        if name in OPTIONAL:
+            gone = self.missing[:, OPTIONAL.index(name)]
+            if gone.all():
+                return [None] * len(values)
+            if gone.any():
+                values = [None if m else v for v, m in zip(values, gone.tolist())]
+        return values
+
+    @property
+    def records(self) -> Records:
+        return Records(self)
+
+    def distances(self) -> tuple[list, list]:
+        """support_dist and dist_opt of each row, None where undefined."""
+        n = len(self)
+        if self.x_star is None:
+            return [None] * n, [None] * n
+        diff = self.X - self.x_star
+        rows = np.flatnonzero(~self.missing[:, OPTIONAL.index("G")] & (self.grad_norm > 0))
+        dots = _row_dots(self.G[rows], diff[rows])
+        support = [None] * n
+        # max(dot, 0.0) as Python takes it: a NaN or a -0.0 stays
+        ratios = np.where(dots < 0.0, 0.0, dots) / self.grad_norm[rows]
+        for i, v in zip(rows.tolist(), ratios.tolist()):
+            support[i] = v
+        return support, _row_norms(diff).tolist()
+
+
+class Records(Sequence):
+    """A trace's rows as IterRecords, built on first use of this view and
+    never stored on the trace."""
+
+    def __init__(self, trace: Trace):
+        self._trace, self._rows = trace, None
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __getitem__(self, i):
+        return self._list()[i]
+
+    def __iter__(self):
+        return iter(self._list())
+
+    def _list(self) -> list[IterRecord]:
+        if self._rows is None:
+            cols = [self._trace.column(name) for name in COLUMNS]
+            rows = zip(*cols[:7], *self._trace.distances(), *cols[7:])  # IterRecord order
+            self._rows = list(starmap(IterRecord, rows))
+        return self._rows
+
+
+def _columns_of(records: list[IterRecord]) -> dict:
+    """Trace columns of hand-built rows, which carry no iterates."""
+    if any(r.support_dist is not None or r.dist_opt is not None for r in records):
+        raise ValueError("support_dist and dist_opt derive from the iterates; leave them None")
+    n = len(records)
+    cols = {"X": np.empty((n, 0)), "G": np.empty((n, 0))}
+    for name in COLUMNS:
+        values = [getattr(r, name) for r in records]
+        fill = 0 if name in _INTS else math.nan
+        cols[name] = np.array([fill if v is None else v for v in values],
+                              dtype=np.int64 if name in _INTS else float)
+    # an IterRecord has no "G" attribute: no row has a gradient
+    cols["missing"] = np.array([[getattr(r, name, None) is None for name in OPTIONAL]
+                                for r in records], dtype=bool).reshape(n, len(OPTIONAL))
+    return cols
+
+
+class _Rows:
+    """Buffers a loop writes one record per row into, grown by doubling up
+    to `limit` rows; "X" and "G" are `dim` wide, names in _INTS integers."""
+
+    def __init__(self, names: tuple[str, ...], dim: int, limit: int):
+        self.names, self.dim, self.limit = names, dim, limit
+        cap = min(limit, 1024)
+        self.arrays = [np.empty((cap, dim) if name in ("X", "G") else cap,
+                                np.int64 if name in _INTS else float) for name in names]
+
+    def grow(self) -> list[np.ndarray]:
+        cap = min(2 * len(self.arrays[0]), self.limit)
+        self.arrays = [np.resize(a, (cap, *a.shape[1:])) for a in self.arrays]
+        return self.arrays
+
+    def columns(self, n: int, stage: int, f_star: float | None, missing: dict,
+                **given: np.ndarray) -> dict:
+        """Every trace column of the first n rows, from the buffers and
+        `given`: k counts the rows, f_gap is f_val - f_star, and a column
+        neither holds is missing on every row.  `missing` maps the other
+        OPTIONAL names to their missing rows (a bool or a bool array)."""
+        cols = {name: a[:n].copy() if len(a) > n else a
+                for name, a in zip(self.names, self.arrays)}
+        cols.update(given, k=np.arange(n), stage=np.full(n, stage, dtype=np.int8),
+                    f_gap=cols["f_val"] - (math.nan if f_star is None else f_star))
+        missing["f_gap"] = f_star is None
+        mask = np.zeros((n, len(OPTIONAL)), dtype=bool)
+        for j, name in enumerate(OPTIONAL):
+            if name not in cols:
+                cols[name] = np.full((n, self.dim) if name == "G" else n,
+                                     0 if name in _INTS else math.nan)
+                missing[name] = True
+            mask[:, j] = missing.get(name, False)
+        return dict(cols, missing=mask)
 
 
 def stepsize_optimal(grad_norm: float, p: SmoothnessParams) -> float:
@@ -156,28 +286,6 @@ def stepsize_polyak(f_val: float, f_star: float, grad_norm: float) -> float:
     return (f_val - f_star) / grad_norm**2
 
 
-def _make_record(
-    f: Objective,
-    k: int,
-    x: np.ndarray,
-    f_val: float,
-    grad: np.ndarray,
-    g: float,
-    step_len: float,
-    calls: int,
-    f_star: float | None,
-) -> IterRecord:
-    gap = f_val - f_star if f_star is not None else None
-    support = None
-    dist = None
-    if f.x_star is not None:
-        diff = x - f.x_star
-        dist = float(_norm(diff))
-        if g > 0:
-            support = max(float(grad @ diff), 0.0) / g
-    return IterRecord(k, f_val, gap, g, step_len, calls, 1, support, dist)
-
-
 def _descent(
     f: Objective,
     x: np.ndarray,
@@ -191,24 +299,26 @@ def _descent(
     """The loop x <- x - s_k * grad/||grad|| shared by every plain method.
 
     `step_len(k, g, f_val)` gives the move length s_k at a nonzero
-    gradient; an exactly stationary iterate records a zero step.
+    gradient; an exactly stationary or a diverged iterate records a zero
+    step.  Record k costs k + 1 gradient calls.
     """
-    f_val = f.value(x)
+    f_val, grad = f.value_grad(x)
     if not math.isfinite(f_val):
         raise ValueError("objective is not finite at the starting point")
-    grad = f.gradient(x)
-    calls = 1
-    records: list[IterRecord] = []
-
+    rows = _Rows(("f_val", "grad_norm", "step_len", "X", "G"), f.dim, max(budget, 1))
+    F, N, S, X, G = rows.arrays
+    k = 0
     while True:
-        k = len(records)
         g = float(_norm(grad))
-        if not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD or not math.isfinite(g):
-            records.append(_make_record(f, k, x, f_val, grad, g, 0.0, calls, f_star))
+        diverged = (not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD
+                    or not math.isfinite(g))
+        step = step_len(k, g, f_val) if g > 0 and not diverged else 0.0
+        if k == len(F):
+            F, N, S, X, G = rows.grow()
+        F[k], N[k], S[k], X[k], G[k] = f_val, g, step, x, grad
+        if diverged:
             termination = "Diverged"
             break
-        step = step_len(k, g, f_val) if g > 0 else 0.0
-        records.append(_make_record(f, k, x, f_val, grad, g, step, calls, f_star))
         if g == 0.0:
             termination = "StationaryExact"
             break
@@ -218,15 +328,17 @@ def _descent(
         if gap_tol is not None and f_val - f_star <= gap_tol:
             termination = "GapToleranceMet"
             break
-        if calls >= budget:
+        if k + 1 >= budget:
             termination = "BudgetExhausted"
             break
         x = x - step * (grad / g)
-        f_val = f.value(x)
-        grad = f.gradient(x)
-        calls += 1
+        f_val, grad = f.value_grad(x)
+        k += 1
 
-    return Trace(records=records, final_x=x, termination=termination, method=method)
+    n = k + 1
+    cols = rows.columns(n, 1, f_star, {}, oracle_calls=np.arange(1, n + 1))
+    return Trace(columns=cols, final_x=x, termination=termination, method=method,
+                 x_star=f.x_star)
 
 
 def gd_run(
@@ -303,6 +415,5 @@ def ngd_run(
 
 def best_iterate(trace: Trace) -> tuple[int, float]:
     """First index attaining the minimum recorded value (ties -> smallest k)."""
-    values = [r.f_val for r in trace.records]
-    idx = int(np.argmin(values))
-    return idx, values[idx]
+    idx = int(np.argmin(trace.f_val))
+    return idx, float(trace.f_val[idx])

@@ -14,7 +14,7 @@ constants that are too small (the negative controls in the test suite).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -29,6 +29,12 @@ class Objective:
     `value` and `gradient` are required; `hessian` is optional (needed only
     by the certifier).  `f_star`/`x_star` are filled in when the optimum is
     known analytically, otherwise left None.
+
+    `value_grad(x)` returns `(value(x), gradient(x))`, bit for bit.  A
+    builder passes `kernel=(value, gradient, fused)`, where `fused` shares
+    the work of the two; it serves only while `value` and `gradient` are
+    still those callables.  Without a kernel, or once either callable is
+    swapped (say by `dataclasses.replace`), `value_grad` makes the two calls.
     """
 
     dim: int
@@ -40,6 +46,16 @@ class Objective:
     params: SmoothnessParams | None = None
     convex: bool = True
     name: str = ""
+    kernel: tuple[Callable, Callable, Callable] | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        value, gradient = self.value, self.gradient
+        if self.kernel is not None and self.kernel[:2] == (value, gradient):
+            fused = self.kernel[2]
+        else:
+            def fused(x):
+                return value(x), gradient(x)
+        object.__setattr__(self, "value_grad", fused)
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -74,10 +90,11 @@ def _norm(v) -> np.floating:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for each row of two 2-D float64 arrays, one BLAS dot per
-    row: einsum, (a*b).sum(1) and np.linalg.norm(axis=1) round differently
-    from it in the last bit."""
-    return np.array([u @ v for u, v in zip(a, b)])
+    """a[i] @ b[i] for each row of two 2-D float64 arrays.  A stack of
+    (1, d) @ (d, 1) products runs matmul's vector-dot loop, the one BLAS dot
+    per row that `u @ v` makes; einsum, (a*b).sum(1) and
+    np.linalg.norm(axis=1) round differently from it in the last bit."""
+    return (a[:, None, :] @ b[:, :, None]).reshape(len(a))
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -88,6 +105,13 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 def _at_points(oracle, points: np.ndarray) -> np.ndarray:
     """oracle(x) for each row x of `points`, one call per point, stacked."""
     return np.array([oracle(x) for x in points], dtype=float)
+
+
+def _values_grads(f: Objective, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and gradients at the rows of `points`, one value_grad call per point."""
+    pairs = [f.value_grad(x) for x in points]
+    return (np.array([v for v, _ in pairs], dtype=float),
+            np.array([g for _, g in pairs], dtype=float).reshape(points.shape))
 
 
 def power_norm(dim: int, p: float, l1: float) -> Objective:
@@ -108,6 +132,11 @@ def power_norm(dim: int, p: float, l1: float) -> Objective:
             return np.zeros(dim)
         return np.multiply(r ** (p - 2), x)  # x may be a list
 
+    def value_grad(x):
+        r = _norm(x)
+        grad = np.zeros(dim) if r == 0.0 else np.multiply(r ** (p - 2), x)
+        return float(r**p / p), grad
+
     def hessian(x):
         r = _norm(x)
         if r == 0.0:
@@ -126,6 +155,7 @@ def power_norm(dim: int, p: float, l1: float) -> Objective:
         x_star=np.zeros(dim),
         params=SmoothnessParams(l0, l1),
         name=f"power_norm(d={dim},p={p},l1={l1})",
+        kernel=(value, gradient, value_grad),
     )
 
 
@@ -151,6 +181,10 @@ def logistic_1d(l1: float = 0.0) -> Objective:
     def gradient(x):
         return np.array([_sigmoid(x[0])])
 
+    def value_grad(x):
+        t = x[0]
+        return float(np.logaddexp(0.0, t)), np.array([_sigmoid(t)])
+
     def hessian(x):
         s = _sigmoid(x[0])
         return np.array([[s * (1.0 - s)]])
@@ -162,6 +196,7 @@ def logistic_1d(l1: float = 0.0) -> Objective:
         hessian=hessian,
         params=SmoothnessParams(0.25 * (1.0 - l1) ** 2, l1),
         name=f"logistic(l1={l1})",
+        kernel=(value, gradient, value_grad),
     )
 
 
@@ -181,6 +216,10 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
     def gradient(x):
         return _sigmoid(float(a @ x) + b) * a
 
+    def value_grad(x):
+        t = float(a @ x) + b
+        return float(np.logaddexp(0.0, t)), _sigmoid(t) * a
+
     def hessian(x):
         s = _sigmoid(float(a @ x) + b)
         return s * (1.0 - s) * np.outer(a, a)
@@ -192,6 +231,7 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
         hessian=hessian,
         params=SmoothnessParams(0.25 * (norm_a - l1) ** 2, l1),
         name=f"affine_logistic(|a|={norm_a:g},b={b},l1={l1})",
+        kernel=(value, gradient, value_grad),
     )
 
 
@@ -214,6 +254,12 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
             return np.zeros(dim)
         return np.multiply((l0 / l1) * math.expm1(l1 * r), x) / r  # x may be a list
 
+    def value_grad(x):
+        r = _norm(x)
+        e = math.expm1(l1 * r)  # OverflowError past l1*r ~ 709.8, as in value
+        grad = np.zeros(dim) if r == 0.0 else np.multiply((l0 / l1) * e, x) / r
+        return float(l0 / l1**2 * (e - l1 * r)), grad
+
     def hessian(x):
         r = _norm(x)
         if r == 0.0:
@@ -233,6 +279,7 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
         x_star=np.zeros(dim),
         params=params,
         name=f"exp_phi(d={dim},l0={l0},l1={l1})",
+        kernel=(value, gradient, value_grad),
     )
 
 
@@ -264,6 +311,10 @@ def sum_with_smooth(
     def gradient(x):
         return f.gradient(x) + g.gradient(x)
 
+    def value_grad(x):
+        (fv, fg), (gv, gg) = f.value_grad(x), g.value_grad(x)
+        return fv + gv, fg + gg
+
     def hessian(x):
         return f.hessian(x) + g.hessian(x)
 
@@ -278,6 +329,7 @@ def sum_with_smooth(
         params=params,
         convex=f.convex and g_convex,
         name=f"sum({f.name},{g.name})",
+        kernel=(value, gradient, value_grad),
     )
 
 
@@ -301,6 +353,10 @@ def separable_sum(parts: list[Objective]) -> Objective:
 
     def gradient(x):
         return np.concatenate([p.gradient(x[b]) for p, b in blocks])
+
+    def value_grad(x):
+        pairs = [p.value_grad(x[b]) for p, b in blocks]
+        return float(sum(v for v, _ in pairs)), np.concatenate([g for _, g in pairs])
 
     def hessian(x):
         out = np.zeros((total, total))
@@ -328,6 +384,7 @@ def separable_sum(parts: list[Objective]) -> Objective:
         params=params,
         convex=all(p.convex for p in parts),
         name=f"separable[{','.join(p.name for p in parts)}]",
+        kernel=(value, gradient, value_grad),
     )
 
 

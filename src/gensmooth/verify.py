@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SmoothnessParams, phi, phi_star
-from .problems import Objective, _at_points, _norm, _row_dots, _row_norms, sample_ball
+from .problems import (Objective, _at_points, _norm, _row_dots, _row_norms, _values_grads,
+                       sample_ball)
 from .first_order import Trace
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
@@ -196,8 +197,8 @@ def check_smoothness_envelopes(
     """
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, f.dim, n_pairs, max_sep, radius)
-    gx, gy = _at_points(f.gradient, xs), _at_points(f.gradient, ys)
-    fx, fy = _at_points(f.value, xs), _at_points(f.value, ys)
+    fx, gx = _values_grads(f, xs)
+    fy, gy = _values_grads(f, ys)
     a = p.l0 + p.l1 * _row_norms(gx)
     s = _row_norms(ys - xs)
     if p.l1 > 0:
@@ -251,8 +252,8 @@ def check_convex_lower_bounds(
         raise ValueError(f"objective {f.name!r} is not marked convex")
     rng = np.random.default_rng(seed)
     xs, ys = _sample_pairs(rng, f.dim, n_pairs, max_sep, radius)
-    gx, gy = _at_points(f.gradient, xs), _at_points(f.gradient, ys)
-    fx, fy = _at_points(f.value, xs), _at_points(f.value, ys)
+    fx, gx = _values_grads(f, xs)
+    fy, gy = _values_grads(f, ys)
     a_x = p.l0 + p.l1 * _row_norms(gx)
     a_y = p.l0 + p.l1 * _row_norms(gy)
     s = _row_norms(gy - gx)
@@ -343,12 +344,12 @@ def _descent_threshold(params: SmoothnessParams, r: float):
 
 def _gap_threshold_check(
     margins: _Margins,
-    trace: Trace,
+    recs,
     eps_grid,
     threshold,
     use_best: bool,
 ):
-    """Check 'gap <= eps from iteration threshold(eps) onward' on the trace.
+    """Check 'gap <= eps from iteration threshold(eps) onward' on a trace's records.
 
     With `use_best` the target is the running best gap (guarantees stated
     for the best iterate); otherwise the gap itself, in which case descent
@@ -356,7 +357,6 @@ def _gap_threshold_check(
     A threshold beyond the recorded horizon that was never hit is skipped
     as unverifiable rather than counted either way.
     """
-    recs = trace.records
     if any(rec.f_gap is None for rec in recs):
         raise ValueError("gap monitors require a known optimal value on every record")
     if not use_best:
@@ -389,7 +389,7 @@ def _min_grad(trace, tol, eps_grid, params, f0) -> CheckReport:
 def _convex_gap(trace, tol, eps_grid, params, r) -> CheckReport:
     margins = _Margins(tol=tol)
     _gap_threshold_check(
-        margins, trace, eps_grid, _descent_threshold(params, r), use_best=False
+        margins, trace.records, eps_grid, _descent_threshold(params, r), use_best=False
     )
     return margins.report(
         "rate_convex_gap", informational=(trace.method == "gd:clipped")
@@ -437,7 +437,7 @@ def _polyak(trace, tol, eps_grid, params, r) -> CheckReport:
         drop = (prev.f_gap / prev.grad_norm) ** 2
         margins.add(prev.dist_opt**2 - drop - nxt.dist_opt**2, f"k={prev.k}")
     _gap_threshold_check(
-        margins, trace, eps_grid, _descent_threshold(params, r), use_best=True
+        margins, recs, eps_grid, _descent_threshold(params, r), use_best=True
     )
     return margins.report("rate_polyak")
 
