@@ -20,6 +20,7 @@ gradient calls and line-search value calls.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,7 @@ from .first_order import (
     DIVERGENCE_GUARD,
     StepRule,
     Trace,
-    _Rows,
+    _columns,
     gd_run,
     stepsize_simplified,
 )
@@ -182,19 +183,18 @@ def agmsdr_run(
         raise ValueError("objective is not finite at the starting point")
     calls = 1
     termination = "BudgetExhausted"
-    # every iteration costs at least two calls, and one more row ends the run
     names = ("f_val", "a_capital", "zeta_star", "oracle_calls", "grad_norm", "step_len",
-             "f_y", "ls_evals", "X")
-    rows = _Rows(names, f.dim, max(budget, 0) // 2 + 2)
+             "f_y", "ls_evals")
+    rows = {name: array("q" if name in ("oracle_calls", "ls_evals") else "d") for name in names}
+    rows["X"] = array("d")
     k = 0
 
-    def arrival(k, *iteration):
-        """Row k: the iterate on arrival, then this iteration's products."""
-        if k == len(rows.arrays[0]):
-            rows.grow()
-        for a, v in zip(rows.arrays, (f_x, state.a_capital, state.zeta_star_lower, calls,
-                                      *iteration, x)):
-            a[k] = v
+    def arrival(*iteration):
+        """A row: the iterate on arrival, then this iteration's products."""
+        for name, v in zip(names, (f_x, state.a_capital, state.zeta_star_lower, calls,
+                                   *iteration)):
+            rows[name].append(v)
+        rows["X"].extend(x.tolist())
 
     while calls < budget:
         ls = segment_line_search(f, state.minimizer, x, f_x)
@@ -215,7 +215,7 @@ def agmsdr_run(
                 f"({f_y} -> {f_next}): curvature constants do not match the objective"
             )
 
-        arrival(k, g, step_len, f_y, ls.evals)
+        arrival(g, step_len, f_y, ls.evals)
         k += 1
 
         a_next = (1.0 + math.sqrt(1.0 + 4.0 * l_const * state.a_capital)) / (2.0 * l_const)
@@ -229,10 +229,10 @@ def agmsdr_run(
             termination = "Diverged"
             break
 
-    arrival(k, math.nan, 0.0, math.nan, 0)
+    arrival(math.nan, 0.0, math.nan, 0)
     last = np.arange(k + 1) == k  # the closing row has no iteration products
     missing = {"grad_norm": last, "f_y": last, "ls_evals": last}
-    cols = rows.columns(k + 1, 2, f.f_star, missing)
+    cols = _columns(k + 1, f.dim, 2, f.f_star, missing, **rows)
     return Trace(columns=cols, final_x=x, termination=termination, method="agmsdr",
                  x_star=f.x_star)
 

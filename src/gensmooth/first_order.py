@@ -20,6 +20,7 @@ here); value evaluations are free.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import starmap
@@ -203,40 +204,27 @@ def _columns_of(records: list[IterRecord]) -> dict:
     return cols
 
 
-class _Rows:
-    """Buffers a loop writes one record per row into, grown by doubling up
-    to `limit` rows; "X" and "G" are `dim` wide, names in _INTS integers."""
-
-    def __init__(self, names: tuple[str, ...], dim: int, limit: int):
-        self.names, self.dim, self.limit = names, dim, limit
-        cap = min(limit, 1024)
-        self.arrays = [np.empty((cap, dim) if name in ("X", "G") else cap,
-                                np.int64 if name in _INTS else float) for name in names]
-
-    def grow(self) -> list[np.ndarray]:
-        cap = min(2 * len(self.arrays[0]), self.limit)
-        self.arrays = [np.resize(a, (cap, *a.shape[1:])) for a in self.arrays]
-        return self.arrays
-
-    def columns(self, n: int, stage: int, f_star: float | None, missing: dict,
-                **given: np.ndarray) -> dict:
-        """Every trace column of the first n rows, from the buffers and
-        `given`: k counts the rows, f_gap is f_val - f_star, and a column
-        neither holds is missing on every row.  `missing` maps the other
-        OPTIONAL names to their missing rows (a bool or a bool array)."""
-        cols = {name: a[:n].copy() if len(a) > n else a
-                for name, a in zip(self.names, self.arrays)}
-        cols.update(given, k=np.arange(n), stage=np.full(n, stage, dtype=np.int8),
-                    f_gap=cols["f_val"] - (math.nan if f_star is None else f_star))
-        missing["f_gap"] = f_star is None
-        mask = np.zeros((n, len(OPTIONAL)), dtype=bool)
-        for j, name in enumerate(OPTIONAL):
-            if name not in cols:
-                cols[name] = np.full((n, self.dim) if name == "G" else n,
-                                     0 if name in _INTS else math.nan)
-                missing[name] = True
-            mask[:, j] = missing.get(name, False)
-        return dict(cols, missing=mask)
+def _columns(n: int, dim: int, stage: int, f_star: float | None, missing: dict,
+             **written) -> dict:
+    """Every array a Trace holds for n rows, from the columns a loop
+    `written` (array.array buffers or numpy arrays; "X" and "G" row-major,
+    `dim` wide).  k counts the rows, f_gap is f_val - f_star, and a column
+    not written is missing on every row; `missing` maps the other OPTIONAL
+    names to their missing rows (a bool or a bool array)."""
+    cols = {name: np.asarray(v) for name, v in written.items()}
+    for name in ("X", "G"):
+        if name in cols:
+            cols[name] = cols[name].reshape(n, dim)
+    cols.update(k=np.arange(n), stage=np.full(n, stage, dtype=np.int8),
+                f_gap=cols["f_val"] - (math.nan if f_star is None else f_star))
+    missing["f_gap"] = f_star is None
+    mask = np.zeros((n, len(OPTIONAL)), dtype=bool)
+    for j, name in enumerate(OPTIONAL):
+        if name not in cols:
+            cols[name] = np.full((n, dim) if name == "G" else n, 0 if name in _INTS else math.nan)
+            missing[name] = True
+        mask[:, j] = missing.get(name, False)
+    return dict(cols, missing=mask)
 
 
 def stepsize_optimal(grad_norm: float, p: SmoothnessParams) -> float:
@@ -305,17 +293,18 @@ def _descent(
     f_val, grad = f.value_grad(x)
     if not math.isfinite(f_val):
         raise ValueError("objective is not finite at the starting point")
-    rows = _Rows(("f_val", "grad_norm", "step_len", "X", "G"), f.dim, max(budget, 1))
-    F, N, S, X, G = rows.arrays
+    F, N, S, X, G = (array("d") for _ in range(5))
     k = 0
     while True:
         g = float(_norm(grad))
         diverged = (not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD
                     or not math.isfinite(g))
         step = step_len(k, g, f_val) if g > 0 and not diverged else 0.0
-        if k == len(F):
-            F, N, S, X, G = rows.grow()
-        F[k], N[k], S[k], X[k], G[k] = f_val, g, step, x, grad
+        F.append(f_val)
+        N.append(g)
+        S.append(step)
+        X.extend(x.tolist())
+        G.extend(grad.tolist())
         if diverged:
             termination = "Diverged"
             break
@@ -336,7 +325,8 @@ def _descent(
         k += 1
 
     n = k + 1
-    cols = rows.columns(n, 1, f_star, {}, oracle_calls=np.arange(1, n + 1))
+    cols = _columns(n, f.dim, 1, f_star, {}, f_val=F, grad_norm=N, step_len=S, X=X, G=G,
+                    oracle_calls=np.arange(1, n + 1))
     return Trace(columns=cols, final_x=x, termination=termination, method=method,
                  x_star=f.x_star)
 
