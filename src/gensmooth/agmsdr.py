@@ -4,17 +4,17 @@ The accelerated loop maintains a quadratic-plus-linear model
 
     zeta_k(x) = 0.5*||x - x0||^2 + sum_i a_i * [f(y_{i-1}) + <grad f(y_{i-1}), x - y_{i-1}>]
 
-whose exact minimizer v_k is tracked in closed form.  Each iteration line
-searches the segment [v_k, x_k] for y_k, takes a certified descent step
-from y_k to get x_{k+1}, and grows the scaling coefficient A_k by the root
-of L*a^2 = A_k + a.  On convex inputs this certifies A_k * f(x_k) <=
+whose exact minimizer v_k is tracked in closed form.  Each iteration probes
+the segment [v_k, x_k] for a relaxation point y_k, takes a certified
+descent step from y_k to get x_{k+1}, and grows the scaling coefficient A_k
+by the root of L*a^2 = A_k + a.  On convex inputs this certifies A_k * f(x_k) <=
 zeta_k(v_k) and yields an O(1/k^2) gap, with monotone function values.
 
 The two-stage driver first runs plain gradient descent until the gap (or,
 lacking a known optimum, the gradient norm) is small enough that the
 curvature along the rest of the trajectory is bounded by a constant, then
-hands over to the accelerated loop.  Oracle accounting here charges both
-gradient calls and line-search value calls.
+hands over to the accelerated loop.  Oracle accounting here charges every
+value and gradient call.
 """
 
 from __future__ import annotations
@@ -37,23 +37,11 @@ from .first_order import (
     stepsize_simplified,
 )
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 0.618...
-
 # Largest rise f(x_{k+1}) - f(y_k) the accelerated loop tolerates as rounding.
 MONOTONE_TOL = 1e-9
 
-# The segment search stops once its bracket is this narrow or it has made
-# this many value calls.
-LS_TOL = 1e-10
-LS_MAX_EVALS = 60
-
-
-class LineSearchError(RuntimeError):
-    """Non-finite value met during the segment search."""
-
-    def __init__(self, beta: float, value: float):
-        super().__init__(f"non-finite objective value {value} at beta = {beta}")
-        self.beta = beta
+# Bisection probes the segment search makes before it settles for x_k.
+LS_MAX_PROBES = 60
 
 
 @dataclass
@@ -97,55 +85,44 @@ class EstimateState:
 class LineSearchResult:
     y: np.ndarray
     f_y: float
-    beta: float
+    grad_y: np.ndarray
     evals: int
 
 
 def segment_line_search(
     f: Objective, v: np.ndarray, x: np.ndarray, f_x: float
 ) -> LineSearchResult:
-    """Golden-section minimization of beta -> f(v + beta*(x - v)) on [0, 1].
+    """A point y on [v, x] with f(y) <= f(x) and <grad f(y), v - y> >= 0.
 
-    Convexity of f makes the restriction unimodal, so the bracket shrinks
-    by the golden ratio per evaluation.  Both endpoints are always in the
-    candidate set, so the returned value never exceeds min(f(v), f_x),
-    where f_x = f(x) is known to the caller; `evals` counts the calls made
-    here.
+    These two conditions are all the AGMsDR analysis asks of the segment
+    relaxation, so no minimizer is sought.  The first probe that passes wins:
+    y = x when <grad f(x), x - v> <= 0; y = v when f(v) <= f(x); else
+    bisection on beta for y = v + beta*(x - v), where a value above f(x)
+    (or a non-finite one) raises the lower end and a positive slope
+    <grad f(y), x - v> lowers the upper end.  After LS_MAX_PROBES bisection
+    probes it settles for y = x.  f_x = f(x) is the caller's; `evals`
+    counts the value and gradient calls made here, except the gradient at
+    the returned y.
     """
     direction = x - v
-    evals = 0
-    best_beta, best_val = 1.0, f_x
-
-    def h(beta: float) -> float:
-        nonlocal evals, best_beta, best_val
-        val = f.value(v + beta * direction)
-        evals += 1
-        if not math.isfinite(val):
-            raise LineSearchError(beta, val)
-        if val < best_val:
-            best_beta, best_val = beta, val
-        return val
-
-    if float(_norm(direction)) == 0.0:
-        return LineSearchResult(y=x.copy(), f_y=f_x, beta=1.0, evals=evals)
-    h(0.0)
-
+    grad_x = f.gradient(x)
+    if float(grad_x @ direction) <= 0.0:
+        return LineSearchResult(y=x, f_y=f_x, grad_y=grad_x, evals=0)
+    f_v, grad_v = f.value_grad(v)
+    if f_v <= f_x:
+        return LineSearchResult(y=v, f_y=f_v, grad_y=grad_v, evals=2)
     lo, hi = 0.0, 1.0
-    b1 = hi - _INV_GOLDEN * (hi - lo)
-    b2 = lo + _INV_GOLDEN * (hi - lo)
-    h1, h2 = h(b1), h(b2)
-    while hi - lo > LS_TOL and evals < LS_MAX_EVALS:
-        if h1 <= h2:
-            hi, b2, h2 = b2, b1, h1
-            b1 = hi - _INV_GOLDEN * (hi - lo)
-            h1 = h(b1)
+    for probe in range(1, LS_MAX_PROBES + 1):
+        beta = 0.5 * (lo + hi)
+        y = v + beta * direction
+        f_y, grad_y = f.value_grad(y)
+        if not math.isfinite(f_y) or f_y > f_x:
+            lo = beta
+        elif float(grad_y @ direction) > 0.0:
+            hi = beta
         else:
-            lo, b1, h1 = b1, b2, h2
-            b2 = lo + _INV_GOLDEN * (hi - lo)
-            h2 = h(b2)
-    return LineSearchResult(
-        y=v + best_beta * direction, f_y=best_val, beta=best_beta, evals=evals
-    )
+            return LineSearchResult(y=y, f_y=f_y, grad_y=grad_y, evals=2 + 2 * probe)
+    return LineSearchResult(y=x, f_y=f_x, grad_y=grad_x, evals=2 + 2 * LS_MAX_PROBES)
 
 
 def agmsdr_run(
@@ -166,7 +143,8 @@ def agmsdr_run(
     accumulate value and gradient evaluations alike.
 
     A rise f(x_{k+1}) > f(y_k) beyond `MONOTONE_TOL` aborts: on a convex
-    objective that can only mean the curvature constants are wrong.
+    objective that can only mean the curvature constants are wrong.  A
+    non-finite gradient norm at y_k ends the run `Diverged`.
     """
     params = t_params if t_params is not None else f.params
     if params is None:
@@ -198,12 +176,12 @@ def agmsdr_run(
 
     while calls < budget:
         ls = segment_line_search(f, state.minimizer, x, f_x)
-        calls += ls.evals
-        y, f_y = ls.y, ls.f_y
-
-        grad_y = f.gradient(y)
-        calls += 1
+        y, f_y, grad_y = ls.y, ls.f_y, ls.grad_y
+        calls += ls.evals + 1
         g = float(_norm(grad_y))
+        if not math.isfinite(g):
+            termination = "Diverged"
+            break
 
         step_len = stepsize_simplified(g, params) * g if g > 0 else 0.0
         x_next = y - step_len * (grad_y / g) if g > 0 else y

@@ -73,10 +73,10 @@ class IterRecord:
     `step_len` is the length of the move the rule prescribes at this
     iterate (eta*g for gradient rules, beta_k for normalized ones), zero
     when no step is defined.  `oracle_calls` is cumulative; for gradient
-    methods it counts gradient evaluations, for the accelerated method it
-    counts gradient plus line-search value evaluations.  `dist_opt` is
-    ||x - x_star|| and `support_dist` is max(<grad, x - x_star>, 0)/||grad||,
-    when x_star and that gradient are known.
+    methods it counts gradient evaluations, for the accelerated method
+    every value and gradient evaluation.  `dist_opt` is ||x - x_star|| and
+    `support_dist` is max(<grad, x - x_star>, 0)/||grad||, when x_star and
+    that gradient are known.
     """
 
     k: int
@@ -132,11 +132,11 @@ class Trace:
     def __len__(self) -> int:
         return len(self.k)
 
-    def column(self, name: str) -> list:
-        """One column as Python ints/floats, None where missing."""
-        values = getattr(self, name).tolist()
+    def column(self, name: str, rows=slice(None)) -> list:
+        """One column (or its `rows`) as Python ints/floats, None where missing."""
+        values = getattr(self, name)[rows].tolist()
         if name in OPTIONAL:
-            gone = self.missing[:, OPTIONAL.index(name)]
+            gone = self.missing[rows, OPTIONAL.index(name)]
             if gone.all():
                 return [None] * len(values)
             if gone.any():
@@ -145,46 +145,58 @@ class Trace:
 
     @property
     def records(self) -> Records:
-        return Records(self)
+        return Records(self, range(len(self)))
 
-    def distances(self) -> tuple[list, list]:
-        """support_dist and dist_opt of each row, None where undefined."""
-        n = len(self)
+    def distances(self, rows=slice(None)) -> tuple[list, list]:
+        """support_dist and dist_opt of each row (or of `rows`), None where undefined."""
+        n = len(self.k[rows])
         if self.x_star is None:
             return [None] * n, [None] * n
-        diff = self.X - self.x_star
-        rows = np.flatnonzero(~self.missing[:, OPTIONAL.index("G")] & (self.grad_norm > 0))
-        dots = _row_dots(self.G[rows], diff[rows])
+        diff = self.X[rows] - self.x_star
+        grad_norm = self.grad_norm[rows]
+        has = np.flatnonzero(~self.missing[rows, OPTIONAL.index("G")] & (grad_norm > 0))
+        dots = _row_dots(self.G[rows][has], diff[has])
         support = [None] * n
         # max(dot, 0.0) as Python takes it: a NaN or a -0.0 stays
-        ratios = np.where(dots < 0.0, 0.0, dots) / self.grad_norm[rows]
-        for i, v in zip(rows.tolist(), ratios.tolist()):
+        ratios = np.where(dots < 0.0, 0.0, dots) / grad_norm[has]
+        for i, v in zip(has.tolist(), ratios.tolist()):
             support[i] = v
         return support, _row_norms(diff).tolist()
 
 
-class Records(Sequence):
-    """A trace's rows as IterRecords, built on first use of this view and
-    never stored on the trace."""
+# Rows a records view builds (and cli.write_csv formats) at a time, so
+# reading a long trace holds at most this many rows as Python objects.
+ROWS_PER_CHUNK = 256
 
-    def __init__(self, trace: Trace):
-        self._trace, self._rows = trace, None
+
+class Records(Sequence):
+    """A trace's rows (a range of them) as IterRecords, built chunk by chunk
+    on every read and never stored; a slice is another view."""
+
+    def __init__(self, trace: Trace, rows: range):
+        self._trace, self._rows = trace, rows
 
     def __len__(self) -> int:
-        return len(self._trace)
+        return len(self._rows)
 
     def __getitem__(self, i):
-        return self._list()[i]
+        if isinstance(i, slice):
+            return Records(self._trace, self._rows[i])
+        j = self._rows[i]
+        return self._build(range(j, j + 1))[0]
 
     def __iter__(self):
-        return iter(self._list())
+        rows = self._rows
+        for start in range(0, len(rows), ROWS_PER_CHUNK):
+            yield from self._build(rows[start:start + ROWS_PER_CHUNK])
 
-    def _list(self) -> list[IterRecord]:
-        if self._rows is None:
-            cols = [self._trace.column(name) for name in COLUMNS]
-            rows = zip(*cols[:7], *self._trace.distances(), *cols[7:])  # IterRecord order
-            self._rows = list(starmap(IterRecord, rows))
-        return self._rows
+    def _build(self, rows: range) -> list[IterRecord]:
+        # the same rows as a basic slice, a view of each column (a stop of
+        # -1 after a negative step means "through row 0")
+        rows = slice(rows.start, None if rows.stop < 0 else rows.stop, rows.step)
+        cols = [self._trace.column(name, rows) for name in COLUMNS]
+        fields = zip(*cols[:7], *self._trace.distances(rows), *cols[7:])  # IterRecord order
+        return list(starmap(IterRecord, fields))
 
 
 def _columns_of(records: list[IterRecord]) -> dict:
@@ -221,7 +233,8 @@ def _columns(n: int, dim: int, stage: int, f_star: float | None, missing: dict,
     mask = np.zeros((n, len(OPTIONAL)), dtype=bool)
     for j, name in enumerate(OPTIONAL):
         if name not in cols:
-            cols[name] = np.full((n, dim) if name == "G" else n, 0 if name in _INTS else math.nan)
+            cols[name] = (np.broadcast_to(math.nan, (n, dim)) if name == "G"
+                          else np.full(n, 0 if name in _INTS else math.nan))
             missing[name] = True
         mask[:, j] = missing.get(name, False)
     return dict(cols, missing=mask)

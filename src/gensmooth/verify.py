@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -360,7 +361,7 @@ def _gap_threshold_check(
     if any(rec.f_gap is None for rec in recs):
         raise ValueError("gap monitors require a known optimal value on every record")
     if not use_best:
-        for prev, nxt in zip(recs, recs[1:]):
+        for prev, nxt in pairwise(recs):
             margins.add(prev.f_gap - nxt.f_gap, f"monotone gap k={prev.k}")
     horizon = recs[-1].k
     for eps in eps_grid:
@@ -431,7 +432,7 @@ def _normalized(trace, tol, eps_grid, params, r, r_hat) -> CheckReport:
 def _polyak(trace, tol, eps_grid, params, r) -> CheckReport:
     recs = trace.records
     margins = _Margins(tol=tol)
-    for prev, nxt in zip(recs, recs[1:]):
+    for prev, nxt in pairwise(recs):
         if prev.dist_opt is None or not prev.grad_norm:
             continue
         drop = (prev.f_gap / prev.grad_norm) ** 2
@@ -448,7 +449,7 @@ def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
         raise ValueError("accelerated monitor requires an accelerated-method trace")
     margins = _Margins(tol=tol)
     cert = _Margins(tol=1e-7)
-    for rec, nxt in zip(recs, recs[1:]):
+    for rec, nxt in pairwise(recs):
         if rec.f_y is not None:
             margins.add(rec.f_val - rec.f_y, f"f(y)<=f(x) at k={rec.k}")
             margins.add(rec.f_y - nxt.f_val, f"f(x+)<=f(y) at k={rec.k}")

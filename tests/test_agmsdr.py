@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from gensmooth.cli import execute_method, parse_method, parse_problem
 from gensmooth.kernels import SmoothnessParams
-from gensmooth.problems import Objective, power_norm
+from gensmooth.problems import Objective, exp_phi, power_norm, separable_pnorm
 from gensmooth.agmsdr import (
-    LS_MAX_EVALS,
+    LS_MAX_PROBES,
     EstimateState,
-    LineSearchError,
     agmsdr_run,
     segment_line_search,
     two_stage_run,
@@ -31,6 +31,20 @@ def quadratic(dim=2):
     )
 
 
+def counting(f, calls):
+    """`f` without its fused kernel, appending ("v" or "g", x) to `calls` per call."""
+    def value(x):
+        calls.append(("v", x))
+        return f.value(x)
+
+    def gradient(x):
+        calls.append(("g", x))
+        return f.gradient(x)
+
+    return Objective(dim=f.dim, value=value, gradient=gradient, f_star=f.f_star,
+                     x_star=f.x_star, params=f.params, name=f.name)
+
+
 class TestSegmentLineSearch:
     def test_minimum_at_far_endpoint(self):
         f = quadratic()
@@ -38,37 +52,57 @@ class TestSegmentLineSearch:
         assert res.f_y <= 1e-12
         np.testing.assert_allclose(res.y, np.zeros(2), atol=1e-9)
 
-    def test_symmetric_interior_minimum(self):
-        f = quadratic()
-        res = segment_line_search(f, np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 0.5)
-        assert res.beta == pytest.approx(0.5, abs=1e-9)
-        np.testing.assert_allclose(res.y, np.zeros(2), atol=1e-9)
-
-    def test_never_worse_than_endpoints(self):
-        f = power_norm(2, 4, 1)
+    @pytest.mark.parametrize("f, scale", [
+        (power_norm(2, 4, 1), 3.0),
+        (separable_pnorm(3, 4, 1), 3.0),
+        (exp_phi(2, SmoothnessParams(1.0, 1.0)), 5.0),
+    ], ids=["power_norm", "separable_pnorm", "exp_phi"])
+    def test_relaxation_conditions_on_seeded_segments(self, f, scale):
+        """f(y) <= f(x) and <grad f(y), v - y> >= 0, with y on [v, x] and
+        the returned value and gradient those of the oracle at y."""
         rng = np.random.default_rng(17)
-        for _ in range(25):
-            v = rng.uniform(-3, 3, size=2)
-            x = rng.uniform(-3, 3, size=2)
-            res = segment_line_search(f, v, x, f.value(x))
-            assert res.f_y <= min(f.value(v), f.value(x)) + 1e-15
-
-    def test_matches_dense_grid_scan(self):
-        """A million-point scan of the segment agrees to 1e-8."""
-        f = power_norm(2, 4, 1)
-        v = np.array([2.0, -1.0])
-        x = np.array([-1.5, 2.5])
-        res = segment_line_search(f, v, x, f.value(x))
-        betas = np.linspace(0.0, 1.0, 10**6 + 1)
-        pts = v[None, :] + betas[:, None] * (x - v)[None, :]
-        vals = np.linalg.norm(pts, axis=1) ** 4 / 4.0
-        assert res.f_y <= float(vals.min()) + 1e-8
+        probes = set()
+        for _ in range(200):
+            v = rng.uniform(-scale, scale, size=f.dim)
+            x = rng.uniform(-scale, scale, size=f.dim)
+            f_x = f.value(x)
+            res = segment_line_search(f, v, x, f_x)
+            probes.add(min(res.evals, 3))
+            assert res.f_y <= f_x
+            slack = 1e-12 * float(np.linalg.norm(res.grad_y) * np.linalg.norm(x - v))
+            assert float(res.grad_y @ (v - res.y)) >= -slack
+            beta = float((res.y - v) @ (x - v)) / float((x - v) @ (x - v))
+            np.testing.assert_allclose(res.y, v + beta * (x - v), rtol=0, atol=1e-12 * scale)
+            assert -1e-15 <= beta <= 1.0 + 1e-15
+            assert res.f_y == f.value(res.y)
+            np.testing.assert_array_equal(res.grad_y, f.gradient(res.y))
+        assert probes == {0, 2, 3}  # y = x, y = v and bisection all occur
 
     def test_eval_budget_respected(self):
         f = power_norm(2, 4, 1)
         x = np.array([-1.5, 2.5])
         res = segment_line_search(f, np.array([2.0, -1.0]), x, f.value(x))
-        assert 0 < res.evals <= LS_MAX_EVALS
+        assert 0 < res.evals <= 2 + 2 * LS_MAX_PROBES
+
+    def test_probe_one_short_circuits(self):
+        """<grad f(x), x - v> <= 0 keeps y = x at the cost of one gradient."""
+        calls = []
+        f = counting(quadratic(), calls)
+        x = np.array([1.0, 0.0])
+        res = segment_line_search(f, np.array([2.0, 1.0]), x, 0.5)
+        assert [kind for kind, _ in calls] == ["g"] and res.evals == 0
+        assert res.y is x and res.f_y == 0.5
+        np.testing.assert_array_equal(res.grad_y, x)
+
+    def test_probe_two_short_circuits(self):
+        """f(v) <= f(x) takes y = v after one value_grad at v."""
+        calls = []
+        f = counting(quadratic(), calls)
+        v = np.array([-1.0, 0.0])
+        res = segment_line_search(f, v, np.array([1.0, 0.0]), 0.5)
+        assert [kind for kind, _ in calls] == ["g", "v", "g"] and res.evals == 2
+        np.testing.assert_array_equal(res.y, v)
+        np.testing.assert_array_equal(res.grad_y, v)
 
     def test_degenerate_segment_short_circuits(self):
         f = quadratic()
@@ -78,26 +112,33 @@ class TestSegmentLineSearch:
         np.testing.assert_array_equal(res.y, x)
 
     def test_known_endpoint_values_save_calls(self):
-        """The caller's f(x) is used, not evaluated again."""
-        f = quadratic()
-        probes = []
-        counted = Objective(dim=2, value=lambda x: probes.append(x) or f.value(x),
-                            gradient=f.gradient, name="counted")
-        x = np.array([1.0, 0.0])
-        res = segment_line_search(counted, np.array([-1.0, 0.0]), x, 0.5)
-        assert res.evals == len(probes) > 0
-        assert not any(np.array_equal(p, x) for p in probes)
+        """The caller's f(x) is used, not evaluated again, and `evals`
+        counts every call but the gradient at the returned point."""
+        f = power_norm(2, 4, 1)
+        calls = []
+        v, x = np.array([2.0, -1.0]), np.array([-1.5, 0.5])
+        res = segment_line_search(counting(f, calls), v, x, f.value(x))
+        assert res.evals > 2  # the search bisected
+        assert res.evals == len(calls) - 1
+        assert not any(kind == "v" and np.array_equal(p, x) for kind, p in calls)
 
-    def test_non_finite_raises_with_offset(self):
+    def test_inf_probe_rejected(self):
+        """A non-finite value moves the bracket toward x instead of raising."""
         spiky = Objective(
             dim=1,
-            value=lambda x: math.inf if 0.3 < x[0] < 0.7 else float(x[0] ** 2),
-            gradient=lambda x: 2 * x,
+            value=lambda x: math.inf if 0.4 < x[0] < 0.6 else float((x[0] - 0.8) ** 2),
+            gradient=lambda x: 2 * (x - 0.8),
             name="spiky",
         )
-        with pytest.raises(LineSearchError) as err:
-            segment_line_search(spiky, np.array([0.0]), np.array([1.0]), 1.0)
-        assert 0.3 < err.value.beta < 0.7
+        res = segment_line_search(spiky, np.array([0.0]), np.array([1.0]), 0.04)
+        assert res.y[0] == 0.75 and res.f_y == pytest.approx(0.0025)
+        assert res.evals == 2 + 2 * 2  # beta = 0.5 rejected, 0.75 accepted
+
+    def test_overflow_error_propagates(self):
+        f = exp_phi(2, SmoothnessParams(1.0, 1.0))
+        x = np.array([1.0, 0.0])
+        with pytest.raises(OverflowError):
+            segment_line_search(f, np.array([-800.0, 0.0]), x, f.value(x))
 
 
 class TestEstimateState:
@@ -209,6 +250,57 @@ class TestAgmsdrRun:
         # initial value + per-iteration (ls evals + gradient + value)
         expected = 1 + total_ls + 2 * len(iter_records)
         assert trace.records[-1].oracle_calls == expected
+
+    def test_oracle_calls_equal_the_calls_made(self):
+        """Every value and gradient call, the search's included, counts once."""
+        f = separable_pnorm(3, 4, 1)
+        x0 = np.random.default_rng(0).standard_normal(3)
+        calls = []
+        trace = agmsdr_run(counting(f, calls), 10.0 * x0 / np.linalg.norm(x0), None, 2000)
+        assert max(trace.ls_evals) > 2  # some iterations bisected
+        assert trace.oracle_calls[-1] == len(calls)
+
+    def test_non_finite_gradient_ends_diverged(self):
+        f = Objective(dim=1, value=lambda x: float(x @ x), gradient=lambda x: np.full(1, np.inf),
+                      params=SmoothnessParams(1.0, 0.0), name="inf-gradient")
+        with np.errstate(invalid="ignore"):  # inf * 0 in the first slope test
+            trace = agmsdr_run(f, np.array([1.0]), 1.0, budget=100)
+        assert trace.termination == "Diverged"
+        assert len(trace) == 1 and trace.records[0].f_val == 1.0
+
+
+def bench_starts(seed):
+    """The seeded starts of the benchmark's accelerated mix: three per entry,
+    uniform on the sphere of the entry's radius, drawn in entry order."""
+    rng = np.random.default_rng(seed)
+    starts = []
+    for dim, radius in [(2, 5.0), (2, 100.0), (2, 500.0), (2, 10.0), (3, 10.0), (2, 10.0),
+                        (3, 10.0), (2, 10.0)]:
+        for _ in range(3):
+            v = rng.standard_normal(dim)
+            starts.append(radius * v / np.linalg.norm(v))
+    return starts
+
+
+class TestPlainAgmsdrOutsideItsRegion:
+    """The default l = 3*l0 holds only where ||grad|| <= l0/l1; plain
+    `agmsdr:` from R=10 leaves that region on these two objectives."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_exp_phi_overflows(self, seed):
+        f = parse_problem("exp_phi:d=2,l0=1,l1=1")
+        for x0 in bench_starts(seed)[21:24]:
+            with pytest.raises(OverflowError):
+                execute_method(f, parse_method("agmsdr:"), x0, 20000, 0.0)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_separable_pnorm_fails_rate_accelerated(self, seed):
+        f = parse_problem("separable_pnorm:d=3,p=4,l1=1")
+        for x0 in bench_starts(seed)[18:21]:
+            trace = execute_method(f, parse_method("agmsdr:"), x0, 20000, 0.0)
+            rep = rate_monitor(trace, "accelerated", l_const=3.0 * f.params.l0,
+                               r=float(np.linalg.norm(x0 - f.x_star)))
+            assert rep.n_failures > 0 and not rep.informational
 
 
 class TestTwoStage:

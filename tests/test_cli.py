@@ -300,19 +300,19 @@ class TestRunExperiment:
         "problem, method, radius, budget, lines, stage1, digest",
         [
             # hand-over on the gap target: power_norm knows f_star
-            ("power_norm:d=2,p=6,l1=1", "two_stage:", 10.0, 4000, 93, 14,
-             "9175a84a14aecb5b099999d70221fcf3105846c8f2b94c793cad46fbc6945a9e"),
+            ("power_norm:d=2,p=6,l1=1", "two_stage:", 10.0, 4000, 1018, 14,
+             "801baca1c3a79dee757349ac27956870bbf230d42e691da3ec5d2f10941ac6ef"),
             # hand-over on the gradient target: logistic has no f_star
-            ("logistic:l1=0.5", "two_stage:", 3.0, 2000, 47, 6,
-             "bf5350f09defd66de08a19c79ac372aa0b6ba787c8eb7d60a9cc5f9d24e230d3"),
-            ("power_norm:d=2,p=6,l1=1", "agmsdr:", 2.0, 2000, 41, 0,
-             "317d0919e457d7e392929cfa1450fe83f4d64cad12156f65ca9a1e50f28eb308"),
+            ("logistic:l1=0.5", "two_stage:", 3.0, 2000, 511, 6,
+             "25c3e3f7c52d9a068f8419ad7dcb5a7d31acd0044dc686e80124f0a8c15e1763"),
+            ("power_norm:d=2,p=6,l1=1", "agmsdr:", 2.0, 2000, 507, 0,
+             "a8472755ac6763d26a051c7d0e919422dbe1c4f4c8724c2a21b3252cc626fd9c"),
         ],
         ids=["two_stage_gap", "two_stage_grad", "agmsdr"],
     )
     def test_accelerated_csv_golden(self, problem, method, radius, budget, lines,
                                     stage1, digest, tmp_path):
-        """The accelerated paths' CSV bytes, segment search and hand-over included."""
+        """The accelerated paths' CSV bytes, segment probes and hand-over included."""
         out = tmp_path / "acc.csv"
         run_experiment(RunConfig(problem, method, radius=radius, budget=budget,
                                  output_path=str(out)))
@@ -571,7 +571,7 @@ class TestVerifySuite:
             "rate_convex_gap\t4002\t0\t3.1494776352376334e-11\t0\n"
             "rate_polyak\t443\t0\t5.9975534042069783e-109\t0\n"
             "rate_normalized_fixed\t2\t0\t0.20183711076428867\t0\n"
-            "rate_two_stage\t3781\t0\t0\t0\n"
+            "rate_two_stage\t4009\t0\t0\t0\n"
         )
 
     def test_all_scope_report_golden(self, tmp_path):
@@ -625,7 +625,7 @@ class TestVerifySuite:
             "rate_convex_gap\t4002\t0\t3.1494776352376334e-11\t0\n"
             "rate_polyak\t443\t0\t5.9975534042069783e-109\t0\n"
             "rate_normalized_fixed\t2\t0\t0.20183711076428867\t0\n"
-            "rate_two_stage\t3781\t0\t0\t0\n"
+            "rate_two_stage\t4009\t0\t0\t0\n"
             "fd_gradient[corrupted_gradient]\t50\t50\t-0.0088618041261345794\t0\n"
             "negative_control_halved_l0\t1000\t114\t-6.7352837861615384\t0\n"
         )

@@ -12,6 +12,7 @@ from gensmooth.agmsdr import EstimateState, agmsdr_run, segment_line_search, two
 from gensmooth.cli import SHIPPED_FOR_VERIFY, parse_problem
 from gensmooth.first_order import (
     DIVERGENCE_GUARD,
+    ROWS_PER_CHUNK,
     IterRecord,
     StepRule,
     gd_run,
@@ -238,6 +239,24 @@ class TestRecordsMatchRowArithmetic:
         assert len(view) == 50 and view[-1].k == 49
         assert [r.k for r in view[1:3]] == [1, 2]
         assert view[0] == trace.records[0] and view is not trace.records
+
+    def test_records_view_reads_in_chunks(self):
+        """Iteration, indexing and stepped slices agree across chunk edges."""
+        n = 3 * ROWS_PER_CHUNK
+        trace = gd_run(PN, StepRule("optimal", PN.params), np.array([6.0, -8.0]), n)
+        view = trace.records
+        rows = list(view)
+        assert [r.k for r in rows] == list(range(n))
+        for sl in (slice(1, None), slice(ROWS_PER_CHUNK - 3, None, 7), slice(None, None, -1),
+                   slice(-5, 2, -ROWS_PER_CHUNK // 2)):
+            assert_same_rows(view[sl], rows[sl])
+        assert_same_rows([view[i] for i in (0, ROWS_PER_CHUNK, -1)],
+                         [rows[0], rows[ROWS_PER_CHUNK], rows[-1]])
+
+    def test_accelerated_gradients_take_no_memory(self):
+        trace = agmsdr_run(PN, np.array([1.5, -2.0]), None, 400)
+        assert trace.G.shape == (len(trace), 2) and not trace.G.flags.writeable
+        assert trace.G.strides == (0, 0) and np.isnan(trace.G).all()
 
 
 def _same_pair(got, want):
