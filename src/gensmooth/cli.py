@@ -325,11 +325,12 @@ def write_csv(trace: Trace, path: str | Path):
     """The trace as CSV, formatted and written ROWS_PER_CHUNK rows at a time."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    names = CSV_HEADER.split(",")
     with path.open("w") as fh:
         fh.write(CSV_HEADER + "\n")
         for start in range(0, len(trace), ROWS_PER_CHUNK):
             rows = slice(start, start + ROWS_PER_CHUNK)
-            cols = [trace.column(name, rows) for name in CSV_HEADER.split(",")]
+            cols = [trace.column(name, rows) for name in names]
             line = _csv_line if None in cols[2] or None in cols[3] else _CSV_ROW.__mod__
             fh.write("\n".join(map(line, zip(*cols))) + "\n")
 
