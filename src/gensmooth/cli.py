@@ -475,7 +475,7 @@ def run_verify_suite(
             trace = execute_method(f, method, x0, budget, 0.0)
             for bound in bounds:
                 reports.append(verify_mod.rate_monitor(
-                    trace, bound, params=f.params, f0=trace.column("f_gap")[0],
+                    trace, bound, params=f.params, f0=trace.column("f_gap", slice(1))[0],
                     r=THEOREM_RADIUS, r_hat=method.r_hat,
                 ))
 

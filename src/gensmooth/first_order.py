@@ -132,36 +132,46 @@ class Trace:
     def __len__(self) -> int:
         return len(self.k)
 
+    def present(self, name: str, rows=slice(None)) -> np.ndarray:
+        """Whether each row (or each of `rows`) has an entry in the OPTIONAL
+        column `name`; the other columns have one on every row."""
+        return ~self.missing[rows, OPTIONAL.index(name)]
+
     def column(self, name: str, rows=slice(None)) -> list:
         """One column (or its `rows`) as Python ints/floats, None where missing."""
         values = getattr(self, name)[rows].tolist()
-        if name in OPTIONAL:
-            gone = self.missing[rows, OPTIONAL.index(name)]
-            if gone.all():
-                return [None] * len(values)
-            if gone.any():
-                values = [None if m else v for v, m in zip(values, gone.tolist())]
-        return values
+        return _none_where(values, self.present(name, rows)) if name in OPTIONAL else values
 
     @property
     def records(self) -> Records:
         return Records(self, range(len(self)))
 
-    def distances(self, rows=slice(None)) -> tuple[list, list]:
-        """support_dist and dist_opt of each row (or of `rows`), None where undefined."""
+    def distances(self, rows=slice(None)):
+        """support_dist and dist_opt of each row (or of `rows`), each followed
+        by the mask of the rows where it is defined: dist_opt wherever x_star
+        is known, support_dist where the row also has a nonzero gradient.
+        An undefined entry holds NaN."""
         n = len(self.k[rows])
         if self.x_star is None:
-            return [None] * n, [None] * n
+            undefined = np.full(n, math.nan), np.zeros(n, dtype=bool)
+            return *undefined, *undefined
         diff = self.X[rows] - self.x_star
         grad_norm = self.grad_norm[rows]
-        has = np.flatnonzero(~self.missing[rows, OPTIONAL.index("G")] & (grad_norm > 0))
+        has = self.present("G", rows) & (grad_norm > 0)
         dots = _row_dots(self.G[rows][has], diff[has])
-        support = [None] * n
+        support = np.full(n, math.nan)
         # max(dot, 0.0) as Python takes it: a NaN or a -0.0 stays
-        ratios = np.where(dots < 0.0, 0.0, dots) / grad_norm[has]
-        for i, v in zip(has.tolist(), ratios.tolist()):
-            support[i] = v
-        return support, _row_norms(diff).tolist()
+        support[has] = np.where(dots < 0.0, 0.0, dots) / grad_norm[has]
+        return support, has, _row_norms(diff), np.ones(n, dtype=bool)
+
+
+def _none_where(values: list, present: np.ndarray) -> list:
+    """`values` with None wherever `present` is False."""
+    if present.all():
+        return values
+    if not present.any():
+        return [None] * len(values)
+    return [v if p else None for v, p in zip(values, present.tolist())]
 
 
 # Rows a records view builds (and cli.write_csv formats) at a time, so
@@ -195,7 +205,9 @@ class Records(Sequence):
         # -1 after a negative step means "through row 0")
         rows = slice(rows.start, None if rows.stop < 0 else rows.stop, rows.step)
         cols = [self._trace.column(name, rows) for name in COLUMNS]
-        fields = zip(*cols[:7], *self._trace.distances(rows), *cols[7:])  # IterRecord order
+        support, has_support, dist, has_dist = self._trace.distances(rows)
+        fields = zip(*cols[:7], _none_where(support.tolist(), has_support),
+                     _none_where(dist.tolist(), has_dist), *cols[7:])  # IterRecord order
         return list(starmap(IterRecord, fields))
 
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import pairwise
 
 import numpy as np
 
@@ -52,15 +51,8 @@ class CheckReport:
         return self.n_failures == 0
 
     def line(self) -> str:
-        return "\t".join(
-            [
-                self.check_name,
-                str(self.n_cases),
-                str(self.n_failures),
-                format(self.worst_margin, ".17g"),
-                str(self.seed),
-            ]
-        )
+        return "\t".join([self.check_name, str(self.n_cases), str(self.n_failures),
+                          format(self.worst_margin, ".17g"), str(self.seed)])
 
 
 class _Margins:
@@ -98,15 +90,9 @@ class _Margins:
 
     def report(self, name: str, seed: int = 0, informational: bool = False) -> CheckReport:
         worst = self.worst if self.n_cases else math.inf
-        return CheckReport(
-            check_name=name,
-            n_cases=self.n_cases,
-            n_failures=self.n_failures,
-            worst_margin=worst,
-            worst_case_input=self.worst_input,
-            seed=seed,
-            informational=informational,
-        )
+        return CheckReport(check_name=name, n_cases=self.n_cases, n_failures=self.n_failures,
+                           worst_margin=worst, worst_case_input=self.worst_input, seed=seed,
+                           informational=informational)
 
 
 def merge_reports(reports: list[CheckReport]) -> CheckReport:
@@ -325,17 +311,34 @@ def conjugate_grid_consistency(
     return margins.report("kernel_conjugate_grid", seed=seed)
 
 
-def _first_hit(recs, eps: float):
-    """First record whose running best gap is <= eps; None if there is none
-    before the trace ends or reaches a record with an unknown gap."""
-    best = math.inf
-    for rec in recs:
-        if rec.f_gap is None:
-            return None
-        best = min(best, rec.f_gap)
-        if best <= eps:
-            return rec
-    return None
+def _running_min(values: np.ndarray) -> np.ndarray:
+    """min(running, v) along `values` from inf, as Python takes it: NaN is skipped."""
+    return np.fmin.accumulate(np.fmin(values, math.inf))
+
+
+def _squares(values: np.ndarray) -> np.ndarray:
+    """v ** 2 per entry by Python's float power, which rounds as libm's pow
+    (not always as v*v) and raises OverflowError on a finite overflow."""
+    return np.array([v ** 2 for v in values.tolist()])
+
+
+def _add_rows(margins: _Margins, k: np.ndarray, *kinds):
+    """Add margins row by row and, within a row, kind by kind.  A kind is
+    (case format with a {k} field, margin per row, whether each row has
+    that margin); `k` labels the rows."""
+    values = np.stack([m for _, m, _ in kinds], axis=1).ravel()
+    has = np.stack([np.broadcast_to(h, len(k)) for _, _, h in kinds], axis=1).ravel()
+    at, width = np.flatnonzero(has), len(kinds)
+    margins.add_all(values[at], lambda i: kinds[at[i] % width][0].format(k=k[at[i] // width]))
+
+
+def _first_hit(trace: Trace, eps: float):
+    """Row where the running best gap first reaches eps (the first gap <= eps);
+    None if there is none before the trace ends or reaches an unknown gap."""
+    known = trace.present("f_gap")
+    end = len(known) if known.all() else int(np.argmin(known))
+    hits = np.flatnonzero(trace.f_gap[:end] <= eps)
+    return int(hits[0]) if hits.size else None
 
 
 def _descent_threshold(params: SmoothnessParams, r: float):
@@ -343,14 +346,8 @@ def _descent_threshold(params: SmoothnessParams, r: float):
     return lambda eps: max(4.0 * params.l0 * r * r / eps, 36.0 * params.l1**2 * r * r)
 
 
-def _gap_threshold_check(
-    margins: _Margins,
-    recs,
-    eps_grid,
-    threshold,
-    use_best: bool,
-):
-    """Check 'gap <= eps from iteration threshold(eps) onward' on a trace's records.
+def _gap_threshold_check(margins: _Margins, trace: Trace, eps_grid, threshold, use_best: bool):
+    """Check 'gap <= eps from iteration threshold(eps) onward' on a trace.
 
     With `use_best` the target is the running best gap (guarantees stated
     for the best iterate); otherwise the gap itself, in which case descent
@@ -358,150 +355,136 @@ def _gap_threshold_check(
     A threshold beyond the recorded horizon that was never hit is skipped
     as unverifiable rather than counted either way.
     """
-    if any(rec.f_gap is None for rec in recs):
+    if not trace.present("f_gap").all():
         raise ValueError("gap monitors require a known optimal value on every record")
     if not use_best:
-        for prev, nxt in pairwise(recs):
-            margins.add(prev.f_gap - nxt.f_gap, f"monotone gap k={prev.k}")
-    horizon = recs[-1].k
+        gap = trace.f_gap
+        _add_rows(margins, trace.k[:-1], ("monotone gap k={k}", gap[:-1] - gap[1:], True))
+    horizon = int(trace.k[-1])
     for eps in eps_grid:
         limit = threshold(eps)
-        hit = _first_hit(recs, eps)
+        hit = _first_hit(trace, eps)
         if hit is not None:
-            margins.add(float(limit - hit.k), f"eps={eps}")
+            margins.add(float(limit - int(trace.k[hit])), f"eps={eps}")
         elif horizon >= limit:
             margins.add(-math.inf, f"eps={eps} never reached")
 
 
 def _min_grad(trace, tol, eps_grid, params, f0) -> CheckReport:
-    recs = trace.records
-    if any(rec.grad_norm is None for rec in recs):
+    if not trace.present("grad_norm").all():
         raise ValueError("min_grad monitor requires gradient norms on every record")
+    if params.l0 > 0 and f0 < 0:
+        raise ValueError("min_grad monitor needs a nonnegative initial gap f0")
+    k1 = trace.k + 1
+    limit = np.sqrt(2.0 * params.l0 * f0 / k1) + 3.0 * params.l1 * f0 / k1
     margins = _Margins(tol=tol)
-    running = math.inf
-    for rec in recs:
-        running = min(running, rec.grad_norm)
-        k1 = rec.k + 1
-        limit = math.sqrt(2.0 * params.l0 * f0 / k1) + 3.0 * params.l1 * f0 / k1
-        margins.add(limit - running, f"K={rec.k}")
+    _add_rows(margins, trace.k, ("K={k}", limit - _running_min(trace.grad_norm), True))
     return margins.report("rate_min_grad")
 
 
 def _convex_gap(trace, tol, eps_grid, params, r) -> CheckReport:
     margins = _Margins(tol=tol)
-    _gap_threshold_check(
-        margins, trace.records, eps_grid, _descent_threshold(params, r), use_best=False
-    )
-    return margins.report(
-        "rate_convex_gap", informational=(trace.method == "gd:clipped")
-    )
+    _gap_threshold_check(margins, trace, eps_grid, _descent_threshold(params, r), use_best=False)
+    return margins.report("rate_convex_gap", informational=(trace.method == "gd:clipped"))
 
 
 def _normalized(trace, tol, eps_grid, params, r, r_hat) -> CheckReport:
-    recs = trace.records
-    if all(rec.support_dist is None for rec in recs):
-        raise ValueError(
-            "normalized monitor requires recorded support distances (known x_star)"
-        )
+    support, known, _, _ = trace.distances()
+    if not known.any():
+        raise ValueError("normalized monitor requires recorded support distances (known x_star)")
     margins = _Margins(tol=tol)
+    k = trace.k
     if trace.method == "ngd:fixed":
-        horizon = recs[-1].k
-        v_min = min(rec.support_dist for rec in recs if rec.support_dist is not None)
+        horizon = int(k[-1])
+        v_min = min(support[known].tolist())
         v_bound = (r * r + r_hat * r_hat) / (2.0 * r_hat * math.sqrt(horizon + 1))
         margins.add(v_bound - v_min, f"K={horizon}")
         r_bar = r * r / r_hat + r_hat
         if horizon >= (4.0 / 9.0) * params.l1**2 * r_bar**2:
             eps = params.l0 * r_bar**2 / horizon
-            best_gap = min(rec.f_gap for rec in recs if rec.f_gap is not None)
+            best_gap = min(trace.f_gap[trace.present("f_gap")].tolist())
             margins.add(eps - best_gap, f"gap at K={horizon}")
         return margins.report("rate_normalized_fixed")
-    running = math.inf
-    v_at = {}
-    for rec in recs:
-        if rec.support_dist is not None:
-            running = min(running, rec.support_dist)
-        v_at[rec.k] = running
-    if 16 in v_at and math.isfinite(v_at[16]):
-        c = v_at[16] * math.sqrt(17.0) / math.log(17.0)
-        for k, v in v_at.items():
-            if k >= 16:
-                margins.add(c * math.log(k + 1) / math.sqrt(k + 1) - v, f"K={k}")
+    running = _running_min(support)  # an undefined distance is NaN, so skipped
+    at16 = np.flatnonzero(k == 16)
+    if at16.size and math.isfinite(running[at16[0]]):
+        c = float(running[at16[0]]) * math.sqrt(17.0) / math.log(17.0)
+        late = k >= 16
+        # math.log per case: numpy's log differs from libm's in the last bit for some k
+        logs = np.array([math.log(j + 1) for j in k[late].tolist()])
+        envelope = c * logs / np.sqrt(k[late] + 1)
+        _add_rows(margins, k[late], ("K={k}", envelope - running[late], True))
     return margins.report("rate_normalized_decay", informational=True)
 
 
 def _polyak(trace, tol, eps_grid, params, r) -> CheckReport:
-    recs = trace.records
+    _, _, dist, known = trace.distances()
+    grad_norm, gap = trace.grad_norm[:-1], trace.f_gap[:-1]
+    # a row with a known dist_opt and a nonzero gradient steps, and needs its gap
+    step = known[:-1] & trace.present("grad_norm")[:-1] & (grad_norm != 0)
+    if not trace.present("f_gap")[:-1][step].all():
+        raise TypeError("polyak contraction needs the gap at every step")
+    drop = _squares(gap[step] / grad_norm[step])
+    contraction = _squares(dist[:-1][step]) - drop - _squares(dist[1:][step])
     margins = _Margins(tol=tol)
-    for prev, nxt in pairwise(recs):
-        if prev.dist_opt is None or not prev.grad_norm:
-            continue
-        drop = (prev.f_gap / prev.grad_norm) ** 2
-        margins.add(prev.dist_opt**2 - drop - nxt.dist_opt**2, f"k={prev.k}")
-    _gap_threshold_check(
-        margins, recs, eps_grid, _descent_threshold(params, r), use_best=True
-    )
+    _add_rows(margins, trace.k[:-1][step], ("k={k}", contraction, True))
+    _gap_threshold_check(margins, trace, eps_grid, _descent_threshold(params, r), use_best=True)
     return margins.report("rate_polyak")
 
 
 def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
-    recs = trace.records
-    if recs[0].a_capital is None:
+    if not trace.present("a_capital")[0]:
         raise ValueError("accelerated monitor requires an accelerated-method trace")
+    k, f_val, a_capital = trace.k, trace.f_val, trace.a_capital
+    step = trace.present("f_y")[:-1]  # rows with an iteration to the next row
+    later = k >= 1
+    if not (trace.present("grad_norm")[:-1][step].all()
+            and (trace.present("a_capital") & trace.present("zeta_star")).all()):
+        raise TypeError("accelerated monitor needs A_k and zeta_k on every row, "
+                        "and the gradient norm with every f(y)")
+    if l_const == 0 and (step.any() or later.any()):
+        raise ZeroDivisionError("float division by zero")
+    f_y = trace.f_y[:-1][step]
+    progress = f_y - f_val[1:][step]
+    required = _squares(trace.grad_norm[:-1][step]) / (2.0 * l_const)
     margins = _Margins(tol=tol)
+    _add_rows(margins, k[:-1][step],
+              ("f(y)<=f(x) at k={k}", f_val[:-1][step] - f_y, True),
+              ("f(x+)<=f(y) at k={k}", progress, True),
+              # descent-operator contract backing the 1/k^2 rate
+              ("step progress k={k}", progress - required, True))
+    k2 = k[later] ** 2
+    _add_rows(margins, k[later],
+              ("A_k growth k={k}", a_capital[later] - k2 / (4.0 * l_const), True),
+              ("gap bound k={k}", 2.0 * l_const * r * r / k2 - trace.f_gap[later],
+               trace.present("f_gap")[later]))
     cert = _Margins(tol=1e-7)
-    for rec, nxt in pairwise(recs):
-        if rec.f_y is not None:
-            margins.add(rec.f_val - rec.f_y, f"f(y)<=f(x) at k={rec.k}")
-            margins.add(rec.f_y - nxt.f_val, f"f(x+)<=f(y) at k={rec.k}")
-            # descent-operator contract backing the 1/k^2 rate
-            required = rec.grad_norm**2 / (2.0 * l_const)
-            margins.add(
-                rec.f_y - nxt.f_val - required, f"step progress k={rec.k}"
-            )
-    for rec in recs:
-        cert.add(rec.zeta_star - rec.a_capital * rec.f_val, f"certificate k={rec.k}")
-        if rec.k >= 1:
-            margins.add(
-                rec.a_capital - rec.k**2 / (4.0 * l_const), f"A_k growth k={rec.k}"
-            )
-            if rec.f_gap is not None:
-                margins.add(
-                    2.0 * l_const * r * r / rec.k**2 - rec.f_gap,
-                    f"gap bound k={rec.k}",
-                )
-    return merge_reports(
-        [margins.report("rate_accelerated"), cert.report("rate_accelerated")]
-    )
+    _add_rows(cert, k, ("certificate k={k}", trace.zeta_star - a_capital * f_val, True))
+    return merge_reports([margins.report("rate_accelerated"), cert.report("rate_accelerated")])
 
 
 def _two_stage(trace, tol, eps_grid, params, r) -> CheckReport:
-    recs = trace.records
     margins = _Margins(tol=tol)
-    stage1 = [rec for rec in recs if rec.stage == 1]
-    stage2 = [rec for rec in recs if rec.stage == 2]
-    if params.l1 > 0 and stage1:
-        margins.add(
-            params.l0 / params.l1 - stage1[-1].grad_norm, "stage-1 exit gradient"
-        )
-    if stage2:
-        start_val = stage2[0].f_val
-        for rec in stage2:
-            margins.add(start_val - rec.f_val, f"sublevel k={rec.k}")
-            if rec.grad_norm is not None and params.l1 > 0:
-                margins.add(
-                    params.l0 / params.l1 + 1e-6 - rec.grad_norm,
-                    f"stage-2 gradient k={rec.k}",
-                )
-        ls = [rec.ls_evals for rec in stage2 if rec.ls_evals is not None]
-        mbar = float(np.mean(ls)) if ls else 1.0
+    stage1, stage2 = np.flatnonzero(trace.stage == 1), np.flatnonzero(trace.stage == 2)
+    if params.l1 > 0 and stage1.size:
+        if not trace.present("grad_norm")[stage1[-1]]:
+            raise TypeError("two_stage monitor needs the stage-1 exit gradient norm")
+        exit_grad = float(trace.grad_norm[stage1[-1]])
+        margins.add(params.l0 / params.l1 - exit_grad, "stage-1 exit gradient")
+    if stage2.size:
+        f_val, capped = trace.f_val[stage2], params.l1 > 0
+        cap = params.l0 / params.l1 + 1e-6 if capped else math.nan
+        _add_rows(margins, trace.k[stage2],
+                  ("sublevel k={k}", f_val[0] - f_val, True),
+                  ("stage-2 gradient k={k}", cap - trace.grad_norm[stage2],
+                   trace.present("grad_norm")[stage2] & capped))
+        ls = trace.ls_evals[stage2][trace.present("ls_evals")[stage2]]
+        mbar = float(np.mean(ls)) if ls.size else 1.0
         for eps in eps_grid:
-            limit = (
-                mbar * math.sqrt(12.0 * params.l0 * r * r / eps)
-                + 36.0 * params.l1**2 * r * r
-            )
-            hit = _first_hit(recs, eps)
+            limit = mbar * math.sqrt(12.0 * params.l0 * r * r / eps) + 36.0 * params.l1**2 * r * r
+            hit = _first_hit(trace, eps)
             if hit is not None:
-                margins.add(limit - hit.oracle_calls, f"oracle calls to eps={eps}")
+                margins.add(limit - int(trace.oracle_calls[hit]), f"oracle calls to eps={eps}")
     return margins.report("rate_two_stage")
 
 
@@ -552,6 +535,9 @@ def rate_monitor(
                    containment and gradient cap, and oracle calls to reach
                    eps within mbar*sqrt(12*l0*R^2/eps) + 36*l1^2*R^2, with
                    mbar the recorded mean line-search cost per iteration.
+
+    Monitors read the trace's columns.  A margin whose entry is missing on
+    a row is skipped, or the monitor raises; a NaN entry is a failing margin.
     """
     if bound not in MONITOR_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}")
@@ -560,4 +546,5 @@ def rate_monitor(
     if any(given[name] is None for name in needs):
         listed = ", ".join(needs[:-1]) + " and " + needs[-1]
         raise ValueError(f"{bound} monitor needs {listed}")
-    return check(trace, tol, eps_grid, **{name: given[name] for name in needs})
+    with np.errstate(all="ignore"):  # inf - inf and the like give NaN margins
+        return check(trace, tol, eps_grid, **{name: given[name] for name in needs})

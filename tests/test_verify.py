@@ -7,6 +7,7 @@ be caught, otherwise the layer proves nothing.
 
 import math
 from dataclasses import replace
+from itertools import pairwise
 
 import numpy as np
 import pytest
@@ -23,9 +24,13 @@ from gensmooth.problems import (
     sample_ball,
     separable_pnorm,
 )
-from gensmooth.first_order import StepRule, gd_run, ngd_run
+from gensmooth import first_order
+from gensmooth.cli import (RunConfig, execute_method, initial_point, parse_method,
+                            parse_problem, run_verify_suite)
+from gensmooth.first_order import IterRecord, StepRule, Trace, gd_run, ngd_run
 from gensmooth.agmsdr import two_stage_run
 from gensmooth.verify import (
+    MONITOR_BOUNDS,
     CheckReport,
     _case_min,
     _Margins,
@@ -276,6 +281,158 @@ class TestRateMonitors:
             rate_monitor(trace, "normalized", params=self.f.params, r=10.0, r_hat=10.0)
 
 
+# Edge traces the rate monitors replay: (problem spec, method spec, budget),
+# each from 10*e1.  A diverged run with inf and NaN rows; plain accelerated
+# runs, whose closing row has no gradient norm, f(y) or search cost (the
+# second is the failing bench case); a two-stage run with no known optimum,
+# so no gap on any row; and the decaying normalized schedules.
+EDGE_RUNS = {
+    "gd_diverged": ("power_norm:d=2,p=4,l1=1", "gd:rule=optimal,l0=1,l1=0", 100),
+    "agmsdr": ("power_norm:d=2,p=4,l1=1", "agmsdr:", 2000),
+    "agmsdr_failing": ("separable_pnorm:d=3,p=4,l1=1", "agmsdr:", 20000),
+    "two_stage_no_gap": ("logistic:l1=0.5", "two_stage:", 2000),
+    "ngd_sqrt": ("power_norm:d=2,p=4,l1=1", "ngd:r_hat=3,schedule=sqrt", 300),
+    "ngd_linear": ("power_norm:d=2,p=4,l1=1", "ngd:r_hat=3,schedule=linear", 300),
+}
+
+
+def _gap_gone_trace():
+    """Hand-built: stage 1 then stage 2, a gap missing mid-trace, a NaN
+    gradient norm, and no f(y) or search cost on the stage-1 rows and the
+    closing row."""
+    gaps = [5.0, 3.0, 2.5, 0.5, None, 0.01, 1e-4, 2e-5]
+    rows = [
+        IterRecord(k=i, f_val=10.0 / (i + 1), f_gap=gap,
+                   grad_norm=math.nan if i == 6 else 4.0 / (i + 1), step_len=0.1,
+                   oracle_calls=3 * i + 1, stage=1 if i < 3 else 2,
+                   f_y=None if i < 3 or i == 7 else 10.0 / (i + 1.5),
+                   a_capital=0.05 * i * i, zeta_star=0.5 * i,
+                   ls_evals=None if i < 3 or i == 7 else i)
+        for i, gap in enumerate(gaps)
+    ]
+    return Trace(rows, termination="BudgetExhausted", method="two_stage")
+
+
+# (trace, bound) -> (report line, worst case input), or ("raised:<type>",
+# message) where the monitor refuses the trace
+_REFUSED = "raised:ValueError"
+_NOT_ACCELERATED = _REFUSED, "accelerated monitor requires an accelerated-method trace"
+_NO_GRAD_NORM = _REFUSED, "min_grad monitor requires gradient norms on every record"
+_NO_SUPPORT = (_REFUSED,
+               "normalized monitor requires recorded support distances (known x_star)")
+_NO_GAP = _REFUSED, "gap monitors require a known optimal value on every record"
+_NO_F0 = _REFUSED, "min_grad monitor needs params and f0"
+MONITOR_GOLDEN = {
+    ("gd_diverged", "min_grad"): ("rate_min_grad\t5\t0\t563.24555320336754\t0", "K=4"),
+    ("gd_diverged", "convex_gap"): ("rate_convex_gap\t4\t4\t-inf\t0", "monotone gap k=3"),
+    ("gd_diverged", "normalized"): ("rate_normalized_decay\t0\t0\tinf\t0", ""),
+    ("gd_diverged", "polyak"): ("rate_polyak\t4\t4\t-5.8115574081463999e+161\t0", "k=3"),
+    ("gd_diverged", "accelerated"): _NOT_ACCELERATED,
+    ("gd_diverged", "two_stage"): ("rate_two_stage\t1\t1\t-inf\t0", "stage-1 exit gradient"),
+    ("agmsdr", "min_grad"): _NO_GRAD_NORM,
+    ("agmsdr", "convex_gap"):
+        ("rate_convex_gap\t999\t0\t2.0032889248490243e-09\t0", "monotone gap k=995"),
+    ("agmsdr", "normalized"): _NO_SUPPORT,
+    ("agmsdr", "polyak"): ("rate_polyak\t999\t983\t-3638058.1846145578\t0", "k=1"),
+    ("agmsdr", "accelerated"):
+        ("rate_accelerated\t5977\t997\t-41065.195052279443\t0", "step progress k=0"),
+    ("agmsdr", "two_stage"): ("rate_two_stage\t1996\t1\t-995.999999\t0", "stage-2 gradient k=0"),
+    ("agmsdr_failing", "min_grad"): _NO_GRAD_NORM,
+    ("agmsdr_failing", "convex_gap"):
+        ("rate_convex_gap\t9999\t0\t1.9993241058036805e-12\t0", "monotone gap k=9995"),
+    ("agmsdr_failing", "normalized"): _NO_SUPPORT,
+    ("agmsdr_failing", "polyak"): ("rate_polyak\t9999\t9983\t-3638058.1846145578\t0", "k=1"),
+    ("agmsdr_failing", "accelerated"):
+        ("rate_accelerated\t59977\t9997\t-41065.195052279443\t0", "step progress k=0"),
+    ("agmsdr_failing", "two_stage"):
+        ("rate_two_stage\t19996\t1\t-995.999999\t0", "stage-2 gradient k=0"),
+    ("two_stage_no_gap", "min_grad"): _NO_F0,
+    ("two_stage_no_gap", "convex_gap"): _NO_GAP,
+    ("two_stage_no_gap", "normalized"): _NO_SUPPORT,
+    ("two_stage_no_gap", "polyak"): _NO_GAP,
+    ("two_stage_no_gap", "accelerated"): _NOT_ACCELERATED,
+    ("two_stage_no_gap", "two_stage"): ("rate_two_stage\t1002\t0\t0\t0", "sublevel k=11"),
+    ("ngd_sqrt", "min_grad"): ("rate_min_grad\t300\t0\t33.164965809277263\t0", "K=299"),
+    ("ngd_sqrt", "convex_gap"):
+        ("rate_convex_gap\t302\t147\t-0.17674587120113644\t0", "monotone gap k=5"),
+    ("ngd_sqrt", "normalized"): ("rate_normalized_decay\t284\t0\t0\t0", "K=16"),
+    ("ngd_sqrt", "polyak"): ("rate_polyak\t302\t147\t-0.75874847693625791\t0", "k=5"),
+    ("ngd_sqrt", "accelerated"): _NOT_ACCELERATED,
+    ("ngd_sqrt", "two_stage"): ("rate_two_stage\t1\t0\t4\t0", "stage-1 exit gradient"),
+    ("ngd_linear", "min_grad"): ("rate_min_grad\t300\t0\t33.164965809277263\t0", "K=299"),
+    ("ngd_linear", "convex_gap"):
+        ("rate_convex_gap\t302\t142\t-0.00010112917983709805\t0", "monotone gap k=15"),
+    ("ngd_linear", "normalized"): ("rate_normalized_decay\t284\t0\t0\t0", "K=16"),
+    ("ngd_linear", "polyak"): ("rate_polyak\t302\t142\t-0.018292196745735345\t0", "k=15"),
+    ("ngd_linear", "accelerated"): _NOT_ACCELERATED,
+    ("ngd_linear", "two_stage"):
+        ("rate_two_stage\t1\t0\t3.9999999999999618\t0", "stage-1 exit gradient"),
+    ("hand_gap_gone", "min_grad"): ("rate_min_grad\t8\t0\t2.4930339887498949\t0", "K=7"),
+    ("hand_gap_gone", "convex_gap"): _NO_GAP,
+    ("hand_gap_gone", "normalized"): _NO_SUPPORT,
+    ("hand_gap_gone", "polyak"): _NO_GAP,
+    ("hand_gap_gone", "accelerated"): ("rate_accelerated\t33\t8\tnan\t0", "step progress k=6"),
+    ("hand_gap_gone", "two_stage"): ("rate_two_stage\t11\t2\tnan\t0", "stage-2 gradient k=6"),
+}
+
+
+@pytest.fixture(scope="module")
+def edge_traces():
+    """name -> (curvature constants, trace, r_hat) for every edge trace."""
+    out = {}
+    for name, (problem, spec, budget) in EDGE_RUNS.items():
+        f, method = parse_problem(problem), parse_method(spec)
+        x0 = initial_point(f, RunConfig(problem, spec, radius=10.0))
+        with np.errstate(all="ignore"):
+            out[name] = (f.params, execute_method(f, method, x0, budget, 0.0), method.r_hat)
+    out["hand_gap_gone"] = (SmoothnessParams(1.0, 1.0), _gap_gone_trace(), None)
+    return out
+
+
+def _replay(params, trace, r_hat, bound):
+    try:
+        rep = rate_monitor(trace, bound, params=params, f0=trace.column("f_gap")[0], r=10.0,
+                           r_hat=10.0 if r_hat is None else r_hat, l_const=3.0 * params.l0)
+    except ValueError as exc:
+        return "raised:ValueError", str(exc)
+    return rep.line(), rep.worst_case_input
+
+
+class TestMonitorGoldens:
+    @pytest.mark.parametrize("case", MONITOR_GOLDEN, ids="-".join)
+    def test_edge_trace(self, edge_traces, case):
+        name, bound = case
+        assert _replay(*edge_traces[name], bound) == MONITOR_GOLDEN[case]
+
+    def test_every_bound_on_every_trace(self):
+        assert set(MONITOR_GOLDEN) == {(name, bound) for name in [*EDGE_RUNS, "hand_gap_gone"]
+                                       for bound in MONITOR_BOUNDS}
+
+
+class TestMonitorsBuildNoRows:
+    """Monitors read the trace's columns: with the row type made to raise,
+    the theorem suite and every bound on every edge trace still run."""
+
+    @pytest.fixture
+    def no_rows(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a row object was built")
+        monkeypatch.setattr(first_order, "IterRecord", refuse)
+
+    def test_theorem_suite(self, no_rows):
+        code, reports = run_verify_suite(scope="theorems")
+        assert code == 0
+        assert [r.check_name for r in reports] == [
+            "rate_min_grad", "rate_convex_gap", "rate_min_grad", "rate_convex_gap",
+            "rate_polyak", "rate_normalized_fixed", "rate_two_stage"]
+
+    def test_every_bound(self, no_rows, edge_traces):
+        with pytest.raises(AssertionError, match="row object"):
+            edge_traces["agmsdr"][1].records[0]
+        for (name, bound), want in MONITOR_GOLDEN.items():
+            assert _replay(*edge_traces[name], bound) == want, (name, bound)
+
+
 class TestReports:
     def test_determinism(self):
         f = power_norm(2, 4, 1)
@@ -507,3 +664,199 @@ class TestBatchedMatchesLoops:
         worst, point = _ref_certify(f, p, 0.001, 2000, 7)
         assert format(report.max_violation, ".17g") == format(worst, ".17g")
         np.testing.assert_array_equal(report.violating_point, point)
+
+
+# The row-by-row monitors that the column monitors replaced, kept as the
+# reference they must match: the same report and worst case, or a raise.
+# They read the rows through `trace.records`.
+
+def _ref_first_hit(recs, eps):
+    best = math.inf
+    for rec in recs:
+        if rec.f_gap is None:
+            return None
+        best = min(best, rec.f_gap)
+        if best <= eps:
+            return rec
+    return None
+
+
+def _ref_gap_threshold(margins, recs, eps_grid, threshold, use_best):
+    if any(rec.f_gap is None for rec in recs):
+        raise ValueError("gap monitors require a known optimal value on every record")
+    if not use_best:
+        for prev, nxt in pairwise(recs):
+            margins.add(prev.f_gap - nxt.f_gap, f"monotone gap k={prev.k}")
+    horizon = recs[-1].k
+    for eps in eps_grid:
+        limit = threshold(eps)
+        hit = _ref_first_hit(recs, eps)
+        if hit is not None:
+            margins.add(float(limit - hit.k), f"eps={eps}")
+        elif horizon >= limit:
+            margins.add(-math.inf, f"eps={eps} never reached")
+
+
+def _ref_rate_monitor(trace, bound, params, f0, r, r_hat, l_const, tol=1e-9,
+                      eps_grid=(1e-1, 1e-2, 1e-3)):
+    recs = list(trace.records)
+    margins = _Margins(tol=tol)
+    threshold = lambda eps: max(4.0 * params.l0 * r * r / eps, 36.0 * params.l1**2 * r * r)
+    if bound == "min_grad":
+        if any(rec.grad_norm is None for rec in recs):
+            raise ValueError("min_grad monitor requires gradient norms on every record")
+        running = math.inf
+        for rec in recs:
+            running = min(running, rec.grad_norm)
+            k1 = rec.k + 1
+            limit = math.sqrt(2.0 * params.l0 * f0 / k1) + 3.0 * params.l1 * f0 / k1
+            margins.add(limit - running, f"K={rec.k}")
+        return margins.report("rate_min_grad")
+    if bound == "convex_gap":
+        _ref_gap_threshold(margins, recs, eps_grid, threshold, use_best=False)
+        return margins.report("rate_convex_gap", informational=trace.method == "gd:clipped")
+    if bound == "normalized":
+        if all(rec.support_dist is None for rec in recs):
+            raise ValueError("no support distances")
+        if trace.method == "ngd:fixed":
+            horizon = recs[-1].k
+            v_min = min(rec.support_dist for rec in recs if rec.support_dist is not None)
+            v_bound = (r * r + r_hat * r_hat) / (2.0 * r_hat * math.sqrt(horizon + 1))
+            margins.add(v_bound - v_min, f"K={horizon}")
+            r_bar = r * r / r_hat + r_hat
+            if horizon >= (4.0 / 9.0) * params.l1**2 * r_bar**2:
+                eps = params.l0 * r_bar**2 / horizon
+                best_gap = min(rec.f_gap for rec in recs if rec.f_gap is not None)
+                margins.add(eps - best_gap, f"gap at K={horizon}")
+            return margins.report("rate_normalized_fixed")
+        running, v_at = math.inf, {}
+        for rec in recs:
+            if rec.support_dist is not None:
+                running = min(running, rec.support_dist)
+            v_at[rec.k] = running
+        if 16 in v_at and math.isfinite(v_at[16]):
+            c = v_at[16] * math.sqrt(17.0) / math.log(17.0)
+            for k, v in v_at.items():
+                if k >= 16:
+                    margins.add(c * math.log(k + 1) / math.sqrt(k + 1) - v, f"K={k}")
+        return margins.report("rate_normalized_decay", informational=True)
+    if bound == "polyak":
+        for prev, nxt in pairwise(recs):
+            if prev.dist_opt is None or not prev.grad_norm:
+                continue
+            drop = (prev.f_gap / prev.grad_norm) ** 2
+            margins.add(prev.dist_opt**2 - drop - nxt.dist_opt**2, f"k={prev.k}")
+        _ref_gap_threshold(margins, recs, eps_grid, threshold, use_best=True)
+        return margins.report("rate_polyak")
+    if bound == "accelerated":
+        if recs[0].a_capital is None:
+            raise ValueError("accelerated monitor requires an accelerated-method trace")
+        cert = _Margins(tol=1e-7)
+        for rec, nxt in pairwise(recs):
+            if rec.f_y is not None:
+                margins.add(rec.f_val - rec.f_y, f"f(y)<=f(x) at k={rec.k}")
+                margins.add(rec.f_y - nxt.f_val, f"f(x+)<=f(y) at k={rec.k}")
+                required = rec.grad_norm**2 / (2.0 * l_const)
+                margins.add(rec.f_y - nxt.f_val - required, f"step progress k={rec.k}")
+        for rec in recs:
+            cert.add(rec.zeta_star - rec.a_capital * rec.f_val, f"certificate k={rec.k}")
+            if rec.k >= 1:
+                margins.add(rec.a_capital - rec.k**2 / (4.0 * l_const), f"A_k growth k={rec.k}")
+                if rec.f_gap is not None:
+                    margins.add(2.0 * l_const * r * r / rec.k**2 - rec.f_gap,
+                                f"gap bound k={rec.k}")
+        return merge_reports([margins.report("rate_accelerated"), cert.report("rate_accelerated")])
+    stage1 = [rec for rec in recs if rec.stage == 1]
+    stage2 = [rec for rec in recs if rec.stage == 2]
+    if params.l1 > 0 and stage1:
+        margins.add(params.l0 / params.l1 - stage1[-1].grad_norm, "stage-1 exit gradient")
+    if stage2:
+        for rec in stage2:
+            margins.add(stage2[0].f_val - rec.f_val, f"sublevel k={rec.k}")
+            if rec.grad_norm is not None and params.l1 > 0:
+                margins.add(params.l0 / params.l1 + 1e-6 - rec.grad_norm,
+                            f"stage-2 gradient k={rec.k}")
+        ls = [rec.ls_evals for rec in stage2 if rec.ls_evals is not None]
+        mbar = float(np.mean(ls)) if ls else 1.0
+        for eps in eps_grid:
+            limit = mbar * math.sqrt(12.0 * params.l0 * r * r / eps) + 36.0 * params.l1**2 * r * r
+            hit = _ref_first_hit(recs, eps)
+            if hit is not None:
+                margins.add(limit - hit.oracle_calls, f"oracle calls to eps={eps}")
+    return margins.report("rate_two_stage")
+
+
+_SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0]
+
+
+def _random_trace(rng):
+    """A short trace with iterates, gradients and x_star, and random NaN,
+    infinite, signed-zero, tied and missing entries in every column."""
+    n, d = int(rng.integers(1, 30)), int(rng.integers(1, 3))
+    cols = {}
+    for name in ("f_val", "f_gap", "grad_norm", "step_len", "f_y", "a_capital", "zeta_star"):
+        v = np.round(rng.uniform(-1.0, 5.0, n), int(rng.integers(1, 4)))
+        odd = rng.random(n) < 0.08
+        v[odd] = rng.choice(_SPECIAL, odd.sum())
+        cols[name] = v
+    cols["grad_norm"] = np.abs(cols["grad_norm"])
+    cols["k"] = np.arange(n)
+    cols["oracle_calls"] = np.cumsum(rng.integers(1, 5, n))
+    cols["stage"] = np.where(np.arange(n) < rng.integers(0, n + 1), 1, 2).astype(np.int8)
+    cols["ls_evals"] = rng.integers(0, 6, n)
+    cols["X"], cols["G"] = rng.standard_normal((n, d)), rng.standard_normal((n, d))
+    # each OPTIONAL column is missing on no row, every row, the last row
+    # or random rows
+    patterns = [np.zeros(n, bool), np.ones(n, bool), np.arange(n) == n - 1, rng.random(n) < 0.2]
+    picks = rng.integers(0, len(patterns), len(first_order.OPTIONAL))
+    cols["missing"] = np.stack([patterns[i] for i in picks], axis=1)
+    method = str(rng.choice(["ngd:fixed", "ngd:sqrt", "gd:clipped", "agmsdr"]))
+    x_star = rng.standard_normal(d) if rng.random() < 0.7 else None
+    return Trace(columns=cols, termination="BudgetExhausted", method=method, x_star=x_star)
+
+
+def _outcome(monitor, *args, **kwargs):
+    try:
+        rep = monitor(*args, **kwargs)
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        return type(exc).__name__
+    return rep.line(), rep.worst_case_input, rep.informational
+
+
+class TestColumnMonitorsMatchRows:
+    @staticmethod
+    def same(trace, bound, **kw):
+        got = _outcome(rate_monitor, trace, bound, **kw)
+        assert got == _outcome(_ref_rate_monitor, trace, bound, **kw), bound
+
+    @pytest.mark.parametrize("name", [*EDGE_RUNS, "hand_gap_gone"])
+    def test_edge_traces(self, edge_traces, name):
+        params, trace, r_hat = edge_traces[name]
+        for bound in MONITOR_BOUNDS:
+            self.same(trace, bound, params=params, f0=5.0, r=10.0, r_hat=r_hat or 10.0,
+                      l_const=3.0 * params.l0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_traces(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(100):
+            trace = _random_trace(rng)
+            pick = lambda *values: float(rng.choice(values))
+            params = SmoothnessParams(pick(0.5, 1.0, 4.0), pick(0.0, 0.5, 1.0))
+            for bound in MONITOR_BOUNDS:
+                self.same(trace, bound, params=params, f0=pick(0.0, 1.0, 50.0, math.nan),
+                          r=pick(1.0, 10.0), r_hat=pick(0.5, 3.0), l_const=pick(0.1, 1.0, 12.0))
+
+    def test_squares_follow_python_power(self):
+        """pow(v, 2) and v*v differ in the last bit for some v; the monitors
+        square as Python does, and a finite square that overflows raises."""
+        base = gd_run(power_norm(2, 4, 1), StepRule(variant="polyak"), np.array([1.0, 0.0]), 2)
+        v = next(v for v in np.linspace(0.3, 0.4, 10**4).tolist() if v ** 2 != v * v)
+        for x in (v, 1e200):
+            cols = {name: getattr(base, name).copy() for name in first_order.ARRAYS}
+            cols["X"][:] = [[x, 0.0], [0.0, 0.0]]  # the only contraction margin is x**2
+            cols["f_gap"][:] = 0.0
+            trace = Trace(columns=cols, termination="BudgetExhausted", method="gd:polyak",
+                          x_star=np.zeros(2))
+            self.same(trace, "polyak", params=SmoothnessParams(1.0, 1.0), f0=1.0, r=1.0,
+                      r_hat=1.0, l_const=1.0)
