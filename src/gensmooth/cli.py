@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -246,7 +245,6 @@ class RunReport:
     termination: str
     best_gap: float | None
     total_oracle_calls: int
-    wall_time: float
     csv_path: str
 
     def summary(self) -> str:
@@ -340,9 +338,7 @@ def run_experiment(cfg: RunConfig) -> RunReport:
     f = parse_problem(cfg.problem_spec)
     method = parse_method(cfg.method_spec)
     x0 = initial_point(f, cfg)
-    start = time.perf_counter()
     trace = execute_method(f, method, x0, cfg.budget, cfg.grad_tol)
-    elapsed = time.perf_counter() - start
     write_csv(trace, cfg.output_path)
     gaps = trace.column("f_gap")
     return RunReport(
@@ -350,7 +346,6 @@ def run_experiment(cfg: RunConfig) -> RunReport:
         termination=trace.termination,
         best_gap=None if None in gaps else min(gaps),
         total_oracle_calls=int(trace.oracle_calls[-1]),
-        wall_time=elapsed,
         csv_path=str(cfg.output_path),
     )
 

@@ -111,15 +111,11 @@ class Trace:
     Each name in COLUMNS is a numpy array with one entry per record; `X`
     and `G` (n, d) hold each record's iterate and the gradient there, and
     `missing` (n, len(OPTIONAL)) marks the entries that are None.  The
-    loops pass these arrays by name as `columns`; hand-built `records`
-    give the same columns, without iterates.  `records` reads the rows
+    loops pass these arrays by name as `columns`.  `records` reads the rows
     back as IterRecords, with distances to `x_star` derived from X and G.
     """
 
-    def __init__(self, records=None, final_x=None, termination=None, method="", *,
-                 columns=None, x_star=None):
-        if records is not None:
-            columns = _columns_of(records)
+    def __init__(self, columns, final_x=None, termination=None, method="", *, x_star=None):
         if not len(columns["k"]):
             raise ValueError("a trace must contain at least the initial record")
         if termination not in TERMINATIONS:
@@ -150,19 +146,21 @@ class Trace:
         """support_dist and dist_opt of each row (or of `rows`), each followed
         by the mask of the rows where it is defined: dist_opt wherever x_star
         is known, support_dist where the row also has a nonzero gradient.
-        An undefined entry holds NaN."""
+        An undefined entry holds NaN, and so does an entry whose arithmetic
+        overflows (a diverged row)."""
         n = len(self.k[rows])
         if self.x_star is None:
             undefined = np.full(n, math.nan), np.zeros(n, dtype=bool)
             return *undefined, *undefined
-        diff = self.X[rows] - self.x_star
         grad_norm = self.grad_norm[rows]
         has = self.present("G", rows) & (grad_norm > 0)
-        dots = _row_dots(self.G[rows][has], diff[has])
         support = np.full(n, math.nan)
-        # max(dot, 0.0) as Python takes it: a NaN or a -0.0 stays
-        support[has] = np.where(dots < 0.0, 0.0, dots) / grad_norm[has]
-        return support, has, _row_norms(diff), np.ones(n, dtype=bool)
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = self.X[rows] - self.x_star
+            dots = _row_dots(self.G[rows][has], diff[has])
+            # max(dot, 0.0) as Python takes it: a NaN or a -0.0 stays
+            support[has] = np.where(dots < 0.0, 0.0, dots) / grad_norm[has]
+            return support, has, _row_norms(diff), np.ones(n, dtype=bool)
 
 
 def _none_where(values: list, present: np.ndarray) -> list:
@@ -209,23 +207,6 @@ class Records(Sequence):
         fields = zip(*cols[:7], _none_where(support.tolist(), has_support),
                      _none_where(dist.tolist(), has_dist), *cols[7:])  # IterRecord order
         return list(starmap(IterRecord, fields))
-
-
-def _columns_of(records: list[IterRecord]) -> dict:
-    """Trace columns of hand-built rows, which carry no iterates."""
-    if any(r.support_dist is not None or r.dist_opt is not None for r in records):
-        raise ValueError("support_dist and dist_opt derive from the iterates; leave them None")
-    n = len(records)
-    cols = {"X": np.empty((n, 0)), "G": np.empty((n, 0))}
-    for name in COLUMNS:
-        values = [getattr(r, name) for r in records]
-        fill = 0 if name in _INTS else math.nan
-        cols[name] = np.array([fill if v is None else v for v in values],
-                              dtype=np.int64 if name in _INTS else float)
-    # an IterRecord has no "G" attribute: no row has a gradient
-    cols["missing"] = np.array([[getattr(r, name, None) is None for name in OPTIONAL]
-                                for r in records], dtype=bool).reshape(n, len(OPTIONAL))
-    return cols
 
 
 def _columns(n: int, dim: int, stage: int, f_star: float | None, missing: dict,

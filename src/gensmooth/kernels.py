@@ -112,11 +112,3 @@ def psi_inverse(t, p: SmoothnessParams):
     out = 0.5 * (b + np.sqrt(b * b + 8.0 * p.l0 * arr))
     return _as_input_kind(out, t)
 
-
-def phi_upper_bound_check(t, tol: float = 1e-12) -> bool:
-    """Whether phi(t) <= t^2 / (2 - 2t/3) + tol on the admissible range [0, 3)."""
-    arr = _validated(t, "t")
-    if np.any(arr >= 3.0):
-        raise ValueError("t must lie in [0, 3)")
-    bound = arr * arr / (2.0 - 2.0 * arr / 3.0)
-    return bool(np.all(phi(arr) <= bound + tol))

@@ -21,11 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SmoothnessParams, phi, phi_star
-from .problems import (Objective, _at_points, _norm, _row_dots, _row_norms, _values_grads,
+from .problems import (Objective, _at_points, _row_dots, _row_norms, _values_grads,
                        sample_ball)
 from .first_order import Trace
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
+SAMPLER_TOL = 1e-9  # slack of the envelope and lower-bound samplers
+CONJUGATE_GRID_TOL = 1e-6
+CONJUGATE_G_MAX = 10.0  # conjugate_grid_consistency samples g in [0, this)
 
 
 @dataclass
@@ -172,7 +175,6 @@ def check_smoothness_envelopes(
     max_sep: float = 2.0,
     seed: int = 0,
     radius: float = 5.0,
-    tol: float = 1e-9,
 ) -> CheckReport:
     """Sampled check of the two growth envelopes implied by the curvature model:
 
@@ -199,7 +201,7 @@ def check_smoothness_envelopes(
         taylor_bound = 0.5 * a * s * s
     m1 = grad_bound - _row_norms(gy - gx)
     m2 = taylor_bound - np.abs(fy - fx - _row_dots(gx, ys - xs))
-    margins = _Margins(tol=tol)
+    margins = _Margins(tol=SAMPLER_TOL)
     margins.add_all(_case_min(m1, m2), _pair_case(xs, ys))
     return margins.report(f"smoothness_envelopes[{f.name}]", seed=seed)
 
@@ -223,7 +225,6 @@ def check_convex_lower_bounds(
     seed: int = 0,
     radius: float = 5.0,
     max_sep: float = 2.0,
-    tol: float = 1e-9,
 ) -> CheckReport:
     """Sampled check of the convex lower-bound family.
 
@@ -252,20 +253,9 @@ def check_convex_lower_bounds(
     m3 = np.where(s == 0, 0.0, -math.inf)  # the denom <= 0 cases
     pos = denom > 0
     m3[pos] = bregman[pos] - s[pos] * s[pos] / denom[pos]
-    margins = _Margins(tol=tol)
+    margins = _Margins(tol=SAMPLER_TOL)
     margins.add_all(_case_min(m1, m2, m3), _pair_case(xs, ys))
     return margins.report(f"convex_lower_bounds[{f.name}]", seed=seed)
-
-
-def support_distance(f: Objective, x: np.ndarray, x_star: np.ndarray) -> float:
-    """Distance from x_star to the supporting hyperplane of the sublevel set
-    at x: max(<grad f(x), x - x_star>, 0) / ||grad f(x)||."""
-    x = np.asarray(x, dtype=float)
-    grad = f.gradient(x)
-    g = float(_norm(grad))
-    if g == 0.0:
-        raise ValueError("support distance undefined at a stationary point")
-    return max(float(grad @ (x - np.asarray(x_star, float))), 0.0) / g
 
 
 def kernel_bound_checks(n_grid: int = 10**4, tol: float = 1e-12) -> list[CheckReport]:
@@ -297,17 +287,15 @@ def kernel_bound_checks(n_grid: int = 10**4, tol: float = 1e-12) -> list[CheckRe
     return reports
 
 
-def conjugate_grid_consistency(
-    n_samples: int = 100, g_max: float = 10.0, seed: int = 0, tol: float = 1e-6
-) -> CheckReport:
+def conjugate_grid_consistency(n_samples: int = 100, seed: int = 0) -> CheckReport:
     """phi_star(g) must match max_t {g*t - phi(t)} over a fine t-grid."""
     rng = np.random.default_rng(seed)
-    gs = g_max * rng.random(n_samples)
-    margins = _Margins(tol=tol)
+    gs = CONJUGATE_G_MAX * rng.random(n_samples)
+    margins = _Margins(tol=CONJUGATE_GRID_TOL)
     for g in gs:
         t_grid = np.linspace(0.0, math.log1p(g) + 0.5, 40001)
         grid_max = float(np.max(g * t_grid - phi(t_grid)))
-        margins.add(tol - abs(float(phi_star(g)) - grid_max), f"g={g}")
+        margins.add(CONJUGATE_GRID_TOL - abs(float(phi_star(g)) - grid_max), f"g={g}")
     return margins.report("kernel_conjugate_grid", seed=seed)
 
 
@@ -433,6 +421,8 @@ def _polyak(trace, tol, eps_grid, params, r) -> CheckReport:
 
 
 def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
+    if not l_const > 0:
+        raise ValueError("l_const must be positive")
     if not trace.present("a_capital")[0]:
         raise ValueError("accelerated monitor requires an accelerated-method trace")
     k, f_val, a_capital = trace.k, trace.f_val, trace.a_capital
@@ -442,8 +432,6 @@ def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
             and (trace.present("a_capital") & trace.present("zeta_star")).all()):
         raise TypeError("accelerated monitor needs A_k and zeta_k on every row, "
                         "and the gradient norm with every f(y)")
-    if l_const == 0 and (step.any() or later.any()):
-        raise ZeroDivisionError("float division by zero")
     f_y = trace.f_y[:-1][step]
     progress = f_y - f_val[1:][step]
     required = _squares(trace.grad_norm[:-1][step]) / (2.0 * l_const)

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gensmooth.first_order import IterRecord, Trace
+from gensmooth import first_order
+from gensmooth.first_order import Trace
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.cli import (
     CSV_HEADER,
@@ -359,15 +360,16 @@ class TestWriteCsv:
         """Full rows, missing gaps and gradient norms, and non-finite or
         signed-zero values all print as the per-field writer printed them."""
         inf, nan = math.inf, math.nan
-        records = [
-            IterRecord(0, 12.5, 12.5, 5.0, 0.1, 1),
-            IterRecord(1, 3.141592653589793, None, 0.30000000000000004, 1e-300, 2),
-            IterRecord(2, 1e-20, 1e-20, None, 0.0, 75, stage=2),
-            IterRecord(3, inf, inf, nan, -0.0, 76, stage=2),
-            IterRecord(4, -0.0, -0.0, inf, nan, 77, stage=2),
-            IterRecord(5, nan, None, None, -inf, 78, stage=2),
-        ]
-        trace = Trace(records=records, final_x=np.zeros(2), termination="Diverged")
+        cols = first_order._columns(
+            6, 0, 1, 0.0, {"grad_norm": np.array([0, 0, 1, 0, 0, 1], dtype=bool)},
+            f_val=np.array([12.5, 3.141592653589793, 1e-20, inf, -0.0, nan]),
+            grad_norm=np.array([5.0, 0.30000000000000004, nan, nan, inf, nan]),
+            step_len=np.array([0.1, 1e-300, 0.0, -0.0, nan, -inf]),
+            oracle_calls=np.array([1, 2, 75, 76, 77, 78]), X=np.zeros((6, 0)))
+        cols["stage"][2:] = 2
+        # f_gap is f_val - 0.0, missing on rows 1 and 5
+        cols["missing"][[1, 5], first_order.OPTIONAL.index("f_gap")] = True
+        trace = Trace(columns=cols, final_x=np.zeros(2), termination="Diverged")
         write_csv(trace, tmp_path / "golden.csv")
         assert (tmp_path / "golden.csv").read_text() == (
             "k,f_val,f_gap,grad_norm,step_len,oracle_calls,stage\n"

@@ -7,8 +7,10 @@ import pytest
 
 from gensmooth.kernels import SmoothnessParams, phi, phi_star, psi
 from gensmooth.problems import Objective, power_norm
+from gensmooth import first_order
 from gensmooth.first_order import (
     StepRule,
+    Trace,
     best_iterate,
     gd_run,
     ngd_run,
@@ -321,18 +323,11 @@ class TestNgdRun:
 
 class TestBestIterate:
     def _trace_with_values(self, values):
-        f = quadratic(1)
-        records = []
-        from gensmooth.first_order import IterRecord
-
-        for k, v in enumerate(values):
-            records.append(
-                IterRecord(k=k, f_val=v, f_gap=None, grad_norm=1.0,
-                           step_len=0.0, oracle_calls=k + 1)
-            )
-        from gensmooth.first_order import Trace
-
-        return Trace(records=records, final_x=np.zeros(1), termination="BudgetExhausted")
+        n = len(values)
+        cols = first_order._columns(n, 0, 1, None, {}, f_val=np.array(values),
+                                    grad_norm=np.ones(n), step_len=np.zeros(n),
+                                    oracle_calls=np.arange(1, n + 1), X=np.zeros((n, 0)))
+        return Trace(columns=cols, final_x=np.zeros(1), termination="BudgetExhausted")
 
     def test_monotone_gives_last(self):
         trace = self._trace_with_values([5.0, 3.0, 1.0])

@@ -10,7 +10,6 @@ from gensmooth.kernels import (
     phi,
     phi_star,
     phi_star_prime,
-    phi_upper_bound_check,
     psi,
     psi_inverse,
 )
@@ -45,6 +44,9 @@ class TestPhi:
 
     def test_closed_form_at_one(self):
         assert phi(1.0) == pytest.approx(math.e - 2.0, rel=1e-15)
+
+    def test_near_three(self):
+        assert phi(2.9) == pytest.approx(math.exp(2.9) - 2.9 - 1.0, rel=1e-15)
 
     def test_series_branch_matches_extended_precision(self):
         assert phi(1e-8) == pytest.approx(PHI_1E8, rel=1e-15)
@@ -143,26 +145,6 @@ class TestPsiInverse:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             psi_inverse(-1.0, SmoothnessParams(1.0, 1.0))
-
-
-class TestPhiUpperBound:
-    def test_zero_and_one(self):
-        assert phi_upper_bound_check(0.0)
-        assert phi_upper_bound_check(1.0)
-
-    def test_near_three(self):
-        # both sides computed directly: phi(2.9) ~ 14.27 <= 126.15
-        assert phi_upper_bound_check(2.9)
-        assert phi(2.9) == pytest.approx(math.exp(2.9) - 2.9 - 1.0, rel=1e-15)
-
-    def test_whole_admissible_grid(self):
-        t = np.linspace(0.0, 3.0, 10001, endpoint=False)
-        assert phi_upper_bound_check(t)
-
-    @pytest.mark.parametrize("bad", [3.0, 3.5, -0.1])
-    def test_rejects_out_of_range(self, bad):
-        with pytest.raises(ValueError):
-            phi_upper_bound_check(bad)
 
 
 class TestConjugacy:

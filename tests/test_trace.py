@@ -3,6 +3,7 @@
 import math
 import struct
 import tracemalloc
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
@@ -217,6 +218,17 @@ class TestRecordsMatchRowArithmetic:
         assert trace.termination == "Diverged"
         assert math.isnan(trace.records[-1].grad_norm)  # a NaN, not a None
         assert_same_rows(trace.records, want)
+
+    def test_diverged_records_read_without_warnings(self):
+        f = power_norm(2, 4, 1)
+        with np.errstate(all="ignore"):
+            trace = gd_run(f, StepRule("optimal", SmoothnessParams(1.0, 0.0)),
+                           np.array([10.0, 0.0]), 2000)
+        assert trace.termination == "Diverged"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = list(trace.records)
+        assert math.isnan(rows[-1].support_dist)  # inf/inf: defined, but NaN
 
     @pytest.mark.parametrize("name", ["power_norm", "exp_phi", "logistic"])
     def test_agmsdr(self, name):

@@ -27,8 +27,8 @@ from gensmooth.problems import (
 from gensmooth import first_order
 from gensmooth.cli import (RunConfig, execute_method, initial_point, parse_method,
                             parse_problem, run_verify_suite)
-from gensmooth.first_order import IterRecord, StepRule, Trace, gd_run, ngd_run
-from gensmooth.agmsdr import two_stage_run
+from gensmooth.first_order import StepRule, Trace, gd_run, ngd_run
+from gensmooth.agmsdr import agmsdr_run, two_stage_run
 from gensmooth.verify import (
     MONITOR_BOUNDS,
     CheckReport,
@@ -43,7 +43,6 @@ from gensmooth.verify import (
     merge_reports,
     rate_monitor,
     serialize_reports,
-    support_distance,
 )
 
 SHIPPED = [
@@ -139,29 +138,32 @@ class TestConvexLowerBounds:
 
 
 class TestSupportDistance:
+    """support_dist = max(<grad f(x), x - x_star>, 0) / ||grad f(x)||, as
+    Trace.distances derives it for the one row of a run from x."""
+
+    QUAD = Objective(dim=2, value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x.copy(),
+                     name="quad")
+
+    @staticmethod
+    def support_at(f, x, x_star):
+        f = replace(f, x_star=np.array(x_star))
+        rule = StepRule("simplified", SmoothnessParams(1.0, 0.0))
+        support, has, _, _ = gd_run(f, rule, np.array(x), budget=1).distances()
+        assert has.tolist() == [True]
+        return float(support[0])
+
     def test_quadratic_distance(self):
-        f = Objective(
-            dim=2,
-            value=lambda x: 0.5 * float(x @ x),
-            gradient=lambda x: x.copy(),
-            name="quad",
-        )
-        assert support_distance(f, np.array([3.0, 0.0]), np.zeros(2)) == 3.0
+        assert self.support_at(self.QUAD, [3.0, 0.0], [0.0, 0.0]) == 3.0
 
     def test_negative_inner_product_clamps_to_zero(self):
-        f = Objective(
-            dim=2,
-            value=lambda x: 0.5 * float(x @ x),
-            gradient=lambda x: x.copy(),
-            name="quad",
-        )
         # "optimum" placed beyond x flips the inner product's sign
-        assert support_distance(f, np.array([1.0, 0.0]), np.array([5.0, 0.0])) == 0.0
+        assert self.support_at(self.QUAD, [1.0, 0.0], [5.0, 0.0]) == 0.0
 
     def test_rejects_stationary_point(self):
-        f = power_norm(2, 4, 1)
-        with pytest.raises(ValueError):
-            support_distance(f, np.zeros(2), np.zeros(2))
+        f = power_norm(2, 4, 1)  # x_star = 0; the row at 0 gets no support distance
+        trace = gd_run(f, StepRule("simplified", f.params), np.zeros(2), budget=1)
+        support, has, _, _ = trace.distances()
+        assert has.tolist() == [False] and math.isnan(support[0])
 
     def test_gap_bounded_by_ball_maximum(self):
         """f(x) - f(x*) never exceeds the max of f over the ball of radius
@@ -170,7 +172,7 @@ class TestSupportDistance:
         x_star = np.array([-12.0])  # far-left stand-in for the infimum
         for x0 in (0.5, 1.0, 2.5):
             x = np.array([x0])
-            v = support_distance(f, x, x_star)
+            v = self.support_at(f, x, x_star)
             grid = np.linspace(x_star[0] - v, x_star[0] + v, 20001)
             ball_max = max(f.value(np.array([z])) for z in grid)
             assert f.value(x) - f.value(x_star) <= ball_max - f.value(x_star) + 1e-12
@@ -247,9 +249,6 @@ class TestRateMonitors:
                 assert rec.f_y - nxt.f_val >= rec.grad_norm**2 / (6.0 * f6.params.l0) - 1e-9
 
     def test_accelerated_flags_unsupported_scaling(self):
-        from gensmooth.agmsdr import agmsdr_run
-        from gensmooth.problems import Objective
-
         quad = Objective(
             dim=2, value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x.copy(),
             f_star=0.0, x_star=np.zeros(2), params=SmoothnessParams(1.0, 0.0),
@@ -269,6 +268,12 @@ class TestRateMonitors:
         trace = gd_run(self.f, StepRule(variant="polyak"), self.x0, 10)
         with pytest.raises(ValueError):
             rate_monitor(trace, "min_grad")
+
+    @pytest.mark.parametrize("l_const", [0.0, -1.0])
+    def test_nonpositive_l_const_rejected(self, l_const):
+        trace = agmsdr_run(self.f, np.array([1.5, -2.0]), None, 50)
+        with pytest.raises(ValueError, match="l_const must be positive"):
+            rate_monitor(trace, "accelerated", l_const=l_const, r=1.0)
 
     def test_wrong_trace_kind_rejected(self):
         gd_trace = gd_run(self.f, StepRule(variant="polyak"), self.x0, 10)
@@ -300,17 +305,18 @@ def _gap_gone_trace():
     """Hand-built: stage 1 then stage 2, a gap missing mid-trace, a NaN
     gradient norm, and no f(y) or search cost on the stage-1 rows and the
     closing row."""
-    gaps = [5.0, 3.0, 2.5, 0.5, None, 0.01, 1e-4, 2e-5]
-    rows = [
-        IterRecord(k=i, f_val=10.0 / (i + 1), f_gap=gap,
-                   grad_norm=math.nan if i == 6 else 4.0 / (i + 1), step_len=0.1,
-                   oracle_calls=3 * i + 1, stage=1 if i < 3 else 2,
-                   f_y=None if i < 3 or i == 7 else 10.0 / (i + 1.5),
-                   a_capital=0.05 * i * i, zeta_star=0.5 * i,
-                   ls_evals=None if i < 3 or i == 7 else i)
-        for i, gap in enumerate(gaps)
-    ]
-    return Trace(rows, termination="BudgetExhausted", method="two_stage")
+    i = np.arange(8)
+    no_step = (i < 3) | (i == 7)
+    cols = first_order._columns(
+        8, 0, 2, 0.0, {"f_y": no_step, "ls_evals": no_step},
+        f_val=10.0 / (i + 1), grad_norm=np.where(i == 6, math.nan, 4.0 / (i + 1)),
+        step_len=np.full(8, 0.1), oracle_calls=3 * i + 1,
+        f_y=np.where(no_step, math.nan, 10.0 / (i + 1.5)), a_capital=0.05 * i * i,
+        zeta_star=0.5 * i, ls_evals=np.where(no_step, 0, i), X=np.zeros((8, 0)))
+    cols["stage"][:3] = 1
+    cols["f_gap"] = np.array([5.0, 3.0, 2.5, 0.5, math.nan, 0.01, 1e-4, 2e-5])
+    cols["missing"][4, first_order.OPTIONAL.index("f_gap")] = True
+    return Trace(columns=cols, termination="BudgetExhausted", method="two_stage")
 
 
 # (trace, bound) -> (report line, worst case input), or ("raised:<type>",
