@@ -215,6 +215,8 @@ DESCENT_CSV_GOLDEN = [
      "39229e2b3e4547304441d3692c0b510b84bf229e002a67a21dcfcef630b4de81"),
     (_PN, "gd:rule=optimal,l0=1,l1=0", [10.0, 0.0], "Diverged", 5,
      "8ab78251dc2a59641e4380baf8399ebe1e939e3790601fbd64cafeb5b8b6ed08"),
+    (_SP, "gd:rule=optimal,l0=1,l1=0", [3.0, -4.0, 5.0], "Diverged", 6,
+     "98ffd354d736b38704269038de37cda3cfb1981ee5a25b5884fa414b8cb2bf21"),
 ]
 
 
@@ -298,7 +300,7 @@ class TestRunExperiment:
         assert report.best_gap is not None
 
     @pytest.mark.parametrize(
-        "problem, method, radius, budget, lines, stage1, digest",
+        "problem, method, start, budget, lines, stage1, digest",
         [
             # hand-over on the gap target: power_norm knows f_star
             ("power_norm:d=2,p=6,l1=1", "two_stage:", 10.0, 4000, 1018, 14,
@@ -308,15 +310,20 @@ class TestRunExperiment:
              "25c3e3f7c52d9a068f8419ad7dcb5a7d31acd0044dc686e80124f0a8c15e1763"),
             ("power_norm:d=2,p=6,l1=1", "agmsdr:", 2.0, 2000, 507, 0,
              "a8472755ac6763d26a051c7d0e919422dbe1c4f4c8724c2a21b3252cc626fd9c"),
+            # a non-radial objective off the axis, stopped by the budget
+            (_SP, "two_stage:", [3.0, -4.0, 5.0], 2000, 515, 11,
+             "b8042a604015fc64e214fc567d4b7fa88080ab1fd5136c2a141111ada7caf97f"),
         ],
-        ids=["two_stage_gap", "two_stage_grad", "agmsdr"],
+        ids=["two_stage_gap", "two_stage_grad", "agmsdr", "two_stage_separable"],
     )
-    def test_accelerated_csv_golden(self, problem, method, radius, budget, lines,
+    def test_accelerated_csv_golden(self, problem, method, start, budget, lines,
                                     stage1, digest, tmp_path):
-        """The accelerated paths' CSV bytes, segment probes and hand-over included."""
+        """The accelerated paths' CSV bytes, segment probes and hand-over included.
+        `start` is a radius along e1 or an explicit x0."""
         out = tmp_path / "acc.csv"
-        run_experiment(RunConfig(problem, method, radius=radius, budget=budget,
-                                 output_path=str(out)))
+        where = {"x0": start} if isinstance(start, list) else {"radius": start}
+        run_experiment(RunConfig(problem, method, budget=budget, output_path=str(out),
+                                 **where))
         data = out.read_bytes()
         rows = data.decode().splitlines()
         assert len(rows) == lines  # header included
