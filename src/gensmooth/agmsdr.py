@@ -178,7 +178,7 @@ def agmsdr_run(
         ls = segment_line_search(f, state.minimizer, x, f_x)
         y, f_y, grad_y = ls.y, ls.f_y, ls.grad_y
         calls += ls.evals + 1
-        g = float(_norm(grad_y))
+        g = _norm(grad_y)
         if not math.isfinite(g):
             termination = "Diverged"
             break

@@ -282,24 +282,27 @@ def _resolve_params(f: Objective, l0: float | None, l1: float | None) -> Smoothn
 
 def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
                    budget: int, grad_tol: float) -> Trace:
-    if method.kind == "gd":
-        params = None
-        if method.rule_variant != "polyak":
-            params = _resolve_params(f, method.l0, method.l1)
-        rule = StepRule(
-            variant=method.rule_variant, params=params, f_star=method.f_star
-        )
-        return gd_run(f, rule, x0, budget, grad_tol=grad_tol)
-    if method.kind == "ngd":
-        return ngd_run(
-            f, method.r_hat, method.schedule, x0, budget, horizon=method.horizon
-        )
-    if method.kind == "agmsdr":
-        return agmsdr_run(f, x0, method.l_const, budget,
-                          t_params=_resolve_params(f, method.l0, method.l1))
-    if method.kind == "two_stage":
-        return two_stage_run(f, x0, _resolve_params(f, method.l0, method.l1), budget,
-                             l_const=method.l_const)
+    """The method's trace.  A diverging run overflows to inf and nan in numpy
+    arithmetic, which the trace records; numpy's warnings for it are muted."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method.kind == "gd":
+            params = None
+            if method.rule_variant != "polyak":
+                params = _resolve_params(f, method.l0, method.l1)
+            rule = StepRule(
+                variant=method.rule_variant, params=params, f_star=method.f_star
+            )
+            return gd_run(f, rule, x0, budget, grad_tol=grad_tol)
+        if method.kind == "ngd":
+            return ngd_run(
+                f, method.r_hat, method.schedule, x0, budget, horizon=method.horizon
+            )
+        if method.kind == "agmsdr":
+            return agmsdr_run(f, x0, method.l_const, budget,
+                              t_params=_resolve_params(f, method.l0, method.l1))
+        if method.kind == "two_stage":
+            return two_stage_run(f, x0, _resolve_params(f, method.l0, method.l1), budget,
+                                 l_const=method.l_const)
     raise ValueError(f"unknown method kind {method.kind!r}")
 
 

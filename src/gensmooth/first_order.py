@@ -302,7 +302,7 @@ def _descent(
     F, N, S, X, G = (array("d") for _ in range(5))
     k = 0
     while True:
-        g = float(_norm(grad))
+        g = _norm(grad)
         diverged = (not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD
                     or not math.isfinite(g))
         step = step_len(k, g, f_val) if g > 0 and not diverged else 0.0

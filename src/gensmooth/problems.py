@@ -80,13 +80,23 @@ class CertificateReport:
 _FLOAT64 = np.dtype(np.float64)
 
 
-def _norm(v) -> np.floating:
-    """np.linalg.norm(v), bit for bit, without its dispatch cost on the 1-D
-    float64 points the methods pass.  A numpy scalar, so an overflow reads
-    inf instead of raising."""
+def _norm(v) -> float:
+    """np.linalg.norm(v) as a Python float, bit for bit, without its dispatch
+    cost on the 1-D float64 points the methods pass (IEEE sqrt rounds the
+    same in math and numpy)."""
     if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1:
-        return np.sqrt(v.dot(v))
-    return np.linalg.norm(v)
+        return math.sqrt(v.dot(v))
+    return float(np.linalg.norm(v))
+
+
+def _pow(r: float, e: float) -> float:
+    """r ** e on a Python float, where an overflow reads inf, as numpy's
+    scalar power gives, instead of raising.  Kept scalar on purpose: numpy's
+    array power may take a SIMD pow that rounds differently from libm's."""
+    try:
+        return r ** e
+    except OverflowError:
+        return math.inf
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -124,26 +134,26 @@ def power_norm(dim: int, p: float, l1: float) -> Objective:
         raise ValueError("dim must be positive")
 
     def value(x):
-        return float(_norm(x) ** p / p)
+        return _pow(_norm(x), p) / p
 
     def gradient(x):
         r = _norm(x)
         if r == 0.0:
             return np.zeros(dim)
-        return np.multiply(r ** (p - 2), x)  # x may be a list
+        return np.multiply(_pow(r, p - 2), x)  # x may be a list
 
     def value_grad(x):
         r = _norm(x)
-        grad = np.zeros(dim) if r == 0.0 else np.multiply(r ** (p - 2), x)
-        return float(r**p / p), grad
+        grad = np.zeros(dim) if r == 0.0 else np.multiply(_pow(r, p - 2), x)
+        return _pow(r, p) / p, grad
 
     def hessian(x):
         r = _norm(x)
         if r == 0.0:
             # 0/0 at the origin; the limit is the zero matrix for p > 2
             return np.zeros((dim, dim))
-        u = x / r
-        return r ** (p - 2) * (np.eye(dim) + (p - 2) * np.outer(u, u))
+        u = np.divide(x, r)
+        return _pow(r, p - 2) * (np.eye(dim) + (p - 2) * np.outer(u, u))
 
     l0 = ((p - 2) / l1) ** (p - 2)
     return Objective(
@@ -265,7 +275,7 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
         if r == 0.0:
             # radial and tangential curvatures both tend to l0 at the origin
             return l0 * np.eye(dim)
-        u = np.outer(x, x) / r**2
+        u = np.outer(x, x) / _pow(r, 2)
         radial = l0 * math.exp(l1 * r)
         tangential = (l0 / l1) * math.expm1(l1 * r) / r
         return radial * u + tangential * (np.eye(dim) - u)
@@ -389,10 +399,34 @@ def separable_sum(parts: list[Objective]) -> Objective:
 
 
 def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
-    """(1/p) * sum_i |x_i|^p, the separable composition of 1-D power terms."""
+    """(1/p) * sum_i |x_i|^p, the separable composition of 1-D power terms.
+
+    The Hessian, constants and optimum are those of `separable_sum` over
+    one-dimensional `power_norm`s.  Value and gradient run one loop over
+    the coordinates that does each term's arithmetic, bit for bit: the
+    norm of a one-entry block is sqrt(t*t), its one-element dot.
+    """
+    def value(x):
+        coords = np.asarray(x, dtype=float).tolist()
+        return sum([_pow(math.sqrt(t * t), p) / p for t in coords])
+
+    def gradient(x):
+        return value_grad(x)[1]
+
+    def value_grad(x):
+        terms, grad = [], []
+        for t in np.asarray(x, dtype=float).tolist():
+            r = math.sqrt(t * t)
+            terms.append(_pow(r, p) / p)
+            grad.append(0.0 if r == 0.0 else _pow(r, p - 2) * t)  # +0.0 at t = -0.0
+        return sum(terms), np.array(grad)
+
     return replace(
         separable_sum([power_norm(1, p, l1) for _ in range(dim)]),
+        value=value,
+        gradient=gradient,
         name=f"separable_pnorm(d={dim},p={p},l1={l1})",
+        kernel=(value, gradient, value_grad),
     )
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -345,6 +346,22 @@ class TestRunExperiment:
         assert report.termination == termination
         assert len(data.decode().splitlines()) == lines  # header included
         assert hashlib.sha256(data).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "problem, method, x0, termination, lines, digest",
+        [g for g in DESCENT_CSV_GOLDEN if g[3] == "Diverged"],
+        ids=["power_norm", "separable_pnorm"],
+    )
+    def test_diverged_golden_runs_without_warnings(self, problem, method, x0, termination,
+                                                   lines, digest, tmp_path):
+        """Overflow to inf and nan is recorded in the trace, not warned about."""
+        out = tmp_path / "diverged.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_experiment(RunConfig(problem, method, x0=x0, budget=2000,
+                                              output_path=str(out)))
+        assert report.termination == termination == "Diverged"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_byte_identical_rerun(self, tmp_path):
         paths = []

@@ -1,0 +1,188 @@
+"""The oracles' Python-float arithmetic against a numpy-scalar reference, bit for bit.
+
+The reference below is the numpy-scalar form of the same oracles: `_norm`
+as np.sqrt of the dot (np.linalg.norm for other inputs), every power of a
+norm as numpy's scalar `**`, and separable_pnorm as separable_sum over
+one-dimensional power terms.  Values, gradients, value_grad and Hessians
+must agree in every bit, and raise the same exceptions, at seeded points of
+scale 1e-170 to 1e300 and at signed zeros, subnormals, infinities, nan and
+1.7e308, given as arrays and as lists.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from gensmooth.kernels import SmoothnessParams
+from gensmooth.problems import (
+    Objective,
+    _norm,
+    _pow,
+    exp_phi,
+    power_norm,
+    separable_pnorm,
+    separable_sum,
+)
+
+
+def ref_norm(v):
+    if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1:
+        return np.sqrt(v.dot(v))
+    return np.linalg.norm(v)
+
+
+def ref_power_norm(dim, p, l1):
+    def value(x):
+        return float(ref_norm(x) ** p / p)
+
+    def gradient(x):
+        r = ref_norm(x)
+        if r == 0.0:
+            return np.zeros(dim)
+        return np.multiply(r ** (p - 2), x)
+
+    def value_grad(x):
+        r = ref_norm(x)
+        grad = np.zeros(dim) if r == 0.0 else np.multiply(r ** (p - 2), x)
+        return float(r**p / p), grad
+
+    def hessian(x):
+        r = ref_norm(x)
+        if r == 0.0:
+            return np.zeros((dim, dim))
+        u = x / r
+        return r ** (p - 2) * (np.eye(dim) + (p - 2) * np.outer(u, u))
+
+    return Objective(dim=dim, value=value, gradient=gradient, hessian=hessian,
+                     params=SmoothnessParams(1.0, l1), kernel=(value, gradient, value_grad))
+
+
+def ref_exp_phi(dim, params):
+    l0, l1 = params.l0, params.l1
+
+    def value(x):
+        r = ref_norm(x)
+        return float(l0 / l1**2 * (math.expm1(l1 * r) - l1 * r))
+
+    def gradient(x):
+        r = ref_norm(x)
+        if r == 0.0:
+            return np.zeros(dim)
+        return np.multiply((l0 / l1) * math.expm1(l1 * r), x) / r
+
+    def value_grad(x):
+        r = ref_norm(x)
+        e = math.expm1(l1 * r)
+        grad = np.zeros(dim) if r == 0.0 else np.multiply((l0 / l1) * e, x) / r
+        return float(l0 / l1**2 * (e - l1 * r)), grad
+
+    def hessian(x):
+        r = ref_norm(x)
+        if r == 0.0:
+            return l0 * np.eye(dim)
+        u = np.outer(x, x) / r**2
+        radial = l0 * math.exp(l1 * r)
+        tangential = (l0 / l1) * math.expm1(l1 * r) / r
+        return radial * u + tangential * (np.eye(dim) - u)
+
+    return Objective(dim=dim, value=value, gradient=gradient, hessian=hessian,
+                     params=params, kernel=(value, gradient, value_grad))
+
+
+def ref_separable_pnorm(dim, p, l1):
+    return separable_sum([ref_power_norm(1, p, l1) for _ in range(dim)])
+
+
+SCALES = (1e-170, 1e-150, 1e-100, 1e-20, 1e-3, 1.0, 1e3, 1e20, 1e77, 1e100, 1e154,
+          1e155, 1e200, 1e300)
+SPECIAL = (0.0, -0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, math.inf, -math.inf,
+           math.nan, 1.7e308, -1.7e308)
+
+
+def points(dim, seed):
+    """Seeded points at every scale, then each special entry in every
+    coordinate of a unit-scale point, and filling the whole point."""
+    rng = np.random.default_rng(seed)
+    out = [scale * rng.standard_normal(dim) for scale in SCALES for _ in range(4)]
+    for entry in SPECIAL:
+        out.append(np.full(dim, entry))
+        for i in range(dim):
+            x = rng.standard_normal(dim)
+            x[i] = entry
+            out.append(x)
+    return out
+
+
+def outcome(fn, x):
+    """The bytes of what fn(x) returns, or the type of what it raises."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        try:
+            out = fn(x)
+        except Exception as exc:  # any exception: its type is the outcome
+            return type(exc)
+    parts = out if isinstance(out, tuple) else (out,)
+    return tuple(np.asarray(part, dtype=np.float64).tobytes() for part in parts)
+
+
+def mismatches(new, ref, dim, seed):
+    bad = []
+    for x in points(dim, seed):
+        for arg in (x, x.tolist()):
+            for op in ("value", "gradient", "value_grad", "hessian"):
+                got, want = outcome(getattr(new, op), arg), outcome(getattr(ref, op), arg)
+                if got != want:
+                    bad.append((op, type(arg).__name__, x.tolist(), got, want))
+    return bad
+
+
+PAIRS = {
+    "power_norm_p4": (lambda d: power_norm(d, 4.0, 1.0), lambda d: ref_power_norm(d, 4.0, 1.0)),
+    "power_norm_p8_int": (lambda d: power_norm(d, 8, 1), lambda d: ref_power_norm(d, 8, 1)),
+    "power_norm_p2.5": (lambda d: power_norm(d, 2.5, 0.5), lambda d: ref_power_norm(d, 2.5, 0.5)),
+    "exp_phi": (lambda d: exp_phi(d, SmoothnessParams(1.0, 1.0)),
+                lambda d: ref_exp_phi(d, SmoothnessParams(1.0, 1.0))),
+    "exp_phi_small_l1": (lambda d: exp_phi(d, SmoothnessParams(2.0, 1e-160)),
+                         lambda d: ref_exp_phi(d, SmoothnessParams(2.0, 1e-160))),
+    "separable_pnorm_p4": (lambda d: separable_pnorm(d, 4.0, 1.0),
+                           lambda d: ref_separable_pnorm(d, 4.0, 1.0)),
+    "separable_pnorm_p6_int": (lambda d: separable_pnorm(d, 6, 1),
+                               lambda d: ref_separable_pnorm(d, 6, 1)),
+    "separable_pnorm_p3.5": (lambda d: separable_pnorm(d, 3.5, 2.0),
+                             lambda d: ref_separable_pnorm(d, 3.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_oracles_match_numpy_scalar_reference(name, dim):
+    make, make_ref = PAIRS[name]
+    bad = mismatches(make(dim), make_ref(dim), dim, seed=dim)
+    assert not bad, f"{len(bad)} mismatches, first: {bad[0]}"
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 7])
+def test_norm_matches_numpy_scalar_reference(dim):
+    inputs = points(dim, seed=10 + dim)
+    inputs += [x.tolist() for x in inputs] + [np.outer(x, x) for x in inputs[:20]]
+    for v in inputs:
+        got, want = outcome(_norm, v), outcome(ref_norm, v)
+        assert got == want, v
+        with np.errstate(over="ignore"):
+            assert type(_norm(v)) is float
+
+
+def test_exp_phi_overflow_still_raises():
+    f = exp_phi(2, SmoothnessParams(1.0, 1.0))
+    x = np.array([800.0, 0.0])
+    for op in (f.value, f.gradient, f.value_grad, f.hessian):
+        with pytest.raises(OverflowError):
+            op(x)
+
+
+def test_pow_overflow_reads_inf_without_raising_or_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _pow(1e200, 4.0) == math.inf
