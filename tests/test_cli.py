@@ -218,6 +218,10 @@ DESCENT_CSV_GOLDEN = [
      "8ab78251dc2a59641e4380baf8399ebe1e939e3790601fbd64cafeb5b8b6ed08"),
     (_SP, "gd:rule=optimal,l0=1,l1=0", [3.0, -4.0, 5.0], "Diverged", 6,
      "98ffd354d736b38704269038de37cda3cfb1981ee5a25b5884fa414b8cb2bf21"),
+    # a target below the optimum: f_gap = f_val + 1, so no row's gap shares
+    # its bits with its value
+    (_PN, "gd:rule=optimal,f_star=-1", [6.0, -8.0], "BudgetExhausted", 2001,
+     "91f80fb91a92f43605b60b2e06cd7ed4db499c97122fc20c97108afafdd5197e"),
 ]
 
 
@@ -497,6 +501,90 @@ PRESET_GOLDEN = {
 }
 
 
+# sha256 of every CSV that `gensmooth preset fig1|fig2|fig3 --budget 300` writes,
+# by file stem: the preset traces' bytes, in every rule, schedule and stage.
+PRESET_CSV_SHA256 = {
+    "fig1_p4_gd_clipped":
+        "8a3afdceb39f98d84bc8a5d9fd284c984d6cba2de8195a3e296079f160be45f5",
+    "fig1_p4_gd_optimal":
+        "9cf3a73014341b7dc108a011368ca1c533139582f9fdbfce579207815da6ecca",
+    "fig1_p4_gd_polyak":
+        "4d24ac7eb325fb6f22bc8d6755d2492d9e96eb87b545e4592735ee2aa79c3609",
+    "fig1_p4_gd_simplified":
+        "4c4826e8a613a179f8061fe4947018e91ef96db2cb963e6153acf5787ab7bd94",
+    "fig1_p4_ngd":
+        "bc9b4a81447f98b3a6d09918779c1a69fc5ea760ede89302e9a53975b432bd86",
+    "fig1_p4_two_stage":
+        "327ed29930f160673eeab169c327ad2681a61eb037c74b6f621599195bdafc72",
+    "fig1_p6_gd_clipped":
+        "823b2bfe706eff9f25b6d4fe7ade2df6e3b099a0fa55a09ff366e692e2ba4b06",
+    "fig1_p6_gd_optimal":
+        "fb460b5da3730b0c45fe31a05f18b74d058204289ba8ccecf2e7af29639c427e",
+    "fig1_p6_gd_polyak":
+        "610cf9840bb2b1ae757ddf7e78d70f03a492619c8f179d5a412ad3462e471491",
+    "fig1_p6_gd_simplified":
+        "32eaaeb0fdf1ffc245e98e868179aa6eb46c521221675e57bd9a1ae7c2daf9aa",
+    "fig1_p6_ngd":
+        "1c194862f1822afcc5f4655ac516daa84a970555bb004d0297f3b12f98f75f22",
+    "fig1_p6_two_stage":
+        "69b54586174906e0f267cb714643a0ee1c098a88670b2a5119c2ac642ddf8179",
+    "fig1_p8_gd_clipped":
+        "c75243a486976f3ee8672f8726ebf446b3641bcd373a04d48dec4f447ec8d393",
+    "fig1_p8_gd_optimal":
+        "e694997eb351e851522ec4168d5536058633f355b9f272b8ca800123714486c9",
+    "fig1_p8_gd_polyak":
+        "31a92d830bde41427a155dae9cb0782b705c60fc2d8856e6ddb30a085202d236",
+    "fig1_p8_gd_simplified":
+        "5118d8b106e029acd69f2365c556b8cd80f954f27300fe0f28501ddf5911f24c",
+    "fig1_p8_ngd":
+        "78ab2a6101fbf423c3f1ba473b7bdc9c61184df3d90b7951fb56b9bf89536b29",
+    "fig1_p8_two_stage":
+        "c347014759c86be75c5261b3a419c2af1f3ce3fc8b8d5f896b5fe370489b1d3f",
+    "fig2_p4_l1_1":
+        "9cf3a73014341b7dc108a011368ca1c533139582f9fdbfce579207815da6ecca",
+    "fig2_p4_l1_2":
+        "4480f00ff0262d89fbf66767a89094c7ec41a1828b320d280b956fc9955fd7c7",
+    "fig2_p4_l1_4":
+        "dddb95ae784a72073065ba85b5a97c3979a71798d2483794331f9ade9862a6cd",
+    "fig2_p4_l1_8":
+        "6a4a1c3d9c303cb4d8b8a099d96ac1e1a92564a429ea2e32fc93b359a2f2299d",
+    "fig2_p4_l1_16":
+        "ccd3b02ba79c5d196b8a38730bae8efbd9984b71085e8a9bdc214d60b3612c1f",
+    "fig2_p6_l1_1":
+        "fb460b5da3730b0c45fe31a05f18b74d058204289ba8ccecf2e7af29639c427e",
+    "fig2_p6_l1_2":
+        "9b946f1646ad70d2a7407888743a1a13411c5fd1fe1962544c99c66b330b5a37",
+    "fig2_p6_l1_4":
+        "ffdc817780a79fff0053363ac5a2dd8750418633ddec6b3a627503513921744f",
+    "fig2_p6_l1_8":
+        "78fc27a94431f241118f83b71f0533edacd35daf04fba311f7402d140e47ca55",
+    "fig2_p6_l1_16":
+        "5851fc82d8eebdf42f93f20164dbed22e7a17788d2db9c37ce2241192ff04b6e",
+    "fig2_p8_l1_1":
+        "e694997eb351e851522ec4168d5536058633f355b9f272b8ca800123714486c9",
+    "fig2_p8_l1_2":
+        "5f2cd9b6174ab4177899845109189557dbd3e039ab65b65c4dd677f347994d25",
+    "fig2_p8_l1_4":
+        "1f145fbbd5f2eda16296b34e69d789ba4c2f3cac2fb6ee66702a21bd95b473b7",
+    "fig2_p8_l1_8":
+        "49654c5b80aeb0e4aaf942f2ca29d23ba3ed7c6b407aaf95ed83a39de1c77d32",
+    "fig2_p8_l1_16":
+        "d7db08524c5160c301abe8cbd42a4248dcaf8eb5ef6c139234ff5f7852b87a0b",
+    "fig3_R5_gd_optimal":
+        "f142d239f250c579d6e36dad40391050fd13f9720eb459c003cf7b8cbd3474b4",
+    "fig3_R5_two_stage":
+        "251769f17069c633c7fa04a383f3d30707b51fadb3dae061a88d6306a9871987",
+    "fig3_R100_gd_optimal":
+        "29f67827e8af8e2f91192ddcddec5a4f74fd4bf842032fac24847a30ed915012",
+    "fig3_R100_two_stage":
+        "85a4f4619ed2c756942ffbc10f416ddf3d2117e769ec8438c8810e17443b1816",
+    "fig3_R500_gd_optimal":
+        "1c9bd469778446d2046110be756d572bc56b32ae8027b81cee0d8c722b4f5986",
+    "fig3_R500_two_stage":
+        "5c9010ec4e52493586804cd48fffa9f3bdf3523f9ead53204634029506f4411d",
+}
+
+
 class TestPresets:
     @pytest.mark.parametrize("which", sorted(PRESET_GOLDEN))
     def test_golden_configs(self, which):
@@ -509,6 +597,14 @@ class TestPresets:
         ]
         got = [cfg.to_json() for cfg in preset_figure(which, "out")]
         assert json.dumps(got) == json.dumps(want)
+
+    def test_csv_digests_at_budget_300(self, tmp_path, capsys):
+        """Every preset run's CSV, byte for byte, at a budget of 300."""
+        for which in PRESETS:
+            assert main(["preset", which, "--out-dir", str(tmp_path), "--budget", "300"]) == 0
+        got = {path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.glob("*.csv")}
+        assert got == PRESET_CSV_SHA256
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset 'fig4'"):
