@@ -33,6 +33,7 @@ from .first_order import (
     StepRule,
     Trace,
     _columns,
+    _move,
     gd_run,
     stepsize_simplified,
 )
@@ -184,7 +185,7 @@ def agmsdr_run(
             break
 
         step_len = stepsize_simplified(g, params) * g if g > 0 else 0.0
-        x_next = y - step_len * (grad_y / g) if g > 0 else y
+        x_next = _move(y.tolist(), step_len, grad_y.tolist(), g) if g > 0 else y
         f_next = f.value(x_next)
         calls += 1
         if f_next > f_y + MONOTONE_TOL:

@@ -39,7 +39,7 @@ from .problems import (
     separable_pnorm,
 )
 from .first_order import (
-    GD_VARIANTS, NGD_SCHEDULES, ROWS_PER_CHUNK, StepRule, Trace, gd_run, ngd_run,
+    GD_VARIANTS, NGD_SCHEDULES, OPTIONAL, ROWS_PER_CHUNK, StepRule, Trace, gd_run, ngd_run,
 )
 from .agmsdr import agmsdr_run, two_stage_run
 from . import verify as verify_mod
@@ -306,24 +306,17 @@ def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
     raise ValueError(f"unknown method kind {method.kind!r}")
 
 
-_CSV_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%d,%d"
-
-
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return format(value, ".17g")
-
-
-def _csv_line(row: tuple) -> str:
-    """One CSV row; one with an empty cell is formatted field by field."""
-    if None in row:
-        return ",".join([str(row[0]), *map(_fmt, row[1:5]), str(row[5]), str(row[6])])
-    return _CSV_ROW % row
+def _cells(col: np.ndarray) -> list[str]:
+    """A column's entries as CSV cells, %d or %.17g, formatted by one `%`."""
+    spec = "%.17g" if col.dtype.kind == "f" else "%d"
+    return ("\n".join([spec] * len(col)) % tuple(col.tolist())).split("\n")
 
 
 def write_csv(trace: Trace, path: str | Path):
-    """The trace as CSV, formatted and written ROWS_PER_CHUNK rows at a time."""
+    """The trace as CSV, written ROWS_PER_CHUNK rows at a time.  Each column
+    of a chunk is formatted once; a column with the bits of one already
+    formatted reuses its cells (f_gap is f_val whenever f_star is 0), and a
+    missing entry is an empty cell."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     names = CSV_HEADER.split(",")
@@ -331,9 +324,17 @@ def write_csv(trace: Trace, path: str | Path):
         fh.write(CSV_HEADER + "\n")
         for start in range(0, len(trace), ROWS_PER_CHUNK):
             rows = slice(start, start + ROWS_PER_CHUNK)
-            cols = [trace.column(name, rows) for name in names]
-            line = _csv_line if None in cols[2] or None in cols[3] else _CSV_ROW.__mod__
-            fh.write("\n".join(map(line, zip(*cols))) + "\n")
+            formatted, chunk = {}, []
+            for name in names:
+                col = getattr(trace, name)[rows]
+                key = (col.dtype.char, col.tobytes())
+                if key not in formatted:
+                    formatted[key] = _cells(col)
+                cells = formatted[key]
+                if name in OPTIONAL and not (present := trace.present(name, rows)).all():
+                    cells = [c if p else "" for c, p in zip(cells, present.tolist())]
+                chunk.append(cells)
+            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
 def run_experiment(cfg: RunConfig) -> RunReport:

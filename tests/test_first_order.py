@@ -340,3 +340,36 @@ class TestBestIterate:
     def test_single_record(self):
         trace = self._trace_with_values([4.0])
         assert best_iterate(trace) == (0, 4.0)
+
+
+class TestMoveOnPythonFloats:
+    """`first_order._move` is the loops' x - step * (grad / g), bit for bit."""
+
+    # subnormals, signed zeros and extremes, so that quotients and products
+    # overflow to inf or underflow to zero or a subnormal
+    SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+               1e308, -1e308, 1.7976931348623157e308, 1e-300, -1e-300, 1.0, -1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
+    def test_bitwise_numpy_update(self, dim):
+        rng = np.random.default_rng(1300 + dim)
+        shape = (2000, 2 * dim + 2)  # x, grad, g and step per row
+        # magnitudes over the whole exponent range, a third of them special
+        draws = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 307, shape)
+        special = rng.random(draws.shape) < 1 / 3
+        draws[special] = rng.choice(self.SPECIAL, special.sum())
+        seen = set()
+        with np.errstate(all="ignore"):
+            for row in draws:
+                x, grad = row[:dim], row[dim:2 * dim]
+                # as at the update: g finite and > 0, step a Python float >= 0
+                g, step = abs(float(row[-2])) or 5e-324, abs(float(row[-1]))
+                want = x - step * (grad / g)
+                got = first_order._move(x.tolist(), step, grad.tolist(), g)
+                assert got.dtype == np.float64 and got.shape == (dim,)
+                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+                seen.update(("-0.0" if v == 0.0 and math.copysign(1.0, v) < 0 else
+                             "inf" if math.isinf(v) else "nan" if math.isnan(v) else
+                             "subnormal" if 0.0 < abs(v) < 2.2250738585072014e-308 else "")
+                            for v in got.tolist())
+        assert {"-0.0", "inf", "nan", "subnormal"} <= seen  # the edge cases were drawn
