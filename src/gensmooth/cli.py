@@ -283,7 +283,10 @@ def _resolve_params(f: Objective, l0: float | None, l1: float | None) -> Smoothn
 def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
                    budget: int, grad_tol: float) -> Trace:
     """The method's trace.  A diverging run overflows to inf and nan in numpy
-    arithmetic, which the trace records; numpy's warnings for it are muted."""
+    arithmetic, which the trace records; numpy's warnings for it are muted.
+    Only `gd` stops at `grad_tol`; a positive one is an error for the rest."""
+    if grad_tol > 0 and method.kind != "gd":
+        raise ValueError(f"grad_tol applies only to gd, not {method.kind}")
     with np.errstate(over="ignore", invalid="ignore"):
         if method.kind == "gd":
             params = None
@@ -354,10 +357,6 @@ def run_experiment(cfg: RunConfig) -> RunReport:
     )
 
 
-def _fig_l0(p: float, l1: float) -> float:
-    return ((p - 2.0) / l1) ** (p - 2.0)
-
-
 # Figure presets, one row per run: (file stem, label, problem spec, method
 # spec, radius); every run starts at radius*e1 with a budget of 10^5.
 #   fig1: p in {4,6,8} on (1/p)||x||^p, R = 10, l1 = 1; all four gradient
@@ -384,7 +383,7 @@ PRESETS = {
     ],
     "fig2": [
         (f"fig2_p{p}_l1_{l1}", f"fig2 p={p} l1={l1}", f"power_norm:d=2,p={p},l1=1",
-         f"gd:rule=optimal,l0={_fig_l0(p, l1):.17g},l1={l1}", 10.0)
+         f"gd:rule=optimal,l0={power_norm(2, p, l1).params.l0:.17g},l1={l1}", 10.0)
         for p in (4, 6, 8)
         for l1 in (1, 2, 4, 8, 16)
     ],
@@ -393,7 +392,7 @@ PRESETS = {
         for r in (5, 100, 500)
         for name, method in (
             ("gd_optimal", "gd:rule=optimal"),
-            ("two_stage", f"two_stage:l={4 * _fig_l0(6, 1):g}"),
+            ("two_stage", f"two_stage:l={4 * power_norm(2, 6, 1).params.l0:g}"),
         )
     ],
 }

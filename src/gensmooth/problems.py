@@ -31,9 +31,9 @@ class Objective:
     known analytically, otherwise left None.
 
     `value_grad(x)` returns `(value(x), gradient(x))`, bit for bit.  A
-    builder passes `kernel=(value, gradient, fused)`, where `fused` shares
-    the work of the two; it serves only while `value` and `gradient` are
-    still those callables.  Without a kernel, or once either callable is
+    builder writes `value` and a fused `value_grad`; `_fused` adds
+    `gradient(x) = value_grad(x)[1]` and the kernel, used only while `value`
+    and `gradient` are those callables: without a kernel, or once either is
     swapped (say by `dataclasses.replace`), `value_grad` makes the two calls.
     """
 
@@ -62,6 +62,14 @@ class Objective:
         if x.shape != (self.dim,):
             raise ValueError(f"expected a point of dimension {self.dim}, got shape {x.shape}")
         return x
+
+
+def _fused(value, value_grad) -> dict:
+    """Objective fields for a value and a fused value_grad: the gradient is the kernel's."""
+    def gradient(x):
+        return value_grad(x)[1]
+
+    return {"value": value, "gradient": gradient, "kernel": (value, gradient, value_grad)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,12 +148,6 @@ def power_norm(dim: int, p: float, l1: float) -> Objective:
     def value(x):
         return _pow(_norm(x), p) / p
 
-    def gradient(x):
-        r = _norm(x)
-        if r == 0.0:
-            return np.zeros(dim)
-        return np.multiply(_pow(r, p - 2), x)  # x may be a list
-
     def value_grad(x):
         r = _norm(x)
         grad = np.zeros(dim) if r == 0.0 else np.multiply(_pow(r, p - 2), x)
@@ -162,14 +164,12 @@ def power_norm(dim: int, p: float, l1: float) -> Objective:
     l0 = ((p - 2) / l1) ** (p - 2)
     return Objective(
         dim=dim,
-        value=value,
-        gradient=gradient,
+        **_fused(value, value_grad),
         hessian=hessian,
         f_star=0.0,
         x_star=np.zeros(dim),
         params=SmoothnessParams(l0, l1),
         name=f"power_norm(d={dim},p={p},l1={l1})",
-        kernel=(value, gradient, value_grad),
     )
 
 
@@ -192,9 +192,6 @@ def logistic_1d(l1: float = 0.0) -> Objective:
     def value(x):
         return float(np.logaddexp(0.0, x[0]))
 
-    def gradient(x):
-        return np.array([_sigmoid(x[0])])
-
     def value_grad(x):
         t = x[0]
         return float(np.logaddexp(0.0, t)), np.array([_sigmoid(t)])
@@ -205,12 +202,10 @@ def logistic_1d(l1: float = 0.0) -> Objective:
 
     return Objective(
         dim=1,
-        value=value,
-        gradient=gradient,
+        **_fused(value, value_grad),
         hessian=hessian,
         params=SmoothnessParams(0.25 * (1.0 - l1) ** 2, l1),
         name=f"logistic(l1={l1})",
-        kernel=(value, gradient, value_grad),
     )
 
 
@@ -227,9 +222,6 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
     def value(x):
         return float(np.logaddexp(0.0, float(a @ x) + b))
 
-    def gradient(x):
-        return _sigmoid(float(a @ x) + b) * a
-
     def value_grad(x):
         t = float(a @ x) + b
         return float(np.logaddexp(0.0, t)), _sigmoid(t) * a
@@ -240,12 +232,10 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
 
     return Objective(
         dim=a.size,
-        value=value,
-        gradient=gradient,
+        **_fused(value, value_grad),
         hessian=hessian,
         params=SmoothnessParams(0.25 * (norm_a - l1) ** 2, l1),
         name=f"affine_logistic(|a|={norm_a:g},b={b},l1={l1})",
-        kernel=(value, gradient, value_grad),
     )
 
 
@@ -256,17 +246,13 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
         raise ValueError("l1 must be positive (use a quadratic for l1 = 0)")
     if params.l0 <= 0:
         raise ValueError("l0 must be positive")
+    if dim < 1:
+        raise ValueError("dim must be positive")
     l0, l1 = params.l0, params.l1
 
     def value(x):
         r = _norm(x)
         return float(l0 / l1**2 * (math.expm1(l1 * r) - l1 * r))
-
-    def gradient(x):
-        r = _norm(x)
-        if r == 0.0:
-            return np.zeros(dim)
-        return np.multiply((l0 / l1) * math.expm1(l1 * r), x) / r  # x may be a list
 
     def value_grad(x):
         r = _norm(x)
@@ -286,14 +272,12 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
 
     return Objective(
         dim=dim,
-        value=value,
-        gradient=gradient,
+        **_fused(value, value_grad),
         hessian=hessian,
         f_star=0.0,
         x_star=np.zeros(dim),
         params=params,
         name=f"exp_phi(d={dim},l0={l0},l1={l1})",
-        kernel=(value, gradient, value_grad),
     )
 
 
@@ -322,9 +306,6 @@ def sum_with_smooth(
     def value(x):
         return f.value(x) + g.value(x)
 
-    def gradient(x):
-        return f.gradient(x) + g.gradient(x)
-
     def value_grad(x):
         (fv, fg), (gv, gg) = f.value_grad(x), g.value_grad(x)
         return fv + gv, fg + gg
@@ -337,13 +318,11 @@ def sum_with_smooth(
     )
     return Objective(
         dim=f.dim,
-        value=value,
-        gradient=gradient,
+        **_fused(value, value_grad),
         hessian=hessian if have_hessians else None,
         params=params,
         convex=f.convex and g_convex,
         name=f"sum({f.name},{g.name})",
-        kernel=(value, gradient, value_grad),
     )
 
 
@@ -364,9 +343,6 @@ def separable_sum(parts: list[Objective]) -> Objective:
 
     def value(x):
         return float(sum(p.value(x[b]) for p, b in blocks))
-
-    def gradient(x):
-        return np.concatenate([p.gradient(x[b]) for p, b in blocks])
 
     def value_grad(x):
         pairs = [p.value_grad(x[b]) for p, b in blocks]
@@ -390,15 +366,13 @@ def separable_sum(parts: list[Objective]) -> Objective:
     )
     return Objective(
         dim=total,
-        value=value,
-        gradient=gradient,
+        **_fused(value, value_grad),
         hessian=hessian if have_hessians else None,
         f_star=f_star,
         x_star=x_star,
         params=params,
         convex=all(p.convex for p in parts),
         name=f"separable[{','.join(p.name for p in parts)}]",
-        kernel=(value, gradient, value_grad),
     )
 
 
@@ -414,9 +388,6 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
         coords = np.asarray(x, dtype=float).tolist()
         return sum([_pow(math.sqrt(t * t), p) / p for t in coords])
 
-    def gradient(x):
-        return value_grad(x)[1]
-
     def value_grad(x):
         terms, grad = [], []
         for t in np.asarray(x, dtype=float).tolist():
@@ -427,10 +398,8 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
 
     return replace(
         separable_sum([power_norm(1, p, l1) for _ in range(dim)]),
-        value=value,
-        gradient=gradient,
+        **_fused(value, value_grad),
         name=f"separable_pnorm(d={dim},p={p},l1={l1})",
-        kernel=(value, gradient, value_grad),
     )
 
 

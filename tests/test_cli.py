@@ -56,6 +56,11 @@ class TestParseProblem:
         f = parse_problem("separable_pnorm:d=3,p=4,l1=1")
         assert f.dim == 3
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_exp_phi_dim_must_be_positive(self, d):
+        with pytest.raises(SpecError, match="dim must be positive"):
+            parse_problem(f"exp_phi:d={d},l0=1,l1=1")
+
     def test_out_of_range_value(self):
         with pytest.raises(SpecError, match="p must exceed 2"):
             parse_problem("power_norm:d=2,p=2,l1=1")
@@ -939,6 +944,30 @@ class TestMainEntry:
                      "--out", "/tmp/never.csv"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "certify"])
+    def test_exp_phi_without_dimension_exits_2(self, command, tmp_path, capsys):
+        """d=0 is one `error:` line, not an IndexError or a division by zero."""
+        args = {"run": ["--method", "gd:rule=optimal", "--radius", "1",
+                        "--out", str(tmp_path / "never.csv")], "certify": []}[command]
+        code = main([command, "--problem", "exp_phi:d=0,l0=1,l1=1", *args])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: bad spec 'exp_phi:d=0,l0=1,l1=1' at position 0: "
+                           "dim must be positive\n")
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("method", ["ngd:r_hat=5,schedule=sqrt", "agmsdr:", "two_stage:"])
+    def test_grad_tol_only_for_gd(self, method, tmp_path, capsys):
+        """A gradient tolerance that the method would not honor is an error."""
+        code = main(["run", "--problem", "logistic:l1=0", "--method", method,
+                     "--radius", "1", "--budget", "200", "--grad-tol", "0.5",
+                     "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        kind = method.partition(":")[0]
+        assert capsys.readouterr().err == f"error: grad_tol applies only to gd, not {kind}\n"
+        assert not (tmp_path / "never.csv").exists()
 
     def test_run_overflow_exits_2(self, tmp_path, capsys):
         """An OverflowError inside the accelerated line search is a clean error."""

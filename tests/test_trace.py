@@ -27,10 +27,13 @@ from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import (
     Objective,
     _norm,
+    affine_logistic,
     exp_phi,
     logistic_1d,
     power_norm,
     separable_pnorm,
+    separable_sum,
+    sum_with_smooth,
 )
 
 
@@ -277,10 +280,20 @@ def _same_pair(got, want):
     assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
 
 
+# the combinators, which no shipped spec builds
+COMBINATORS = {
+    "sum_with_smooth": lambda: sum_with_smooth(
+        power_norm(2, 4, 1.0), affine_logistic(np.array([3.0, 0.0]), 0.5, 1.0),
+        g_lip_grad=2.25, g_lip_val=3.0),
+    "separable_sum": lambda: separable_sum(
+        [power_norm(2, 6, 1.0), logistic_1d(0.5), exp_phi(1, SmoothnessParams(1.0, 1.0))]),
+}
+
+
 class TestValueGrad:
-    @pytest.mark.parametrize("spec", SHIPPED_FOR_VERIFY)
+    @pytest.mark.parametrize("spec", SHIPPED_FOR_VERIFY + tuple(COMBINATORS))
     def test_bitwise_equal_to_two_calls(self, spec):
-        f = parse_problem(spec)
+        f = COMBINATORS[spec]() if spec in COMBINATORS else parse_problem(spec)
         rng = np.random.default_rng(11)
         points = [rng.standard_normal(f.dim) * s for s in (0.1, 1.0, 5.0, 30.0)]
         points += [np.zeros(f.dim), np.zeros(f.dim).tolist(), (points[1]).tolist()]
