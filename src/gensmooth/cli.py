@@ -284,7 +284,9 @@ def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
                    budget: int, grad_tol: float) -> Trace:
     """The method's trace.  A diverging run overflows to inf and nan in numpy
     arithmetic, which the trace records; numpy's warnings for it are muted.
-    Only `gd` stops at `grad_tol`; a positive one is an error for the rest."""
+    Only `gd` stops at `grad_tol` (>= 0); a positive one is an error for the rest."""
+    if not grad_tol >= 0:
+        raise ValueError(f"grad_tol must be nonnegative, got {grad_tol}")
     if grad_tol > 0 and method.kind != "gd":
         raise ValueError(f"grad_tol applies only to gd, not {method.kind}")
     with np.errstate(over="ignore", invalid="ignore"):

@@ -7,8 +7,8 @@ The curvature model used throughout this package is
 and the tight growth envelopes it implies are all built from the kernel
 exp(t) - t - 1, its convex conjugate, and the progress function
 g^2 / (2*l0 + 3*l1*g).  Every function here accepts a float or a numpy
-array and is limit-safe near zero (series branches instead of raw
-cancellation-prone formulas).
+array and is limit-safe near zero: the closed form runs over the whole
+array, then a series overwrites the entries where it cancels.
 """
 
 from __future__ import annotations
@@ -54,11 +54,12 @@ def _as_input_kind(arr: np.ndarray, like) -> float | np.ndarray:
 def phi(t):
     """exp(t) - t - 1 for t >= 0, series-evaluated below the cancellation cutoff."""
     arr = _validated(t, "t")
+    out = np.expm1(arr, out=np.empty_like(arr))
+    out -= arr
     small = arr < _SERIES_CUTOFF
-    out = np.empty_like(arr)
-    ts = arr[small]
-    out[small] = ts * ts * (0.5 + ts * (1.0 / 6.0 + ts / 24.0))
-    out[~small] = np.expm1(arr[~small]) - arr[~small]
+    if small.any():
+        ts = arr[small]
+        out[small] = ts * ts * (0.5 + ts * (1.0 / 6.0 + ts / 24.0))
     return _as_input_kind(out, t)
 
 
@@ -68,13 +69,14 @@ def phi_star(g):
     Satisfies g^2/(2+g) <= phi_star(g) <= g^2/2.
     """
     arr = _validated(g, "g")
+    out = np.log1p(arr, out=np.empty_like(arr))
+    out *= 1.0 + arr
+    out -= arr
     small = arr < _SERIES_CUTOFF
-    out = np.empty_like(arr)
-    gs = arr[small]
-    # alternating series g^2/2 - g^3/6 + g^4/12, truncation < g^5/20
-    out[small] = gs * gs * (0.5 + gs * (-1.0 / 6.0 + gs / 12.0))
-    gl = arr[~small]
-    out[~small] = (1.0 + gl) * np.log1p(gl) - gl
+    if small.any():
+        gs = arr[small]
+        # alternating series g^2/2 - g^3/6 + g^4/12, truncation < g^5/20
+        out[small] = gs * gs * (0.5 + gs * (-1.0 / 6.0 + gs / 12.0))
     return _as_input_kind(out, g)
 
 

@@ -13,6 +13,7 @@ constants that are too small (the negative controls in the test suite).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -111,6 +112,14 @@ def _pow(r: float, e: float) -> float:
         return math.inf
 
 
+@functools.lru_cache(maxsize=8)
+def _eye(dim: int) -> np.ndarray:
+    """A read-only identity, built on a Hessian's first call, never by a builder."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] @ b[i] for each row of two 2-D float64 arrays.  A stack of
     (1, d) @ (d, 1) products runs matmul's vector-dot loop, the one BLAS dot
@@ -159,7 +168,7 @@ def power_norm(dim: int, p: float, l1: float) -> Objective:
             # 0/0 at the origin; the limit is the zero matrix for p > 2
             return np.zeros((dim, dim))
         u = np.divide(x, r)
-        return _pow(r, p - 2) * (np.eye(dim) + (p - 2) * np.outer(u, u))
+        return _pow(r, p - 2) * (_eye(dim) + (p - 2) * (u[:, None] * u))
 
     l0 = ((p - 2) / l1) ** (p - 2)
     return Objective(
@@ -218,6 +227,7 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
         raise ValueError("a must be nonzero")
     if not 0.0 <= l1 <= norm_a:
         raise ValueError(f"l1 must lie in [0, ||a||] = [0, {norm_a}]")
+    aa = np.outer(a, a)
 
     def value(x):
         return float(np.logaddexp(0.0, float(a @ x) + b))
@@ -228,7 +238,7 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
 
     def hessian(x):
         s = _sigmoid(float(a @ x) + b)
-        return s * (1.0 - s) * np.outer(a, a)
+        return s * (1.0 - s) * aa
 
     return Objective(
         dim=a.size,
@@ -264,11 +274,11 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
         r = _norm(x)
         if r == 0.0:
             # radial and tangential curvatures both tend to l0 at the origin
-            return l0 * np.eye(dim)
-        u = np.outer(x, x) / _pow(r, 2)
+            return l0 * _eye(dim)
+        u = np.multiply.outer(x, x) / _pow(r, 2)
         radial = l0 * math.exp(l1 * r)
         tangential = (l0 / l1) * math.expm1(l1 * r) / r
-        return radial * u + tangential * (np.eye(dim) - u)
+        return radial * u + tangential * (_eye(dim) - u)
 
     return Objective(
         dim=dim,
@@ -379,11 +389,14 @@ def separable_sum(parts: list[Objective]) -> Objective:
 def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
     """(1/p) * sum_i |x_i|^p, the separable composition of 1-D power terms.
 
-    The Hessian, constants and optimum are those of `separable_sum` over
-    one-dimensional `power_norm`s.  Value and gradient run one loop over
-    the coordinates that does each term's arithmetic, bit for bit: the
-    norm of a one-entry block is sqrt(t*t), its one-element dot.
+    The constants and optimum are those of `separable_sum` over 1-D
+    `power_norm`s.  Value, gradient and the diagonal Hessian each run one
+    loop over the coordinates that does each term's arithmetic, bit for
+    bit: the norm of a one-entry block is sqrt(t*t), its one-element dot.
     """
+    if dim < 1:
+        raise ValueError("dim must be positive")
+
     def value(x):
         coords = np.asarray(x, dtype=float).tolist()
         return sum([_pow(math.sqrt(t * t), p) / p for t in coords])
@@ -396,9 +409,17 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
             grad.append(0.0 if r == 0.0 else _pow(r, p - 2) * t)  # +0.0 at t = -0.0
         return sum(terms), np.array(grad)
 
+    def hessian(x):
+        diag = []
+        for t in np.asarray(x, dtype=float).tolist():
+            r = math.sqrt(t * t)
+            u = t / r if r else 0.0  # +0.0 at r = 0, where _pow(r, p - 2) is +0.0
+            diag.append(_pow(r, p - 2) * (1.0 + (p - 2) * (u * u)))
+        return np.diag(diag)
+
     return replace(
         separable_sum([power_norm(1, p, l1) for _ in range(dim)]),
-        **_fused(value, value_grad),
+        **_fused(value, value_grad), hessian=hessian,
         name=f"separable_pnorm(d={dim},p={p},l1={l1})",
     )
 

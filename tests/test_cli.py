@@ -61,6 +61,12 @@ class TestParseProblem:
         with pytest.raises(SpecError, match="dim must be positive"):
             parse_problem(f"exp_phi:d={d},l0=1,l1=1")
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_separable_pnorm_dim_must_be_positive(self, d):
+        """Its own message, not separable_sum's "parts must be nonempty"."""
+        with pytest.raises(SpecError, match=r"at position 0: dim must be positive$"):
+            parse_problem(f"separable_pnorm:d={d},p=4,l1=1")
+
     def test_out_of_range_value(self):
         with pytest.raises(SpecError, match="p must exceed 2"):
             parse_problem("power_norm:d=2,p=2,l1=1")
@@ -967,6 +973,26 @@ class TestMainEntry:
         assert code == 2
         kind = method.partition(":")[0]
         assert capsys.readouterr().err == f"error: grad_tol applies only to gd, not {kind}\n"
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_separable_pnorm_without_dimension_exits_2(self, capsys):
+        code = main(["certify", "--problem", "separable_pnorm:d=0,p=4,l1=1"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: bad spec 'separable_pnorm:d=0,p=4,l1=1' at position 0: "
+                           "dim must be positive\n")
+
+    @pytest.mark.parametrize("grad_tol", ["nan", "-1", "-0.5"])
+    @pytest.mark.parametrize("method", ["gd:rule=optimal", "ngd:r_hat=5,schedule=sqrt"])
+    def test_grad_tol_must_be_nonnegative(self, method, grad_tol, tmp_path, capsys):
+        """A tolerance that `g <= grad_tol` can never meet is an error, not ignored."""
+        code = main(["run", "--problem", "logistic:l1=0", "--method", method,
+                     "--radius", "1", "--budget", "200", "--grad-tol", grad_tol,
+                     "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: grad_tol must be nonnegative, got {float(grad_tol)}\n")
         assert not (tmp_path / "never.csv").exists()
 
     def test_run_overflow_exits_2(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gensmooth.kernels import (
+    _SERIES_CUTOFF,
     SmoothnessParams,
     phi,
     phi_star,
@@ -155,3 +156,68 @@ class TestConjugacy:
             t = np.linspace(0.0, math.log1p(g) + 0.5, 40001)
             grid_max = float(np.max(g * t - phi(t)))
             assert abs(float(phi_star(g)) - grid_max) < 1e-6
+
+
+def masked_phi(t):
+    """phi as two masked evaluations, series below the cutoff and closed form above."""
+    arr = np.asarray(t, dtype=float)
+    small = arr < _SERIES_CUTOFF
+    out = np.empty_like(arr)
+    ts = arr[small]
+    out[small] = ts * ts * (0.5 + ts * (1.0 / 6.0 + ts / 24.0))
+    out[~small] = np.expm1(arr[~small]) - arr[~small]
+    return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+
+
+def masked_phi_star(g):
+    """phi_star as two masked evaluations, like masked_phi."""
+    arr = np.asarray(g, dtype=float)
+    small = arr < _SERIES_CUTOFF
+    out = np.empty_like(arr)
+    gs = arr[small]
+    out[small] = gs * gs * (0.5 + gs * (-1.0 / 6.0 + gs / 12.0))
+    gl = arr[~small]
+    out[~small] = (1.0 + gl) * np.log1p(gl) - gl
+    return float(out) if np.isscalar(g) or np.ndim(g) == 0 else out
+
+
+# The cutoff and its neighbours, subnormals and the smallest normal, ordinary
+# values, and values past expm1's overflow near 709.78.
+EDGES = (0.0, -0.0, _SERIES_CUTOFF, float(np.nextafter(_SERIES_CUTOFF, 0.0)),
+         float(np.nextafter(_SERIES_CUTOFF, 1.0)), 5e-324, 1e-310, 2.2250738585072014e-308,
+         1e-200, 1e-8, 1e-3, 0.5, 1.0, 30.0, 709.78, 709.8, 710.0, 1e3, 1e300,
+         1.7976931348623157e308)
+
+
+def kernel_inputs():
+    rng = np.random.default_rng(5)
+    edges = np.array(EDGES)
+    out = [*EDGES, 0, 1, 3, 800, True, np.float64(1e-6), np.array(2e-5), np.array(0.0),
+           [1e-6], [0, 1e-7, 2.0], list(EDGES), edges, edges.reshape(4, 5), edges[::3],
+           np.array([]), np.array([1e-6]), np.array([4.0])]
+    for n in (1, 7, 33, 1000):
+        out += [3.0 * rng.random(n), 2.0 * _SERIES_CUTOFF * rng.random(n),
+                10.0 ** rng.uniform(-320, 2.9, n)]
+    return out
+
+
+@pytest.mark.parametrize("kernel,reference", [(phi, masked_phi), (phi_star, masked_phi_star)],
+                         ids=["phi", "phi_star"])
+def test_one_pass_matches_masked_form_bit_for_bit(kernel, reference):
+    """The whole-array closed form with the series written over the small
+    entries gives the bits, the shape and the return type of the masked form."""
+    for x in kernel_inputs():
+        with np.errstate(over="ignore"):
+            got, want = kernel(x), reference(x)
+        assert type(got) is type(want), repr(x)
+        assert np.shape(got) == np.shape(want), repr(x)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), repr(x)
+
+
+@pytest.mark.parametrize("kernel", [phi, phi_star], ids=["phi", "phi_star"])
+def test_one_pass_does_not_write_into_its_input(kernel):
+    x = np.array(EDGES)
+    before = x.tobytes()
+    with np.errstate(over="ignore"):
+        kernel(x)
+    assert x.tobytes() == before

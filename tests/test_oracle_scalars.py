@@ -2,8 +2,9 @@
 
 The reference below is the numpy-scalar form of the same oracles: `_norm`
 as np.sqrt of the dot (np.linalg.norm for other inputs), every power of a
-norm as numpy's scalar `**`, and separable_pnorm as separable_sum over
-one-dimensional power terms.  Values, gradients, value_grad and Hessians
+norm as numpy's scalar `**`, every outer product as np.outer on each call,
+and separable_pnorm as separable_sum over one-dimensional power terms.
+The logistic references keep the oracles' math.exp sigmoid.  Values, gradients, value_grad and Hessians
 must agree in every bit, and raise the same exceptions, at seeded points of
 scale 1e-170 to 1e300 and at signed zeros, subnormals, infinities, nan and
 1.7e308, given as arrays and as lists.
@@ -20,7 +21,9 @@ from gensmooth.problems import (
     Objective,
     _norm,
     _pow,
+    affine_logistic,
     exp_phi,
+    logistic_1d,
     power_norm,
     separable_pnorm,
     separable_sum,
@@ -91,6 +94,52 @@ def ref_exp_phi(dim, params):
                      params=params, kernel=(value, gradient, value_grad))
 
 
+def ref_sigmoid(t):
+    if t >= 0:
+        return 1.0 / (1.0 + math.exp(-t))
+    e = math.exp(t)
+    return e / (1.0 + e)
+
+
+def ref_affine_logistic(a, b, l1):
+    a = np.asarray(a, dtype=float)
+
+    def value(x):
+        return float(np.logaddexp(0.0, float(a @ x) + b))
+
+    def gradient(x):
+        return ref_sigmoid(float(a @ x) + b) * a
+
+    def value_grad(x):
+        t = float(a @ x) + b
+        return float(np.logaddexp(0.0, t)), ref_sigmoid(t) * a
+
+    def hessian(x):
+        s = ref_sigmoid(float(a @ x) + b)
+        return s * (1.0 - s) * np.outer(a, a)
+
+    return Objective(dim=a.size, value=value, gradient=gradient, hessian=hessian,
+                     params=SmoothnessParams(1.0, l1), kernel=(value, gradient, value_grad))
+
+
+def ref_logistic(l1):
+    def value(x):
+        return float(np.logaddexp(0.0, x[0]))
+
+    def gradient(x):
+        return np.array([ref_sigmoid(x[0])])
+
+    def value_grad(x):
+        return value(x), gradient(x)
+
+    def hessian(x):
+        s = ref_sigmoid(x[0])
+        return s * (1.0 - s) * np.outer([1.0], [1.0])
+
+    return Objective(dim=1, value=value, gradient=gradient, hessian=hessian,
+                     params=SmoothnessParams(1.0, l1), kernel=(value, gradient, value_grad))
+
+
 def ref_separable_pnorm(dim, p, l1):
     return separable_sum([ref_power_norm(1, p, l1) for _ in range(dim)])
 
@@ -138,6 +187,7 @@ def mismatches(new, ref, dim, seed):
     return bad
 
 
+AFFINE_A = np.array([3.0, -4.0, 1.5])
 PAIRS = {
     "power_norm_p4": (lambda d: power_norm(d, 4.0, 1.0), lambda d: ref_power_norm(d, 4.0, 1.0)),
     "power_norm_p8_int": (lambda d: power_norm(d, 8, 1), lambda d: ref_power_norm(d, 8, 1)),
@@ -152,6 +202,10 @@ PAIRS = {
                                lambda d: ref_separable_pnorm(d, 6, 1)),
     "separable_pnorm_p3.5": (lambda d: separable_pnorm(d, 3.5, 2.0),
                              lambda d: ref_separable_pnorm(d, 3.5, 2.0)),
+    "affine_logistic": (lambda d: affine_logistic(AFFINE_A[:d], 0.25, 1.0),
+                        lambda d: ref_affine_logistic(AFFINE_A[:d], 0.25, 1.0)),
+    # one-dimensional whatever `dim` is: each dim is one more seed of points
+    "logistic": (lambda d: logistic_1d(0.5), lambda d: ref_logistic(0.5)),
 }
 
 
@@ -159,8 +213,22 @@ PAIRS = {
 @pytest.mark.parametrize("name", sorted(PAIRS))
 def test_oracles_match_numpy_scalar_reference(name, dim):
     make, make_ref = PAIRS[name]
-    bad = mismatches(make(dim), make_ref(dim), dim, seed=dim)
+    new = make(dim)
+    bad = mismatches(new, make_ref(dim), new.dim, seed=dim)
     assert not bad, f"{len(bad)} mismatches, first: {bad[0]}"
+
+
+@pytest.mark.parametrize("p", [3.5, 4.0, 6])
+def test_separable_pnorm_hessian_matches_blocks_at_log_uniform_scales(p):
+    """Entries from 1e-320 to 1e300, denser where t*t is subnormal: there
+    sqrt(t*t) != |t| and t/r != +-1, so the diagonal's rounding shows."""
+    rng = np.random.default_rng(20)
+    entries = np.concatenate([10.0 ** rng.uniform(-320, 300, 3000),
+                              10.0 ** rng.uniform(-165, -153, 3000)])
+    entries *= rng.choice([-1.0, 1.0], entries.size)
+    new, ref = separable_pnorm(3, p, 1.0), ref_separable_pnorm(3, p, 1.0)
+    for x in entries.reshape(-1, 3):
+        assert outcome(new.hessian, x) == outcome(ref.hessian, x), x.tolist()
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 7])

@@ -1,6 +1,7 @@
 """Objective constructors: constants, oracles, combinators, certification."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import (
     Objective,
+    _eye,
     _norm,
     affine_logistic,
     certify_smoothness,
@@ -335,6 +337,42 @@ def test_oracles_accept_lists(f):
         assert f.value(as_list) == f.value(x)
         np.testing.assert_array_equal(f.gradient(as_list), f.gradient(x))
         np.testing.assert_array_equal(f.hessian(as_list), f.hessian(x))
+
+
+class TestHessianBuffers:
+    """A Hessian shares the cached identity and a precomputed outer product
+    with no caller, and no builder allocates a d x d matrix."""
+
+    @pytest.mark.parametrize(
+        "build", [lambda: power_norm(10**4, 4, 1), lambda: exp_phi(10**4, SmoothnessParams(1, 1))],
+        ids=["power_norm", "exp_phi"],
+    )
+    def test_large_dimension_builds_and_runs_without_a_dense_matrix(self, build):
+        tracemalloc.start()
+        try:
+            f = build()
+            x = np.full(f.dim, 1e-3)
+            f.value(x), f.gradient(x), f.value_grad(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "f",
+        [power_norm(3, 4, 1.0), exp_phi(3, SmoothnessParams(2.0, 0.5)), separable_pnorm(3, 6, 1.0),
+         affine_logistic(np.array([3.0, -4.0, 1.5]), 0.25, 1.0), logistic_1d(0.5)],
+        ids=["power_norm", "exp_phi", "separable_pnorm", "affine_logistic", "logistic"],
+    )
+    def test_writing_into_a_hessian_leaves_the_next_one(self, f):
+        for x in (np.zeros(f.dim), np.linspace(-1.0, 2.0, f.dim)):
+            first = f.hessian(x)
+            want = first.copy()
+            first += 7.0
+            assert f.hessian(x).tobytes() == want.tobytes()
+        eye = _eye(3)
+        assert not eye.flags.writeable
+        assert eye.tobytes() == np.eye(3).tobytes()
 
 
 class TestSpectralNorm:
