@@ -5,9 +5,7 @@ from .kernels import (
     SmoothnessParams,
     phi,
     phi_star,
-    phi_star_prime,
     psi,
-    psi_inverse,
 )
 from .problems import (
     CertificateReport,
@@ -18,7 +16,6 @@ from .problems import (
     logistic_1d,
     power_norm,
     separable_pnorm,
-    separable_sum,
     sum_with_smooth,
 )
 from .first_order import (
@@ -57,9 +54,7 @@ __all__ = [
     "SmoothnessParams",
     "phi",
     "phi_star",
-    "phi_star_prime",
     "psi",
-    "psi_inverse",
     "Objective",
     "CertificateReport",
     "power_norm",
@@ -67,7 +62,6 @@ __all__ = [
     "affine_logistic",
     "exp_phi",
     "sum_with_smooth",
-    "separable_sum",
     "separable_pnorm",
     "certify_smoothness",
     "StepRule",

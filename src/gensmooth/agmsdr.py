@@ -211,9 +211,8 @@ def agmsdr_run(
     arrival(math.nan, 0.0, math.nan, 0)
     last = np.arange(k + 1) == k  # the closing row has no iteration products
     missing = {"grad_norm": last, "f_y": last, "ls_evals": last}
-    cols = _columns(k + 1, f.dim, 2, f.f_star, missing, **rows)
-    return Trace(columns=cols, final_x=x, termination=termination, method="agmsdr",
-                 x_star=f.x_star)
+    cols = _columns(k + 1, 2, f.f_star, f.x_star, missing, **rows)
+    return Trace(columns=cols, final_x=x, termination=termination, method="agmsdr")
 
 
 def two_stage_run(
@@ -260,4 +259,4 @@ def two_stage_run(
     cols = {name: np.concatenate([getattr(stage1, name), getattr(stage2, name)])
             for name in ARRAYS}
     return Trace(columns=cols, final_x=stage2.final_x, termination=stage2.termination,
-                 method="two_stage", x_star=f.x_star)
+                 method="two_stage")

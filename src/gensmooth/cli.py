@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -544,6 +545,8 @@ def main(argv: list[str] | None = None) -> int:
         if flag:
             run_p.add_argument(flag, dest=field, type=kind, help=text)
     run_p.add_argument("--config", help="JSON file with RunConfig fields; flags override")
+    # "-1;2", "-inf" and "-1e-300" are values: -h is the one option of one dash
+    run_p._negative_number_matcher = re.compile(r"^-[^-]")
 
     preset_p = subs.add_parser("preset", help="run a figure preset")
     preset_p.add_argument("which", choices=tuple(PRESETS))

@@ -74,9 +74,10 @@ class IterRecord:
     iterate (eta*g for gradient rules, beta_k for normalized ones), zero
     when no step is defined.  `oracle_calls` is cumulative; for gradient
     methods it counts gradient evaluations, for the accelerated method
-    every value and gradient evaluation.  `dist_opt` is ||x - x_star|| and
-    `support_dist` is max(<grad, x - x_star>, 0)/||grad||, when x_star and
-    that gradient are known.
+    every value and gradient evaluation.  `dist_opt` is ||x - x_star||
+    where the objective's x_star is known, and `support_dist` is
+    max(<grad, x - x_star>, 0)/||grad|| where the row also has a nonzero
+    gradient at x (gradient methods only).
     """
 
     k: int
@@ -97,33 +98,32 @@ class IterRecord:
 
 # Trace columns, one entry per record, in IterRecord order.  The OPTIONAL
 # ones can be None on a row, which the trace's `missing` mask records, so a
-# None and a NaN stay apart; "G" marks a row with no gradient at its iterate.
+# None and a NaN stay apart.
 COLUMNS = ("k", "f_val", "f_gap", "grad_norm", "step_len", "oracle_calls", "stage",
-           "f_y", "a_capital", "zeta_star", "ls_evals")
-OPTIONAL = ("f_gap", "grad_norm", "f_y", "a_capital", "zeta_star", "ls_evals", "G")
-ARRAYS = (*COLUMNS, "X", "G", "missing")  # everything a trace holds per row
+           "support_dist", "dist_opt", "f_y", "a_capital", "zeta_star", "ls_evals")
+OPTIONAL = ("f_gap", "grad_norm", "support_dist", "dist_opt", "f_y", "a_capital",
+            "zeta_star", "ls_evals")
+ARRAYS = (*COLUMNS, "missing")  # everything a trace holds per row
 _INTS = ("k", "oracle_calls", "stage", "ls_evals")
 
 
 class Trace:
     """Full record of one run, stored by column.
 
-    Each name in COLUMNS is a numpy array with one entry per record; `X`
-    and `G` (n, d) hold each record's iterate and the gradient there, and
-    `missing` (n, len(OPTIONAL)) marks the entries that are None.  The
+    Each name in COLUMNS is a 1-D numpy array with one entry per record,
+    and `missing` (n, len(OPTIONAL)) marks the entries that are None.  The
     loops pass these arrays by name as `columns`.  `records` reads the rows
-    back as IterRecords, with distances to `x_star` derived from X and G.
+    back as IterRecords.
     """
 
-    def __init__(self, columns, final_x=None, termination=None, method="", *, x_star=None):
+    def __init__(self, columns, final_x=None, termination=None, method=""):
         if not len(columns["k"]):
             raise ValueError("a trace must contain at least the initial record")
         if termination not in TERMINATIONS:
             raise ValueError(f"unknown termination {termination!r}")
         for name in ARRAYS:
             setattr(self, name, columns[name])
-        self.final_x, self.termination, self.method, self.x_star = (
-            final_x, termination, method, x_star)
+        self.final_x, self.termination, self.method = final_x, termination, method
 
     def __len__(self) -> int:
         return len(self.k)
@@ -141,26 +141,6 @@ class Trace:
     @property
     def records(self) -> Records:
         return Records(self, range(len(self)))
-
-    def distances(self, rows=slice(None)):
-        """support_dist and dist_opt of each row (or of `rows`), each followed
-        by the mask of the rows where it is defined: dist_opt wherever x_star
-        is known, support_dist where the row also has a nonzero gradient.
-        An undefined entry holds NaN, and so does an entry whose arithmetic
-        overflows (a diverged row)."""
-        n = len(self.k[rows])
-        if self.x_star is None:
-            undefined = np.full(n, math.nan), np.zeros(n, dtype=bool)
-            return *undefined, *undefined
-        grad_norm = self.grad_norm[rows]
-        has = self.present("G", rows) & (grad_norm > 0)
-        support = np.full(n, math.nan)
-        with np.errstate(over="ignore", invalid="ignore"):
-            diff = self.X[rows] - self.x_star
-            dots = _row_dots(self.G[rows][has], diff[has])
-            # max(dot, 0.0) as Python takes it: a NaN or a -0.0 stays
-            support[has] = np.where(dots < 0.0, 0.0, dots) / grad_norm[has]
-            return support, has, _row_norms(diff), np.ones(n, dtype=bool)
 
 
 def _none_where(values: list, present: np.ndarray) -> list:
@@ -202,32 +182,39 @@ class Records(Sequence):
         # the same rows as a basic slice, a view of each column (a stop of
         # -1 after a negative step means "through row 0")
         rows = slice(rows.start, None if rows.stop < 0 else rows.stop, rows.step)
-        cols = [self._trace.column(name, rows) for name in COLUMNS]
-        support, has_support, dist, has_dist = self._trace.distances(rows)
-        fields = zip(*cols[:7], _none_where(support.tolist(), has_support),
-                     _none_where(dist.tolist(), has_dist), *cols[7:])  # IterRecord order
-        return list(starmap(IterRecord, fields))
+        columns = [self._trace.column(name, rows) for name in COLUMNS]
+        return list(starmap(IterRecord, zip(*columns)))
 
 
-def _columns(n: int, dim: int, stage: int, f_star: float | None, missing: dict,
-             **written) -> dict:
+def _columns(n: int, stage: int, f_star: float | None, x_star: np.ndarray | None,
+             missing: dict, **written) -> dict:
     """Every array a Trace holds for n rows, from the columns a loop
-    `written` (array.array buffers or numpy arrays; "X" and "G" row-major,
-    `dim` wide).  k counts the rows, f_gap is f_val - f_star, and a column
-    not written is missing on every row; `missing` maps the other OPTIONAL
-    names to their missing rows (a bool or a bool array)."""
+    `written` (array.array buffers or numpy arrays).  k counts the rows,
+    f_gap is f_val - f_star, and a column not written is missing on every
+    row; `missing` maps the other OPTIONAL names to their missing rows (a
+    bool or a bool array).  The iterates "X" and gradients "G" (row-major,
+    not kept) give dist_opt where x_star is known, X turned into x - x_star
+    in place, and support_dist where a row also has a nonzero gradient
+    norm; an overflow (a diverged row) gives NaN."""
+    X, G = written.pop("X", None), written.pop("G", None)
     cols = {name: np.asarray(v) for name, v in written.items()}
-    for name in ("X", "G"):
-        if name in cols:
-            cols[name] = cols[name].reshape(n, dim)
     cols.update(k=np.arange(n), stage=np.full(n, stage, dtype=np.int8),
                 f_gap=cols["f_val"] - (math.nan if f_star is None else f_star))
     missing["f_gap"] = f_star is None
+    if x_star is not None:
+        diff = np.asarray(X).reshape(n, len(x_star))
+        with np.errstate(all="ignore"):
+            diff -= x_star
+            cols["dist_opt"] = _row_norms(diff)
+            if G is not None:
+                dots = _row_dots(np.asarray(G).reshape(diff.shape), diff)
+                # max(dot, 0.0) as Python takes it: a NaN or a -0.0 stays
+                cols["support_dist"] = np.where(dots < 0.0, 0.0, dots) / cols["grad_norm"]
+                missing["support_dist"] = ~(cols["grad_norm"] > 0)
     mask = np.zeros((n, len(OPTIONAL)), dtype=bool)
     for j, name in enumerate(OPTIONAL):
         if name not in cols:
-            cols[name] = (np.broadcast_to(math.nan, (n, dim)) if name == "G"
-                          else np.full(n, 0 if name in _INTS else math.nan))
+            cols[name] = np.full(n, 0 if name in _INTS else math.nan)
             missing[name] = True
         mask[:, j] = missing.get(name, False)
     return dict(cols, missing=mask)
@@ -338,10 +325,9 @@ def _descent(
         k += 1
 
     n = k + 1
-    cols = _columns(n, f.dim, 1, f_star, {}, f_val=F, grad_norm=N, step_len=S, X=X, G=G,
+    cols = _columns(n, 1, f_star, f.x_star, {}, f_val=F, grad_norm=N, step_len=S, X=X, G=G,
                     oracle_calls=np.arange(1, n + 1))
-    return Trace(columns=cols, final_x=x, termination=termination, method=method,
-                 x_star=f.x_star)
+    return Trace(columns=cols, final_x=x, termination=termination, method=method)
 
 
 def gd_run(

@@ -80,15 +80,6 @@ def phi_star(g):
     return _as_input_kind(out, g)
 
 
-def phi_star_prime(g):
-    """Derivative of the conjugate, ln(1+g); inverts phi' on the nonnegative axis.
-
-    Bracketed by 2g/(2+g) <= ln(1+g) <= g.
-    """
-    arr = _validated(g, "g")
-    return _as_input_kind(np.log1p(arr), g)
-
-
 def psi(g, p: SmoothnessParams):
     """Progress function g^2 / (2*l0 + 3*l1*g), strictly increasing for g > 0.
 
@@ -101,16 +92,4 @@ def psi(g, p: SmoothnessParams):
     pos = arr > 0
     out[pos] = arr[pos] * arr[pos] / denom[pos]
     return _as_input_kind(out, g)
-
-
-def psi_inverse(t, p: SmoothnessParams):
-    """Inverse of psi: the unique g >= 0 with psi(g) = t.
-
-    Closed form from the quadratic g^2 - 3*l1*t*g - 2*l0*t = 0; both terms
-    of the positive root are nonnegative, so no cancellation.
-    """
-    arr = _validated(t, "t")
-    b = 3.0 * p.l1 * arr
-    out = 0.5 * (b + np.sqrt(b * b + 8.0 * p.l0 * arr))
-    return _as_input_kind(out, t)
 

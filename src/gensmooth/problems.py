@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -336,63 +336,13 @@ def sum_with_smooth(
     )
 
 
-def separable_sum(parts: list[Objective]) -> Objective:
-    """Block objective sum_i f_i(x_i) on the concatenated space.
-
-    Curvature constants combine as the componentwise maximum.
-    """
-    if not parts:
-        raise ValueError("parts must be nonempty")
-    if any(p.params is None for p in parts):
-        raise ValueError("every part must carry smoothness constants")
-    blocks, total = [], 0
-    for p in parts:
-        blocks.append((p, slice(total, total + p.dim)))
-        total += p.dim
-    have_hessians = all(p.hessian is not None for p in parts)
-
-    def value(x):
-        return float(sum(p.value(x[b]) for p, b in blocks))
-
-    def value_grad(x):
-        pairs = [p.value_grad(x[b]) for p, b in blocks]
-        return float(sum(v for v, _ in pairs)), np.concatenate([g for _, g in pairs])
-
-    def hessian(x):
-        out = np.zeros((total, total))
-        for p, b in blocks:
-            out[b, b] = p.hessian(x[b])
-        return out
-
-    f_star = None
-    if all(p.f_star is not None for p in parts):
-        f_star = float(sum(p.f_star for p in parts))
-    x_star = None
-    if all(p.x_star is not None for p in parts):
-        x_star = np.concatenate([p.x_star for p in parts])
-
-    params = SmoothnessParams(
-        max(p.params.l0 for p in parts), max(p.params.l1 for p in parts)
-    )
-    return Objective(
-        dim=total,
-        **_fused(value, value_grad),
-        hessian=hessian if have_hessians else None,
-        f_star=f_star,
-        x_star=x_star,
-        params=params,
-        convex=all(p.convex for p in parts),
-        name=f"separable[{','.join(p.name for p in parts)}]",
-    )
-
-
 def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
     """(1/p) * sum_i |x_i|^p, the separable composition of 1-D power terms.
 
-    The constants and optimum are those of `separable_sum` over 1-D
-    `power_norm`s.  Value, gradient and the diagonal Hessian each run one
-    loop over the coordinates that does each term's arithmetic, bit for
-    bit: the norm of a one-entry block is sqrt(t*t), its one-element dot.
+    The constants are those of a 1-D `power_norm`, each term's and so the
+    sum's.  Value, gradient and the diagonal Hessian each run one loop over
+    the coordinates that does each term's arithmetic, bit for bit: the norm
+    of a one-entry block is sqrt(t*t), its one-element dot.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -417,9 +367,13 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
             diag.append(_pow(r, p - 2) * (1.0 + (p - 2) * (u * u)))
         return np.diag(diag)
 
-    return replace(
-        separable_sum([power_norm(1, p, l1) for _ in range(dim)]),
-        **_fused(value, value_grad), hessian=hessian,
+    return Objective(
+        dim=dim,
+        **_fused(value, value_grad),
+        hessian=hessian,
+        f_star=0.0,
+        x_star=np.zeros(dim),
+        params=power_norm(1, p, l1).params,
         name=f"separable_pnorm(d={dim},p={p},l1={l1})",
     )
 

@@ -377,14 +377,14 @@ def _convex_gap(trace, tol, eps_grid, params, r) -> CheckReport:
 
 
 def _normalized(trace, tol, eps_grid, params, r, r_hat) -> CheckReport:
-    support, known, _, _ = trace.distances()
+    known = trace.present("support_dist")
     if not known.any():
         raise ValueError("normalized monitor requires recorded support distances (known x_star)")
     margins = _Margins(tol=tol)
     k = trace.k
     if trace.method == "ngd:fixed":
         horizon = int(k[-1])
-        v_min = min(support[known].tolist())
+        v_min = min(trace.support_dist[known].tolist())
         v_bound = (r * r + r_hat * r_hat) / (2.0 * r_hat * math.sqrt(horizon + 1))
         margins.add(v_bound - v_min, f"K={horizon}")
         r_bar = r * r / r_hat + r_hat
@@ -393,7 +393,7 @@ def _normalized(trace, tol, eps_grid, params, r, r_hat) -> CheckReport:
             best_gap = min(trace.f_gap[trace.present("f_gap")].tolist())
             margins.add(eps - best_gap, f"gap at K={horizon}")
         return margins.report("rate_normalized_fixed")
-    running = _running_min(support)  # an undefined distance is NaN, so skipped
+    running = _running_min(np.where(known, trace.support_dist, math.nan))  # NaN is skipped
     at16 = np.flatnonzero(k == 16)
     if at16.size and math.isfinite(running[at16[0]]):
         c = float(running[at16[0]]) * math.sqrt(17.0) / math.log(17.0)
@@ -406,12 +406,13 @@ def _normalized(trace, tol, eps_grid, params, r, r_hat) -> CheckReport:
 
 
 def _polyak(trace, tol, eps_grid, params, r) -> CheckReport:
-    _, _, dist, known = trace.distances()
+    dist, known = trace.dist_opt, trace.present("dist_opt")
     grad_norm, gap = trace.grad_norm[:-1], trace.f_gap[:-1]
-    # a row with a known dist_opt and a nonzero gradient steps, and needs its gap
+    # a row with a known dist_opt and a nonzero gradient steps, and needs its
+    # gap and the next row's dist_opt
     step = known[:-1] & trace.present("grad_norm")[:-1] & (grad_norm != 0)
-    if not trace.present("f_gap")[:-1][step].all():
-        raise TypeError("polyak contraction needs the gap at every step")
+    if not (trace.present("f_gap")[:-1][step].all() and known[1:][step].all()):
+        raise TypeError("polyak contraction needs the gap at every step and dist_opt after it")
     drop = _squares(gap[step] / grad_norm[step])
     contraction = _squares(dist[:-1][step]) - drop - _squares(dist[1:][step])
     margins = _Margins(tol=tol)

@@ -400,11 +400,11 @@ class TestWriteCsv:
         signed-zero values all print as the per-field writer printed them."""
         inf, nan = math.inf, math.nan
         cols = first_order._columns(
-            6, 0, 1, 0.0, {"grad_norm": np.array([0, 0, 1, 0, 0, 1], dtype=bool)},
+            6, 1, 0.0, None, {"grad_norm": np.array([0, 0, 1, 0, 0, 1], dtype=bool)},
             f_val=np.array([12.5, 3.141592653589793, 1e-20, inf, -0.0, nan]),
             grad_norm=np.array([5.0, 0.30000000000000004, nan, nan, inf, nan]),
             step_len=np.array([0.1, 1e-300, 0.0, -0.0, nan, -inf]),
-            oracle_calls=np.array([1, 2, 75, 76, 77, 78]), X=np.zeros((6, 0)))
+            oracle_calls=np.array([1, 2, 75, 76, 77, 78]))
         cols["stage"][2:] = 2
         # f_gap is f_val - 0.0, missing on rows 1 and 5
         cols["missing"][[1, 5], first_order.OPTIONAL.index("f_gap")] = True
@@ -457,10 +457,10 @@ class TestWriteCsvDifferential:
 
         f_val = draw()
         cols = first_order._columns(
-            n, 2, 1, None if gap == "unknown" else 0.0,
+            n, 1, None if gap == "unknown" else 0.0, None,
             {"grad_norm": rng.random(n) < 0.1},
             f_val=f_val, grad_norm=np.abs(draw()), step_len=draw(),
-            oracle_calls=np.cumsum(rng.integers(1, 200, n)), X=rng.standard_normal((n, 2)))
+            oracle_calls=np.cumsum(rng.integers(1, 200, n)))
         cols["stage"][:] = rng.integers(1, 3, n)
         if gap != "unknown":
             # f_gap is f_val - 0.0, bit for bit f_val; "other" replaces it and
@@ -983,7 +983,7 @@ class TestMainEntry:
         assert out.err == ("error: bad spec 'separable_pnorm:d=0,p=4,l1=1' at position 0: "
                            "dim must be positive\n")
 
-    @pytest.mark.parametrize("grad_tol", ["nan", "-1", "-0.5"])
+    @pytest.mark.parametrize("grad_tol", ["nan", "-1", "-0.5", "-inf", "-1e-300"])
     @pytest.mark.parametrize("method", ["gd:rule=optimal", "ngd:r_hat=5,schedule=sqrt"])
     def test_grad_tol_must_be_nonnegative(self, method, grad_tol, tmp_path, capsys):
         """A tolerance that `g <= grad_tol` can never meet is an error, not ignored."""
@@ -994,6 +994,19 @@ class TestMainEntry:
         assert capsys.readouterr().err == (
             f"error: grad_tol must be nonnegative, got {float(grad_tol)}\n")
         assert not (tmp_path / "never.csv").exists()
+
+    def test_negative_start_as_separate_argument(self, tmp_path, capsys):
+        """`--x0 -1;2` is a start point, as `--x0=-1;2` is, not an unknown option."""
+        runs = {}
+        for form, args in (("joined", ["--x0=-1;2"]), ("separate", ["--x0", "-1;2"])):
+            out = tmp_path / f"{form}.csv"
+            code = main(["run", "--problem", "power_norm:d=2,p=4,l1=1",
+                         "--method", "gd:rule=optimal", *args, "--budget", "5",
+                         "--out", str(out)])
+            assert code == 0 and capsys.readouterr().err == ""
+            runs[form] = out.read_text()
+        assert runs["separate"] == runs["joined"]
+        assert runs["joined"].splitlines()[1].startswith("0,6.25")  # f(-1, 2) = 5**2/4
 
     def test_run_overflow_exits_2(self, tmp_path, capsys):
         """An OverflowError inside the accelerated line search is a clean error."""

@@ -324,9 +324,9 @@ class TestNgdRun:
 class TestBestIterate:
     def _trace_with_values(self, values):
         n = len(values)
-        cols = first_order._columns(n, 0, 1, None, {}, f_val=np.array(values),
+        cols = first_order._columns(n, 1, None, None, {}, f_val=np.array(values),
                                     grad_norm=np.ones(n), step_len=np.zeros(n),
-                                    oracle_calls=np.arange(1, n + 1), X=np.zeros((n, 0)))
+                                    oracle_calls=np.arange(1, n + 1))
         return Trace(columns=cols, final_x=np.zeros(1), termination="BudgetExhausted")
 
     def test_monotone_gives_last(self):

@@ -1,4 +1,4 @@
-"""Kernel-level checks: closed forms, series branches, bounds, inverses."""
+"""Kernel-level checks: closed forms, series branches, bounds."""
 
 import math
 
@@ -10,15 +10,12 @@ from gensmooth.kernels import (
     SmoothnessParams,
     phi,
     phi_star,
-    phi_star_prime,
     psi,
-    psi_inverse,
 )
 
 # Frozen from a 200-digit evaluation of exp(t) - t - 1 at t = 1e-8
 # (mpmath; recomputed live in test_series_branch_matches_extended_precision).
 PHI_1E8 = 5.000000016666666708333333e-17
-LOG1P_1E12 = 9.999999999995000000000003e-13
 
 
 class TestSmoothnessParams:
@@ -89,23 +86,6 @@ class TestPhiStar:
             phi_star(-0.5)
 
 
-class TestPhiStarPrime:
-    def test_zero(self):
-        assert phi_star_prime(0.0) == 0.0
-
-    def test_ln_e(self):
-        assert phi_star_prime(math.e - 1.0) == pytest.approx(1.0, rel=1e-15)
-
-    def test_tiny_argument(self):
-        assert phi_star_prime(1e-12) == pytest.approx(LOG1P_1E12, rel=1e-6)
-
-    def test_bracket(self):
-        g = np.linspace(0.0, 50.0, 5001)
-        v = phi_star_prime(g)
-        assert np.all(v >= 2.0 * g / (2.0 + g) - 1e-12)
-        assert np.all(v <= g + 1e-12)
-
-
 class TestPsi:
     def test_zero(self):
         assert psi(0.0, SmoothnessParams(2.0, 5.0)) == 0.0
@@ -122,30 +102,6 @@ class TestPsi:
         p = SmoothnessParams(1.0, 2.0)
         g = np.linspace(0.0, 100.0, 1001)
         assert np.all(np.diff(psi(g, p)) > 0)
-
-
-class TestPsiInverse:
-    def test_zero(self):
-        assert psi_inverse(0.0, SmoothnessParams(2.0, 5.0)) == 0.0
-
-    def test_threshold_inverse(self):
-        p = SmoothnessParams(2.0, 5.0)
-        t = p.l0 / (5.0 * p.l1**2)
-        assert psi_inverse(t, p) == pytest.approx(p.l0 / p.l1, rel=1e-12)
-
-    def test_round_trip_at_point(self):
-        p = SmoothnessParams(2.0, 5.0)
-        assert psi_inverse(psi(3.7, p), p) == pytest.approx(3.7, rel=1e-10)
-
-    def test_round_trip_identity_on_range(self):
-        p = SmoothnessParams(0.3, 2.0)
-        t = np.geomspace(1e-12, 1e6, 400)
-        back = psi(psi_inverse(t, p), p)
-        np.testing.assert_allclose(back, t, rtol=1e-10)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            psi_inverse(-1.0, SmoothnessParams(1.0, 1.0))
 
 
 class TestConjugacy:

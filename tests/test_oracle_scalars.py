@@ -3,7 +3,7 @@
 The reference below is the numpy-scalar form of the same oracles: `_norm`
 as np.sqrt of the dot (np.linalg.norm for other inputs), every power of a
 norm as numpy's scalar `**`, every outer product as np.outer on each call,
-and separable_pnorm as separable_sum over one-dimensional power terms.
+and separable_pnorm as a block sum over one-dimensional power terms.
 The logistic references keep the oracles' math.exp sigmoid.  Values, gradients, value_grad and Hessians
 must agree in every bit, and raise the same exceptions, at seeded points of
 scale 1e-170 to 1e300 and at signed zeros, subnormals, infinities, nan and
@@ -26,7 +26,6 @@ from gensmooth.problems import (
     logistic_1d,
     power_norm,
     separable_pnorm,
-    separable_sum,
 )
 
 
@@ -141,7 +140,28 @@ def ref_logistic(l1):
 
 
 def ref_separable_pnorm(dim, p, l1):
-    return separable_sum([ref_power_norm(1, p, l1) for _ in range(dim)])
+    """sum_i f(x_i) over one-entry blocks, f the one-dimensional reference term."""
+    part = ref_power_norm(1, p, l1)
+    blocks = [slice(i, i + 1) for i in range(dim)]
+
+    def value(x):
+        return float(sum(part.value(x[b]) for b in blocks))
+
+    def value_grad(x):
+        pairs = [part.value_grad(x[b]) for b in blocks]
+        return float(sum(v for v, _ in pairs)), np.concatenate([g for _, g in pairs])
+
+    def gradient(x):
+        return value_grad(x)[1]
+
+    def hessian(x):
+        out = np.zeros((dim, dim))
+        for b in blocks:
+            out[b, b] = part.hessian(x[b])
+        return out
+
+    return Objective(dim=dim, value=value, gradient=gradient, hessian=hessian,
+                     params=SmoothnessParams(1.0, l1), kernel=(value, gradient, value_grad))
 
 
 SCALES = (1e-170, 1e-150, 1e-100, 1e-20, 1e-3, 1.0, 1e3, 1e20, 1e77, 1e100, 1e154,

@@ -19,7 +19,6 @@ from gensmooth.problems import (
     power_norm,
     sample_ball,
     separable_pnorm,
-    separable_sum,
     spectral_norm,
     sum_with_smooth,
 )
@@ -259,30 +258,7 @@ class TestSumWithSmooth:
             sum_with_smooth(power_norm(2, 4, 1), power_norm(3, 4, 1), 0.0, 0.0)
 
 
-class TestSeparableSum:
-    def test_single_part_identity(self):
-        part = power_norm(2, 4, 1)
-        h = separable_sum([part])
-        x = np.array([0.3, -1.2])
-        assert h.value(x) == pytest.approx(part.value(x))
-        np.testing.assert_allclose(h.gradient(x), part.gradient(x))
-        assert h.params == part.params
-
-    def test_params_take_componentwise_max(self):
-        a = exp_phi(1, SmoothnessParams(1.0, 2.0))
-        b = exp_phi(1, SmoothnessParams(3.0, 1.0))
-        assert separable_sum([a, b]).params == SmoothnessParams(3.0, 2.0)
-
-    def test_gradient_is_exact_concatenation(self):
-        parts = [power_norm(2, 4, 1), power_norm(3, 6, 1)]
-        h = separable_sum(parts)
-        rng = np.random.default_rng(4)
-        for x in sample_ball(rng, 5, 3.0, 20):
-            expected = np.concatenate(
-                [parts[0].gradient(x[:2]), parts[1].gradient(x[2:])]
-            )
-            np.testing.assert_array_equal(h.gradient(x), expected)
-
+class TestSeparablePnorm:
     def test_pnorm_composition(self):
         h = separable_pnorm(4, 4, 1.0)
         assert h.params == SmoothnessParams(4.0, 1.0)
@@ -291,9 +267,16 @@ class TestSeparableSum:
         assert h.f_star == 0.0
         assert_oracles_consistent(h)
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            separable_sum([])
+    def test_large_dimension_builds_in_little_memory(self):
+        """The build makes no per-coordinate object: it peaks under 1 MiB."""
+        tracemalloc.start()
+        try:
+            f = separable_pnorm(10**4, 4, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f.dim == 10**4 and f.x_star.tolist() == [0.0] * 10**4
+        assert peak < 2**20
 
 
 class TestNorm:

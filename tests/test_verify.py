@@ -139,7 +139,7 @@ class TestConvexLowerBounds:
 
 class TestSupportDistance:
     """support_dist = max(<grad f(x), x - x_star>, 0) / ||grad f(x)||, as
-    Trace.distances derives it for the one row of a run from x."""
+    the support_dist column holds it for the one row of a run from x."""
 
     QUAD = Objective(dim=2, value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x.copy(),
                      name="quad")
@@ -148,9 +148,9 @@ class TestSupportDistance:
     def support_at(f, x, x_star):
         f = replace(f, x_star=np.array(x_star))
         rule = StepRule("simplified", SmoothnessParams(1.0, 0.0))
-        support, has, _, _ = gd_run(f, rule, np.array(x), budget=1).distances()
-        assert has.tolist() == [True]
-        return float(support[0])
+        trace = gd_run(f, rule, np.array(x), budget=1)
+        assert trace.present("support_dist").tolist() == [True]
+        return float(trace.support_dist[0])
 
     def test_quadratic_distance(self):
         assert self.support_at(self.QUAD, [3.0, 0.0], [0.0, 0.0]) == 3.0
@@ -162,8 +162,8 @@ class TestSupportDistance:
     def test_rejects_stationary_point(self):
         f = power_norm(2, 4, 1)  # x_star = 0; the row at 0 gets no support distance
         trace = gd_run(f, StepRule("simplified", f.params), np.zeros(2), budget=1)
-        support, has, _, _ = trace.distances()
-        assert has.tolist() == [False] and math.isnan(support[0])
+        assert trace.present("support_dist").tolist() == [False]
+        assert math.isnan(trace.support_dist[0])
 
     def test_gap_bounded_by_ball_maximum(self):
         """f(x) - f(x*) never exceeds the max of f over the ball of radius
@@ -308,11 +308,11 @@ def _gap_gone_trace():
     i = np.arange(8)
     no_step = (i < 3) | (i == 7)
     cols = first_order._columns(
-        8, 0, 2, 0.0, {"f_y": no_step, "ls_evals": no_step},
+        8, 2, 0.0, None, {"f_y": no_step, "ls_evals": no_step},
         f_val=10.0 / (i + 1), grad_norm=np.where(i == 6, math.nan, 4.0 / (i + 1)),
         step_len=np.full(8, 0.1), oracle_calls=3 * i + 1,
         f_y=np.where(no_step, math.nan, 10.0 / (i + 1.5)), a_capital=0.05 * i * i,
-        zeta_star=0.5 * i, ls_evals=np.where(no_step, 0, i), X=np.zeros((8, 0)))
+        zeta_star=0.5 * i, ls_evals=np.where(no_step, 0, i))
     cols["stage"][:3] = 1
     cols["f_gap"] = np.array([5.0, 3.0, 2.5, 0.5, math.nan, 0.01, 1e-4, 2e-5])
     cols["missing"][4, first_order.OPTIONAL.index("f_gap")] = True
@@ -796,11 +796,12 @@ _SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0]
 
 
 def _random_trace(rng):
-    """A short trace with iterates, gradients and x_star, and random NaN,
-    infinite, signed-zero, tied and missing entries in every column."""
-    n, d = int(rng.integers(1, 30)), int(rng.integers(1, 3))
+    """A short trace with random NaN, infinite, signed-zero, tied and
+    missing entries in every column, distances included."""
+    n = int(rng.integers(1, 30))
     cols = {}
-    for name in ("f_val", "f_gap", "grad_norm", "step_len", "f_y", "a_capital", "zeta_star"):
+    for name in ("f_val", "f_gap", "grad_norm", "step_len", "support_dist", "dist_opt", "f_y",
+                 "a_capital", "zeta_star"):
         v = np.round(rng.uniform(-1.0, 5.0, n), int(rng.integers(1, 4)))
         odd = rng.random(n) < 0.08
         v[odd] = rng.choice(_SPECIAL, odd.sum())
@@ -810,15 +811,13 @@ def _random_trace(rng):
     cols["oracle_calls"] = np.cumsum(rng.integers(1, 5, n))
     cols["stage"] = np.where(np.arange(n) < rng.integers(0, n + 1), 1, 2).astype(np.int8)
     cols["ls_evals"] = rng.integers(0, 6, n)
-    cols["X"], cols["G"] = rng.standard_normal((n, d)), rng.standard_normal((n, d))
     # each OPTIONAL column is missing on no row, every row, the last row
     # or random rows
     patterns = [np.zeros(n, bool), np.ones(n, bool), np.arange(n) == n - 1, rng.random(n) < 0.2]
     picks = rng.integers(0, len(patterns), len(first_order.OPTIONAL))
     cols["missing"] = np.stack([patterns[i] for i in picks], axis=1)
     method = str(rng.choice(["ngd:fixed", "ngd:sqrt", "gd:clipped", "agmsdr"]))
-    x_star = rng.standard_normal(d) if rng.random() < 0.7 else None
-    return Trace(columns=cols, termination="BudgetExhausted", method=method, x_star=x_star)
+    return Trace(columns=cols, termination="BudgetExhausted", method=method)
 
 
 def _outcome(monitor, *args, **kwargs):
@@ -860,9 +859,8 @@ class TestColumnMonitorsMatchRows:
         v = next(v for v in np.linspace(0.3, 0.4, 10**4).tolist() if v ** 2 != v * v)
         for x in (v, 1e200):
             cols = {name: getattr(base, name).copy() for name in first_order.ARRAYS}
-            cols["X"][:] = [[x, 0.0], [0.0, 0.0]]  # the only contraction margin is x**2
+            cols["dist_opt"][:] = [x, 0.0]  # the only contraction margin is x**2
             cols["f_gap"][:] = 0.0
-            trace = Trace(columns=cols, termination="BudgetExhausted", method="gd:polyak",
-                          x_star=np.zeros(2))
+            trace = Trace(columns=cols, termination="BudgetExhausted", method="gd:polyak")
             self.same(trace, "polyak", params=SmoothnessParams(1.0, 1.0), f0=1.0, r=1.0,
                       r_hat=1.0, l_const=1.0)
