@@ -126,6 +126,7 @@ def segment_line_search(
     return LineSearchResult(y=x, f_y=f_x, grad_y=grad_x, evals=2 + 2 * LS_MAX_PROBES)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def agmsdr_run(
     f: Objective,
     x0: np.ndarray,

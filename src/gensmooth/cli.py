@@ -290,25 +290,20 @@ def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
         raise ValueError(f"grad_tol must be nonnegative, got {grad_tol}")
     if grad_tol > 0 and method.kind != "gd":
         raise ValueError(f"grad_tol applies only to gd, not {method.kind}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if method.kind == "gd":
-            params = None
-            if method.rule_variant != "polyak":
-                params = _resolve_params(f, method.l0, method.l1)
-            rule = StepRule(
-                variant=method.rule_variant, params=params, f_star=method.f_star
-            )
-            return gd_run(f, rule, x0, budget, grad_tol=grad_tol)
-        if method.kind == "ngd":
-            return ngd_run(
-                f, method.r_hat, method.schedule, x0, budget, horizon=method.horizon
-            )
-        if method.kind == "agmsdr":
-            return agmsdr_run(f, x0, method.l_const, budget,
-                              t_params=_resolve_params(f, method.l0, method.l1))
-        if method.kind == "two_stage":
-            return two_stage_run(f, x0, _resolve_params(f, method.l0, method.l1), budget,
-                                 l_const=method.l_const)
+    if method.kind == "gd":
+        params = None
+        if method.rule_variant != "polyak":
+            params = _resolve_params(f, method.l0, method.l1)
+        rule = StepRule(variant=method.rule_variant, params=params, f_star=method.f_star)
+        return gd_run(f, rule, x0, budget, grad_tol=grad_tol)
+    if method.kind == "ngd":
+        return ngd_run(f, method.r_hat, method.schedule, x0, budget, horizon=method.horizon)
+    if method.kind == "agmsdr":
+        return agmsdr_run(f, x0, method.l_const, budget,
+                          t_params=_resolve_params(f, method.l0, method.l1))
+    if method.kind == "two_stage":
+        return two_stage_run(f, x0, _resolve_params(f, method.l0, method.l1), budget,
+                             l_const=method.l_const)
     raise ValueError(f"unknown method kind {method.kind!r}")
 
 
@@ -461,12 +456,11 @@ def run_verify_suite(
         for spec in SHIPPED_FOR_VERIFY:
             f = parse_problem(spec)
             reports.append(verify_mod.fd_gradient_check(f, n_points=50, seed=seed))
-            reports.append(
-                verify_mod.check_smoothness_envelopes(f, f.params, n_pairs=1000, seed=seed)
-            )
-            reports.append(
-                verify_mod.check_convex_lower_bounds(f, f.params, n_pairs=1000, seed=seed)
-            )
+            pairs = verify_mod._pair_sample(f, n_pairs=1000, seed=seed)  # judged by both
+            reports.append(verify_mod.check_smoothness_envelopes(
+                f, f.params, n_pairs=1000, seed=seed, pairs=pairs))
+            reports.append(verify_mod.check_convex_lower_bounds(
+                f, f.params, n_pairs=1000, seed=seed, pairs=pairs))
 
     if scope in ("theorems", "all"):
         for problem, method_spec, budget, bounds in THEOREM_RUNS:

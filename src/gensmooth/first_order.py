@@ -274,6 +274,7 @@ def _move(xs: list, step: float, gs: list, g: float) -> np.ndarray:
     return np.array([xi - step * (gi / g) for xi, gi in zip(xs, gs)])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _descent(
     f: Objective,
     x: np.ndarray,
@@ -383,7 +384,7 @@ def ngd_run(
     Runs until the horizon (fixed schedule), the budget, or an exactly
     stationary iterate, where the normalized direction is undefined.
     """
-    if r_hat <= 0:
+    if not 0 < r_hat < math.inf:
         raise ValueError("r_hat must be positive")
     if schedule not in NGD_SCHEDULES:
         raise ValueError(f"schedule must be one of {NGD_SCHEDULES}")

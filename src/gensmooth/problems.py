@@ -418,6 +418,8 @@ def certify_smoothness(
         raise ValueError(f"objective {f.name!r} does not provide a Hessian")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    if not 0 < region_radius < math.inf:
+        raise ValueError("region_radius must be positive and finite")
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, f.dim, region_radius, n_samples)
     h_norms = spectral_norm(_at_points(f.hessian, points))

@@ -155,6 +155,25 @@ def _sample_pairs(rng, dim, n_pairs, max_sep, radius):
     return xs, xs + dirs * seps[:, None]
 
 
+def _pair_sample(f: Objective, n_pairs=1000, max_sep=2.0, seed=0, radius=5.0):
+    """(key, xs, ys, fx, gx, fy, gy): the pairs drawn from `seed`, with f's
+    values and gradients at both ends, for the envelope and lower-bound checks
+    to share; key = (f, n_pairs, max_sep, seed, radius)."""
+    xs, ys = _sample_pairs(np.random.default_rng(seed), f.dim, n_pairs, max_sep, radius)
+    key = (f, n_pairs, max_sep, seed, radius)
+    return (key, xs, ys, *_values_grads(f, xs), *_values_grads(f, ys))
+
+
+def _judged_pairs(f: Objective, pairs, n_pairs, max_sep, seed, radius):
+    """A check's sample without its key: `pairs`, if drawn for f (by identity)
+    with these arguments, else a fresh one."""
+    if pairs is None:
+        return _pair_sample(f, n_pairs, max_sep, seed, radius)[1:]
+    if pairs[0] != (f, n_pairs, max_sep, seed, radius):
+        raise ValueError("pair sample was drawn for another objective or other arguments")
+    return pairs[1:]
+
+
 def _case_min(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
     """Python's min over each case's margins (a tie keeps the earlier one,
     so 0 beats a later -0), except that any NaN makes the case NaN."""
@@ -175,6 +194,8 @@ def check_smoothness_envelopes(
     max_sep: float = 2.0,
     seed: int = 0,
     radius: float = 5.0,
+    *,
+    pairs=None,
 ) -> CheckReport:
     """Sampled check of the two growth envelopes implied by the curvature model:
 
@@ -182,12 +203,10 @@ def check_smoothness_envelopes(
         |f(y) - f(x) - <grad f(x), y - x>|   <= a * phi(l1*s) / l1^2
 
     with a = l0 + l1*||grad f(x)|| and s = ||y - x||; for l1 = 0 the right
-    sides degrade to the familiar a*s and a*s^2/2.
+    sides degrade to the familiar a*s and a*s^2/2.  A `pairs` sample from
+    `_pair_sample` for the same f and arguments replaces a fresh one.
     """
-    rng = np.random.default_rng(seed)
-    xs, ys = _sample_pairs(rng, f.dim, n_pairs, max_sep, radius)
-    fx, gx = _values_grads(f, xs)
-    fy, gy = _values_grads(f, ys)
+    xs, ys, fx, gx, fy, gy = _judged_pairs(f, pairs, n_pairs, max_sep, seed, radius)
     a = p.l0 + p.l1 * _row_norms(gx)
     s = _row_norms(ys - xs)
     if p.l1 > 0:
@@ -225,6 +244,8 @@ def check_convex_lower_bounds(
     seed: int = 0,
     radius: float = 5.0,
     max_sep: float = 2.0,
+    *,
+    pairs=None,
 ) -> CheckReport:
     """Sampled check of the convex lower-bound family.
 
@@ -235,13 +256,11 @@ def check_convex_lower_bounds(
       f(y) - f(x) - <grad f(x), y - x>  >=  s^2 / (2*a_y + l1*s)
 
     where conj(s, a) = (a/l1^2) * phi_star(l1*s/a).  Convex input only.
+    `pairs` as in `check_smoothness_envelopes`.
     """
     if not f.convex:
         raise ValueError(f"objective {f.name!r} is not marked convex")
-    rng = np.random.default_rng(seed)
-    xs, ys = _sample_pairs(rng, f.dim, n_pairs, max_sep, radius)
-    fx, gx = _values_grads(f, xs)
-    fy, gy = _values_grads(f, ys)
+    xs, ys, fx, gx, fy, gy = _judged_pairs(f, pairs, n_pairs, max_sep, seed, radius)
     a_x = p.l0 + p.l1 * _row_norms(gx)
     a_y = p.l0 + p.l1 * _row_norms(gy)
     s = _row_norms(gy - gx)

@@ -260,11 +260,11 @@ class TestAgmsdrRun:
         assert max(trace.ls_evals) > 2  # some iterations bisected
         assert trace.oracle_calls[-1] == len(calls)
 
+    @pytest.mark.filterwarnings("error")  # inf * 0 in the first slope test warns nothing
     def test_non_finite_gradient_ends_diverged(self):
         f = Objective(dim=1, value=lambda x: float(x @ x), gradient=lambda x: np.full(1, np.inf),
                       params=SmoothnessParams(1.0, 0.0), name="inf-gradient")
-        with np.errstate(invalid="ignore"):  # inf * 0 in the first slope test
-            trace = agmsdr_run(f, np.array([1.0]), 1.0, budget=100)
+        trace = agmsdr_run(f, np.array([1.0]), 1.0, budget=100)
         assert trace.termination == "Diverged"
         assert len(trace) == 1 and trace.records[0].f_val == 1.0
 

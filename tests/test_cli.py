@@ -983,6 +983,26 @@ class TestMainEntry:
         assert out.err == ("error: bad spec 'separable_pnorm:d=0,p=4,l1=1' at position 0: "
                            "dim must be positive\n")
 
+    @pytest.mark.parametrize("radius", ["-1", "nan"])
+    def test_certify_radius_must_be_positive_and_finite(self, radius, capsys):
+        code = main(["certify", "--problem", "power_norm:d=2,p=4,l1=1",
+                     "--radius", radius, "--samples", "10"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: region_radius must be positive and finite\n"
+
+    @pytest.mark.parametrize("r_hat", ["nan", "inf"])
+    def test_ngd_r_hat_must_be_positive_and_finite(self, r_hat, tmp_path, capsys):
+        code = main(["run", "--problem", "power_norm:d=2,p=4,l1=1",
+                     "--method", f"ngd:r_hat={r_hat},schedule=linear",
+                     "--radius", "10", "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: r_hat must be positive\n"
+        assert not (tmp_path / "never.csv").exists()
+
     @pytest.mark.parametrize("grad_tol", ["nan", "-1", "-0.5", "-inf", "-1e-300"])
     @pytest.mark.parametrize("method", ["gd:rule=optimal", "ngd:r_hat=5,schedule=sqrt"])
     def test_grad_tol_must_be_nonnegative(self, method, grad_tol, tmp_path, capsys):

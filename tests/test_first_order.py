@@ -221,6 +221,17 @@ class TestGdRun:
         assert trace.termination == "Diverged"
         assert abs(trace.records[-1].f_val) > 1e150
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("run", [
+        lambda f, x0: gd_run(f, StepRule("optimal", SmoothnessParams(1.0, 0.0)), x0, 2000),
+        lambda f, x0: ngd_run(f, 1e200, "sqrt", x0, 2000),
+    ], ids=["gd", "ngd"])
+    def test_divergence_raises_no_numpy_warning(self, run):
+        """The overflow of a diverging run is recorded, not warned about,
+        also when the method is called directly rather than from the CLI."""
+        trace = run(power_norm(2, 4, 1), np.array([10.0, 0.0]))
+        assert trace.termination == "Diverged"
+
     def test_polyak_uses_objective_f_star(self):
         f = power_norm(2, 4, 1)
         trace = gd_run(f, StepRule(variant="polyak"), np.array([10.0, 0.0]), budget=200)
@@ -315,6 +326,9 @@ class TestNgdRun:
         f = power_norm(2, 4, 1)
         with pytest.raises(ValueError):
             ngd_run(f, -1.0, "sqrt", np.zeros(2), 10)
+        for r_hat in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="r_hat must be positive"):
+                ngd_run(f, r_hat, "linear", np.array([10.0, 0.0]), 10)
         with pytest.raises(ValueError):
             ngd_run(f, 1.0, "fixed", np.zeros(2), 10, horizon=None)
         with pytest.raises(ValueError):

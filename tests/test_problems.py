@@ -415,6 +415,12 @@ class TestCertifier:
         with pytest.raises(ValueError):
             certify_smoothness(bare, f.params, 1.0, 10, seed=0)
 
+    @pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_radius_not_positive_and_finite(self, radius):
+        f = power_norm(2, 4, 1)
+        with pytest.raises(ValueError, match="region_radius must be positive and finite"):
+            certify_smoothness(f, f.params, radius, 10, seed=0)
+
     @pytest.mark.parametrize("oracle,shape", [("hessian", (2, 2)), ("gradient", (2,))])
     def test_nan_curvature_never_certifies(self, oracle, shape):
         """A NaN violation is the worst case: the first sampled point is

@@ -25,6 +25,7 @@ from gensmooth.problems import (
     separable_pnorm,
 )
 from gensmooth import first_order
+from gensmooth import verify as verify_mod
 from gensmooth.cli import (RunConfig, execute_method, initial_point, parse_method,
                             parse_problem, run_verify_suite)
 from gensmooth.first_order import StepRule, Trace, gd_run, ngd_run
@@ -34,6 +35,7 @@ from gensmooth.verify import (
     CheckReport,
     _case_min,
     _Margins,
+    _pair_sample,
     _sample_pairs,
     check_convex_lower_bounds,
     check_smoothness_envelopes,
@@ -135,6 +137,64 @@ class TestConvexLowerBounds:
         )
         with pytest.raises(ValueError):
             check_convex_lower_bounds(bumpy, f.params)
+
+
+def _counting(f: Objective, calls: list) -> Objective:
+    """f with every value and gradient call appended to `calls`."""
+    def value(x):
+        calls.append("value")
+        return f.value(x)
+
+    def gradient(x):
+        calls.append("gradient")
+        return f.gradient(x)
+
+    return replace(f, value=value, gradient=gradient)
+
+
+class TestSharedPairSample:
+    """The envelope and lower-bound checks can judge one evaluated sample."""
+
+    @pytest.mark.parametrize("f", SHIPPED, ids=lambda f: f.name)
+    def test_checks_on_a_shared_sample_call_no_oracle(self, f):
+        calls = []
+        counted = _counting(f, calls)
+        kw = dict(n_pairs=300, max_sep=1.5, seed=4, radius=3.0)
+        pairs = _pair_sample(counted, **kw)
+        assert len(calls) == 4 * 300  # a value and a gradient at both ends
+        shared = [check_smoothness_envelopes(counted, f.params, **kw, pairs=pairs),
+                  check_convex_lower_bounds(counted, f.params, **kw, pairs=pairs)]
+        assert len(calls) == 4 * 300
+        own = [check_smoothness_envelopes(f, f.params, **kw),
+               check_convex_lower_bounds(f, f.params, **kw)]
+        for got, want in zip(shared, own):
+            assert got.line() == want.line()
+            assert got.worst_case_input == want.worst_case_input
+
+    def test_suite_evaluates_one_sample_per_objective(self, monkeypatch):
+        points = {}
+        evaluate = verify_mod._values_grads
+
+        def counted(f, xs):
+            points[f.name] = points.get(f.name, 0) + len(xs)
+            return evaluate(f, xs)
+
+        monkeypatch.setattr(verify_mod, "_values_grads", counted)
+        run_verify_suite(scope="lemmas", seed=0)
+        assert list(points.values()) == [2000] * 7
+
+    @pytest.mark.parametrize("check", [check_smoothness_envelopes, check_convex_lower_bounds])
+    @pytest.mark.parametrize("other", [
+        {"f": power_norm(2, 4, 1)},  # equal in every field, but another objective
+        {"seed": 5}, {"radius": 4.0}, {"max_sep": 1.0}, {"n_pairs": 299},
+    ], ids=["objective", "seed", "radius", "max_sep", "n_pairs"])
+    def test_mismatched_sample_is_refused(self, check, other):
+        f = power_norm(2, 4, 1)
+        kw = dict(n_pairs=300, max_sep=2.0, seed=4, radius=5.0)
+        pairs = _pair_sample(f, **kw)
+        kw.update(other)
+        with pytest.raises(ValueError, match="pair sample"):
+            check(kw.pop("f", f), f.params, **kw, pairs=pairs)
 
 
 class TestSupportDistance:
