@@ -7,7 +7,9 @@ The accelerated loop maintains a quadratic-plus-linear model
 whose exact minimizer v_k is tracked in closed form.  Each iteration probes
 the segment [v_k, x_k] for a relaxation point y_k, takes a certified
 descent step from y_k to get x_{k+1}, and grows the scaling coefficient A_k
-by the root of L*a^2 = A_k + a.  On convex inputs this certifies A_k * f(x_k) <=
+by the root of L*a^2 = A_k + a.  The search probes first the endpoint that
+won the previous iteration, so while v_k keeps winning an iteration costs
+three oracle calls.  On convex inputs this certifies A_k * f(x_k) <=
 zeta_k(v_k) and yields an O(1/k^2) gap, with monotone function values.
 
 The two-stage driver first runs plain gradient descent until the gap (or,
@@ -82,7 +84,7 @@ class EstimateState:
         self.zeta_star_lower = self.model_minimum()
 
 
-@dataclass
+@dataclass(slots=True)
 class LineSearchResult:
     y: np.ndarray
     f_y: float
@@ -91,27 +93,35 @@ class LineSearchResult:
 
 
 def segment_line_search(
-    f: Objective, v: np.ndarray, x: np.ndarray, f_x: float
+    f: Objective, v: np.ndarray, x: np.ndarray, f_x: float, v_first: bool = False
 ) -> LineSearchResult:
     """A point y on [v, x] with f(y) <= f(x) and <grad f(y), v - y> >= 0.
 
     These two conditions are all the AGMsDR analysis asks of the segment
-    relaxation, so no minimizer is sought.  The first probe that passes wins:
-    y = x when <grad f(x), x - v> <= 0; y = v when f(v) <= f(x); else
-    bisection on beta for y = v + beta*(x - v), where a value above f(x)
-    (or a non-finite one) raises the lower end and a positive slope
-    <grad f(y), x - v> lowers the upper end.  After LS_MAX_PROBES bisection
-    probes it settles for y = x.  f_x = f(x) is the caller's; `evals`
-    counts the value and gradient calls made here, except the gradient at
-    the returned y.
+    relaxation, so no minimizer is sought.  The endpoints are probed first,
+    v before x when `v_first` (`agmsdr_run` sets it when v won the previous
+    iteration), and the first that passes wins: y = x when <grad f(x), x - v>
+    <= 0; y = v when f(v) <= f(x), the slope term being zero there.  Else
+    bisection on beta for y = v + beta*(x - v), where a value above f(x) (or
+    a non-finite one) raises the lower end and a positive slope <grad f(y),
+    x - v> lowers the upper end.  After LS_MAX_PROBES bisection probes it
+    settles for y = x.  f_x = f(x) is the caller's; `evals` counts the value
+    and gradient calls made here except the gradient at the returned y: 0
+    (x) or 1 (v) when the endpoint probed first wins, 2 when the other does,
+    2 + 2*probes after a bisection.
     """
+    if v_first:
+        f_v, grad_v = f.value_grad(v)
+        if f_v <= f_x:
+            return LineSearchResult(v, f_v, grad_v, 1)
     direction = x - v
     grad_x = f.gradient(x)
     if float(grad_x @ direction) <= 0.0:
-        return LineSearchResult(y=x, f_y=f_x, grad_y=grad_x, evals=0)
-    f_v, grad_v = f.value_grad(v)
-    if f_v <= f_x:
-        return LineSearchResult(y=v, f_y=f_v, grad_y=grad_v, evals=2)
+        return LineSearchResult(x, f_x, grad_x, 2 if v_first else 0)
+    if not v_first:
+        f_v, grad_v = f.value_grad(v)
+        if f_v <= f_x:
+            return LineSearchResult(v, f_v, grad_v, 2)
     lo, hi = 0.0, 1.0
     for probe in range(1, LS_MAX_PROBES + 1):
         beta = 0.5 * (lo + hi)
@@ -122,8 +132,8 @@ def segment_line_search(
         elif float(grad_y @ direction) > 0.0:
             hi = beta
         else:
-            return LineSearchResult(y=y, f_y=f_y, grad_y=grad_y, evals=2 + 2 * probe)
-    return LineSearchResult(y=x, f_y=f_x, grad_y=grad_x, evals=2 + 2 * LS_MAX_PROBES)
+            return LineSearchResult(y, f_y, grad_y, 2 + 2 * probe)
+    return LineSearchResult(x, f_x, grad_x, 2 + 2 * LS_MAX_PROBES)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -167,19 +177,30 @@ def agmsdr_run(
              "f_y", "ls_evals")
     rows = {name: array("q" if name in ("oracle_calls", "ls_evals") else "d") for name in names}
     rows["X"] = array("d")
+    put_f, put_a, put_zeta, put_calls, put_g, put_step, put_fy, put_ls = (
+        rows[name].append for name in names)
+    put_x = rows["X"].extend
     k = 0
+    v_first = False  # v_k won the previous iteration's search
 
-    def arrival(*iteration):
+    def arrival(g, step_len, f_y, evals):
         """A row: the iterate on arrival, then this iteration's products."""
-        for name, v in zip(names, (f_x, state.a_capital, state.zeta_star_lower, calls,
-                                   *iteration)):
-            rows[name].append(v)
-        rows["X"].extend(x.tolist())
+        put_f(f_x)
+        put_a(state.a_capital)
+        put_zeta(state.zeta_star_lower)
+        put_calls(calls)
+        put_g(g)
+        put_step(step_len)
+        put_fy(f_y)
+        put_ls(evals)
+        put_x(x.tolist())
 
     while calls < budget:
-        ls = segment_line_search(f, state.minimizer, x, f_x)
-        y, f_y, grad_y = ls.y, ls.f_y, ls.grad_y
-        calls += ls.evals + 1
+        v = state.minimizer
+        ls = segment_line_search(f, v, x, f_x, v_first)
+        y, f_y, grad_y, evals = ls.y, ls.f_y, ls.grad_y, ls.evals
+        v_first = y is v
+        calls += evals + 1
         g = _norm(grad_y)
         if not math.isfinite(g):
             termination = "Diverged"
@@ -195,7 +216,7 @@ def agmsdr_run(
                 f"({f_y} -> {f_next}): curvature constants do not match the objective"
             )
 
-        arrival(g, step_len, f_y, ls.evals)
+        arrival(g, step_len, f_y, evals)
         k += 1
 
         a_next = (1.0 + math.sqrt(1.0 + 4.0 * l_const * state.a_capital)) / (2.0 * l_const)

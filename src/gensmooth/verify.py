@@ -120,6 +120,14 @@ def serialize_reports(reports: list[CheckReport]) -> str:
     return "".join(r.line() + "\n" for r in reports)
 
 
+def _check_sample(name: str, n: int, radius: float):
+    """An empty sample would pass vacuously, so a sampler refuses it."""
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1")
+    if not 0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
+
+
 def fd_gradient_check(
     f: Objective,
     n_points: int = 100,
@@ -132,6 +140,7 @@ def fd_gradient_check(
     Step h = 1e-6 * (1 + ||x||) per coordinate; the error is measured
     relative to 1 + ||grad|| so near-stationary points do not blow it up.
     """
+    _check_sample("n_points", n_points, radius)
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, f.dim, radius, n_points)
     h = 1e-6 * (1.0 + _row_norms(points))
@@ -140,7 +149,7 @@ def fd_gradient_check(
     probes = np.concatenate([points[:, None, :] + steps, points[:, None, :] - steps], axis=1)
     vals = _at_points(f.value, probes.reshape(-1, f.dim)).reshape(len(points), 2 * f.dim)
     fd = (vals[:, : f.dim] - vals[:, f.dim :]) / (2.0 * h[:, None])
-    grads = _at_points(f.gradient, points).reshape(points.shape)  # (0, dim) for no points
+    grads = _at_points(f.gradient, points).reshape(points.shape)
     err = _row_norms(fd - grads) / (1.0 + _row_norms(grads))
     margins = _Margins(tol=0.0)
     margins.add_all(rel_tol - err, lambda i: f"x={points[i].tolist()}")
@@ -159,6 +168,7 @@ def _pair_sample(f: Objective, n_pairs=1000, max_sep=2.0, seed=0, radius=5.0):
     """(key, xs, ys, fx, gx, fy, gy): the pairs drawn from `seed`, with f's
     values and gradients at both ends, for the envelope and lower-bound checks
     to share; key = (f, n_pairs, max_sep, seed, radius)."""
+    _check_sample("n_pairs", n_pairs, radius)
     xs, ys = _sample_pairs(np.random.default_rng(seed), f.dim, n_pairs, max_sep, radius)
     key = (f, n_pairs, max_sep, seed, radius)
     return (key, xs, ys, *_values_grads(f, xs), *_values_grads(f, ys))

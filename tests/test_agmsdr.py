@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gensmooth import agmsdr as agmsdr_mod
 from gensmooth.cli import execute_method, parse_method, parse_problem
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import Objective, exp_phi, power_norm, separable_pnorm
@@ -59,24 +60,27 @@ class TestSegmentLineSearch:
     ], ids=["power_norm", "separable_pnorm", "exp_phi"])
     def test_relaxation_conditions_on_seeded_segments(self, f, scale):
         """f(y) <= f(x) and <grad f(y), v - y> >= 0, with y on [v, x] and
-        the returned value and gradient those of the oracle at y."""
-        rng = np.random.default_rng(17)
-        probes = set()
-        for _ in range(200):
-            v = rng.uniform(-scale, scale, size=f.dim)
-            x = rng.uniform(-scale, scale, size=f.dim)
-            f_x = f.value(x)
-            res = segment_line_search(f, v, x, f_x)
-            probes.add(min(res.evals, 3))
-            assert res.f_y <= f_x
-            slack = 1e-12 * float(np.linalg.norm(res.grad_y) * np.linalg.norm(x - v))
-            assert float(res.grad_y @ (v - res.y)) >= -slack
-            beta = float((res.y - v) @ (x - v)) / float((x - v) @ (x - v))
-            np.testing.assert_allclose(res.y, v + beta * (x - v), rtol=0, atol=1e-12 * scale)
-            assert -1e-15 <= beta <= 1.0 + 1e-15
-            assert res.f_y == f.value(res.y)
-            np.testing.assert_array_equal(res.grad_y, f.gradient(res.y))
-        assert probes == {0, 2, 3}  # y = x, y = v and bisection all occur
+        the returned value and gradient those of the oracle at y, in either
+        probe order; each order meets all three ways to end."""
+        for v_first in (False, True):
+            rng = np.random.default_rng(17)
+            probes = set()
+            for _ in range(200):
+                v = rng.uniform(-scale, scale, size=f.dim)
+                x = rng.uniform(-scale, scale, size=f.dim)
+                f_x = f.value(x)
+                res = segment_line_search(f, v, x, f_x, v_first)
+                probes.add("x" if res.y is x else "v" if res.y is v else "bisection")
+                assert res.f_y <= f_x
+                slack = 1e-12 * float(np.linalg.norm(res.grad_y) * np.linalg.norm(x - v))
+                assert float(res.grad_y @ (v - res.y)) >= -slack
+                beta = float((res.y - v) @ (x - v)) / float((x - v) @ (x - v))
+                np.testing.assert_allclose(res.y, v + beta * (x - v), rtol=0,
+                                           atol=1e-12 * scale)
+                assert -1e-15 <= beta <= 1.0 + 1e-15
+                assert res.f_y == f.value(res.y)
+                np.testing.assert_array_equal(res.grad_y, f.gradient(res.y))
+            assert probes == {"x", "v", "bisection"}, v_first
 
     def test_eval_budget_respected(self):
         f = power_norm(2, 4, 1)
@@ -103,6 +107,39 @@ class TestSegmentLineSearch:
         assert [kind for kind, _ in calls] == ["g", "v", "g"] and res.evals == 2
         np.testing.assert_array_equal(res.y, v)
         np.testing.assert_array_equal(res.grad_y, v)
+
+    def test_v_first_takes_v_after_one_value_grad(self):
+        calls = []
+        f = counting(quadratic(), calls)
+        v = np.array([-1.0, 0.0])
+        res = segment_line_search(f, v, np.array([1.0, 0.0]), 0.5, v_first=True)
+        assert [kind for kind, _ in calls] == ["v", "g"] and res.evals == 1
+        assert res.y is v and res.f_y == 0.5
+        np.testing.assert_array_equal(res.grad_y, v)
+
+    def test_v_first_falls_back_to_x(self):
+        """f(v) > f(x) costs the value and gradient at v, then x's test."""
+        calls = []
+        f = counting(quadratic(), calls)
+        x = np.array([1.0, 0.0])
+        res = segment_line_search(f, np.array([2.0, 1.0]), x, 0.5, v_first=True)
+        assert [kind for kind, _ in calls] == ["v", "g", "g"] and res.evals == 2
+        assert res.y is x and res.f_y == 0.5
+        np.testing.assert_array_equal(res.grad_y, x)
+
+    def test_v_first_bisection_counts_every_call_but_one(self):
+        """Both endpoint probes fail: bisection as in the x-first order, and
+        `evals` counts all calls but the gradient at the returned y."""
+        f = power_norm(2, 4, 1)
+        calls = []
+        v, x = np.array([2.0, -1.0]), np.array([-1.5, 0.5])
+        res = segment_line_search(counting(f, calls), v, x, f.value(x), v_first=True)
+        assert [kind for kind, _ in calls[:3]] == ["v", "g", "g"]
+        assert res.y is not x and res.y is not v
+        assert res.evals == len(calls) - 1 > 2
+        x_first = segment_line_search(f, v, x, f.value(x))
+        np.testing.assert_array_equal(res.y, x_first.y)
+        assert res.evals == x_first.evals
 
     def test_degenerate_segment_short_circuits(self):
         f = quadratic()
@@ -269,6 +306,45 @@ class TestAgmsdrRun:
         assert len(trace) == 1 and trace.records[0].f_val == 1.0
 
 
+class TestOracleLedger:
+    """Counted value and gradient calls reproduce every stage-2 row's
+    oracle_calls increment and its ls_evals, in either probe order."""
+
+    @pytest.mark.parametrize("f, x0, l_const, flips_back", [
+        (power_norm(2, 6, 1), [5.0, 0.0], 1024.0, False),  # fig3 R=5: v keeps winning
+        # v first, both endpoints fail, bisection: back to x first
+        (exp_phi(3, SmoothnessParams(1.0, 1.0)), [3.0, -4.0, 5.0], 1.0, True),
+    ], ids=["fig3", "exp_phi"])
+    def test_rows_match_counted_calls(self, monkeypatch, f, x0, l_const, flips_back):
+        calls, searches = [], []
+        counted = counting(f, calls)  # no fused kernel: a value_grad is two calls
+        search = agmsdr_mod.segment_line_search
+
+        def logged(f, v, x, f_x, v_first):
+            before = len(calls)
+            res = search(f, v, x, f_x, v_first)
+            searches.append((v_first, before, len(calls), res.y is v))
+            return res
+
+        monkeypatch.setattr(agmsdr_mod, "segment_line_search", logged)
+        trace = two_stage_run(counted, np.array(x0), f.params, 3000, l_const=l_const)
+        stage2 = trace.stage == 2
+        iters = stage2 & ~np.isnan(trace.f_y)
+        assert iters.sum() == len(searches) and stage2.sum() == len(searches) + 1
+        # a row holds the count after its iteration; the closing row repeats
+        # it, and the first pays for the value at the hand-over point too
+        ends = [before for _, before, _, _ in searches[1:]] + [len(calls)]
+        charged = np.diff(trace.oracle_calls[np.flatnonzero(stage2)[0] - 1:])
+        np.testing.assert_array_equal(
+            charged, [1 + ends[0] - searches[0][1], *np.diff(ends), 0])
+        np.testing.assert_array_equal(trace.ls_evals[iters],
+                                      [after - before - 1 for _, before, after, _ in searches])
+        orders = [v_first for v_first, *_ in searches]
+        assert orders == [False] + [v_won for *_, v_won in searches[:-1]]
+        assert True in orders and False in orders
+        assert any(a and not b for a, b in zip(orders, orders[1:])) == flips_back
+
+
 def bench_starts(seed):
     """The seeded starts of the benchmark's accelerated mix: three per entry,
     uniform on the sphere of the entry's radius, drawn in entry order."""
@@ -361,3 +437,39 @@ class TestTwoStage:
         trace = two_stage_run(f, np.array([10.0, 0.0]), f.params, budget=10**5)
         rep = rate_monitor(trace, "two_stage", params=f.params, r=10.0)
         assert rep.n_failures == 0
+
+
+EPS_GRID = (1e-1, 1e-2, 1e-3)
+# Oracle calls to the first gap <= eps in EPS_GRID of `two_stage` from R*e1
+# with the search probing x_k first at every iteration, the order before it
+# followed the previous winner; fig3's rows use its l = 4*l0 = 1024.
+X_FIRST_CALLS_TO_EPS = [
+    ("power_norm:d=2,p=6,l1=1", "two_stage:l=1024", 5.0, (121, 293, 665)),
+    ("power_norm:d=2,p=6,l1=1", "two_stage:l=1024", 100.0, (266, 438, 810)),
+    ("power_norm:d=2,p=6,l1=1", "two_stage:l=1024", 500.0, (866, 1038, 1410)),
+    ("power_norm:d=2,p=4,l1=1", "two_stage:", 10.0, (24, 36, 68)),
+    ("power_norm:d=2,p=8,l1=1", "two_stage:", 10.0, (1315, 3135, 7455)),
+    ("separable_pnorm:d=3,p=6,l1=1", "two_stage:", 10.0, (123, 271, 599)),
+    ("exp_phi:d=3,l0=1,l1=1", "two_stage:", 10.0, (21, 23, 23)),
+]
+
+
+def calls_to_eps(problem, method, radius, budget=10**4):
+    """The oracle count of the first row with gap <= eps, per eps in
+    EPS_GRID (None if the run never gets there), from radius*e1."""
+    f = parse_problem(problem)
+    x0 = np.zeros(f.dim)
+    x0[0] = radius
+    trace = execute_method(f, parse_method(method), x0, budget, 0.0)
+    gap = trace.f_val - f.f_star
+    return [int(trace.oracle_calls[np.argmax(gap <= eps)]) if (gap <= eps).any() else None
+            for eps in EPS_GRID]
+
+
+@pytest.mark.parametrize("problem, method, radius, x_first", X_FIRST_CALLS_TO_EPS,
+                         ids=[f"{p.split(':')[0]}-{p.split(',')[1]}-R{r:g}"
+                              for p, _, r, _ in X_FIRST_CALLS_TO_EPS])
+def test_calls_to_eps_never_above_x_first(problem, method, radius, x_first):
+    got = calls_to_eps(problem, method, radius)
+    assert None not in got
+    assert all(a <= b for a, b in zip(got, x_first)), (got, x_first)

@@ -319,16 +319,16 @@ class TestRunExperiment:
         "problem, method, start, budget, lines, stage1, digest",
         [
             # hand-over on the gap target: power_norm knows f_star
-            ("power_norm:d=2,p=6,l1=1", "two_stage:", 10.0, 4000, 1018, 14,
-             "801baca1c3a79dee757349ac27956870bbf230d42e691da3ec5d2f10941ac6ef"),
+            ("power_norm:d=2,p=6,l1=1", "two_stage:", 10.0, 4000, 1348, 14,
+             "f41208cd5b94f25d9b3f80279b5b5c0740ad3ec7d9ad269faab3c88ff6a563f9"),
             # hand-over on the gradient target: logistic has no f_star
-            ("logistic:l1=0.5", "two_stage:", 3.0, 2000, 511, 6,
-             "25c3e3f7c52d9a068f8419ad7dcb5a7d31acd0044dc686e80124f0a8c15e1763"),
-            ("power_norm:d=2,p=6,l1=1", "agmsdr:", 2.0, 2000, 507, 0,
-             "a8472755ac6763d26a051c7d0e919422dbe1c4f4c8724c2a21b3252cc626fd9c"),
+            ("logistic:l1=0.5", "two_stage:", 3.0, 2000, 675, 6,
+             "2faf5d94defad0b2632b886f68d9c90d9f19c37ab34f5c20377fa49785402e37"),
+            ("power_norm:d=2,p=6,l1=1", "agmsdr:", 2.0, 2000, 672, 0,
+             "fe1ca67b9f0bbf1b96bbc2a26ee1eb7e9a8a69784f16c9573d6bd35c8b646e08"),
             # a non-radial objective off the axis, stopped by the budget
-            (_SP, "two_stage:", [3.0, -4.0, 5.0], 2000, 515, 11,
-             "b8042a604015fc64e214fc567d4b7fa88080ab1fd5136c2a141111ada7caf97f"),
+            (_SP, "two_stage:", [3.0, -4.0, 5.0], 2000, 679, 11,
+             "9ab1a590788dad3876582f30a1beff28fb0cb6e2f4458d2adac8273335daff75"),
         ],
         ids=["two_stage_gap", "two_stage_grad", "agmsdr", "two_stage_separable"],
     )
@@ -580,7 +580,7 @@ PRESET_CSV_SHA256 = {
     "fig1_p4_ngd":
         "bc9b4a81447f98b3a6d09918779c1a69fc5ea760ede89302e9a53975b432bd86",
     "fig1_p4_two_stage":
-        "327ed29930f160673eeab169c327ad2681a61eb037c74b6f621599195bdafc72",
+        "f1f6d28038c2b3603619ff17bde16099a44bb170e236974c4787e4620b09423e",
     "fig1_p6_gd_clipped":
         "823b2bfe706eff9f25b6d4fe7ade2df6e3b099a0fa55a09ff366e692e2ba4b06",
     "fig1_p6_gd_optimal":
@@ -592,7 +592,7 @@ PRESET_CSV_SHA256 = {
     "fig1_p6_ngd":
         "1c194862f1822afcc5f4655ac516daa84a970555bb004d0297f3b12f98f75f22",
     "fig1_p6_two_stage":
-        "69b54586174906e0f267cb714643a0ee1c098a88670b2a5119c2ac642ddf8179",
+        "e7a0b34806cc8f511cc2168b3bcc14da1d912f161b1586cc1a38250cb188cbf6",
     "fig1_p8_gd_clipped":
         "c75243a486976f3ee8672f8726ebf446b3641bcd373a04d48dec4f447ec8d393",
     "fig1_p8_gd_optimal":
@@ -604,7 +604,7 @@ PRESET_CSV_SHA256 = {
     "fig1_p8_ngd":
         "78ab2a6101fbf423c3f1ba473b7bdc9c61184df3d90b7951fb56b9bf89536b29",
     "fig1_p8_two_stage":
-        "c347014759c86be75c5261b3a419c2af1f3ce3fc8b8d5f896b5fe370489b1d3f",
+        "81286c7424d44f99432e9d802eba22d0cb06c7db1aa68f75989f104322fba416",
     "fig2_p4_l1_1":
         "9cf3a73014341b7dc108a011368ca1c533139582f9fdbfce579207815da6ecca",
     "fig2_p4_l1_2":
@@ -638,11 +638,11 @@ PRESET_CSV_SHA256 = {
     "fig3_R5_gd_optimal":
         "f142d239f250c579d6e36dad40391050fd13f9720eb459c003cf7b8cbd3474b4",
     "fig3_R5_two_stage":
-        "251769f17069c633c7fa04a383f3d30707b51fadb3dae061a88d6306a9871987",
+        "4f17e457d988f4d52a5da6eaf68871fdbab914d400fa33d04080f45b788713de",
     "fig3_R100_gd_optimal":
         "29f67827e8af8e2f91192ddcddec5a4f74fd4bf842032fac24847a30ed915012",
     "fig3_R100_two_stage":
-        "85a4f4619ed2c756942ffbc10f416ddf3d2117e769ec8438c8810e17443b1816",
+        "38a124f51fdc01fd9a0300d3067421bb8483dfbfece21ac37e9ab8f04afcacff",
     "fig3_R500_gd_optimal":
         "1c9bd469778446d2046110be756d572bc56b32ae8027b81cee0d8c722b4f5986",
     "fig3_R500_two_stage":
@@ -758,7 +758,7 @@ class TestVerifySuite:
             "rate_convex_gap\t4002\t0\t3.1494776352376334e-11\t0\n"
             "rate_polyak\t443\t0\t5.9975534042069783e-109\t0\n"
             "rate_normalized_fixed\t2\t0\t0.20183711076428867\t0\n"
-            "rate_two_stage\t4009\t0\t0\t0\n"
+            "rate_two_stage\t5335\t0\t0\t0\n"
         )
 
     def test_all_scope_report_golden(self, tmp_path):
@@ -812,7 +812,7 @@ class TestVerifySuite:
             "rate_convex_gap\t4002\t0\t3.1494776352376334e-11\t0\n"
             "rate_polyak\t443\t0\t5.9975534042069783e-109\t0\n"
             "rate_normalized_fixed\t2\t0\t0.20183711076428867\t0\n"
-            "rate_two_stage\t4009\t0\t0\t0\n"
+            "rate_two_stage\t5335\t0\t0\t0\n"
             "fd_gradient[corrupted_gradient]\t50\t50\t-0.0088618041261345794\t0\n"
             "negative_control_halved_l0\t1000\t114\t-6.7352837861615384\t0\n"
         )

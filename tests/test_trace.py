@@ -80,6 +80,7 @@ def _ref_agmsdr(f, x, l_const, budget, params):
     f_x = f.value(x)
     calls = 1
     records = []
+    v_first = False
 
     def arrival_record(k):
         return IterRecord(
@@ -97,7 +98,9 @@ def _ref_agmsdr(f, x, l_const, budget, params):
 
     while calls < budget:
         k = len(records)
-        ls = segment_line_search(f, state.minimizer, x, f_x)
+        v = state.minimizer
+        ls = segment_line_search(f, v, x, f_x, v_first)  # the endpoint that won last first
+        v_first = ls.y is v
         calls += ls.evals
         y, f_y = ls.y, ls.f_y
         grad_y = f.gradient(y)

@@ -197,6 +197,44 @@ class TestSharedPairSample:
             check(kw.pop("f", f), f.params, **kw, pairs=pairs)
 
 
+BAD_SAMPLES = {"empty": (0, 5.0), "negative_count": (-3, 5.0), "zero_radius": (10, 0.0),
+               "negative_radius": (10, -1.0), "nan_radius": (10, math.nan),
+               "inf_radius": (10, math.inf)}
+
+
+class TestEmptySampleRefused:
+    """A sampler given no cases or no region raises, as certify_smoothness
+    does, instead of passing vacuously; it makes no oracle call first."""
+
+    @staticmethod
+    def refused(entry, count_name, case):
+        n, radius = BAD_SAMPLES[case]
+        match = f"{count_name} must be at least 1" if n < 1 else "radius must be positive"
+        calls = []
+        f = _counting(power_norm(2, 4, 1), calls)
+        with pytest.raises(ValueError, match=match):
+            entry(f, n, radius)
+        assert calls == []
+
+    @pytest.mark.parametrize("case", BAD_SAMPLES)
+    def test_smoothness_envelopes(self, case):
+        self.refused(lambda f, n, r: check_smoothness_envelopes(f, f.params, n_pairs=n, radius=r),
+                     "n_pairs", case)
+
+    @pytest.mark.parametrize("case", BAD_SAMPLES)
+    def test_convex_lower_bounds(self, case):
+        self.refused(lambda f, n, r: check_convex_lower_bounds(f, f.params, n_pairs=n, radius=r),
+                     "n_pairs", case)
+
+    @pytest.mark.parametrize("case", BAD_SAMPLES)
+    def test_shared_pair_sample(self, case):
+        self.refused(lambda f, n, r: _pair_sample(f, n_pairs=n, radius=r), "n_pairs", case)
+
+    @pytest.mark.parametrize("case", BAD_SAMPLES)
+    def test_fd_gradient(self, case):
+        self.refused(lambda f, n, r: fd_gradient_check(f, n_points=n, radius=r), "n_points", case)
+
+
 class TestSupportDistance:
     """support_dist = max(<grad f(x), x - x_star>, 0) / ||grad f(x)||, as
     the support_dist column holds it for the one row of a run from x."""
@@ -417,7 +455,7 @@ MONITOR_GOLDEN = {
     ("two_stage_no_gap", "normalized"): _NO_SUPPORT,
     ("two_stage_no_gap", "polyak"): _NO_GAP,
     ("two_stage_no_gap", "accelerated"): _NOT_ACCELERATED,
-    ("two_stage_no_gap", "two_stage"): ("rate_two_stage\t1002\t0\t0\t0", "sublevel k=11"),
+    ("two_stage_no_gap", "two_stage"): ("rate_two_stage\t1332\t0\t0\t0", "sublevel k=11"),
     ("ngd_sqrt", "min_grad"): ("rate_min_grad\t300\t0\t33.164965809277263\t0", "K=299"),
     ("ngd_sqrt", "convex_gap"):
         ("rate_convex_gap\t302\t147\t-0.17674587120113644\t0", "monotone gap k=5"),
