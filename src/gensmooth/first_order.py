@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .kernels import SmoothnessParams
-from .problems import Objective, _norm, _row_dots, _row_norms
+from .problems import ROWS_PER_CHUNK, Objective, _norm, _row_dots, _row_norms
 
 GD_VARIANTS = ("optimal", "simplified", "clipped", "polyak")
 NGD_SCHEDULES = ("fixed", "sqrt", "linear")
@@ -150,11 +150,6 @@ def _none_where(values: list, present: np.ndarray) -> list:
     if not present.any():
         return [None] * len(values)
     return [v if p else None for v, p in zip(values, present.tolist())]
-
-
-# Rows a records view builds (and cli.write_csv formats) at a time, so
-# reading a long trace holds at most this many rows as Python objects.
-ROWS_PER_CHUNK = 256
 
 
 class Records(Sequence):

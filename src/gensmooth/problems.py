@@ -32,10 +32,15 @@ class Objective:
     known analytically, otherwise left None.
 
     `value_grad(x)` returns `(value(x), gradient(x))`, bit for bit.  A
-    builder writes `value` and a fused `value_grad`; `_fused` adds
-    `gradient(x) = value_grad(x)[1]` and the kernel, used only while `value`
-    and `gradient` are those callables: without a kernel, or once either is
-    swapped (say by `dataclasses.replace`), `value_grad` makes the two calls.
+    builder writes `value`, a fused `value_grad` and two batched kernels over
+    the rows of an (n, d) array, `values_grads` and `hessians`; `_fused` adds
+    `gradient(x) = value_grad(x)[1]`, `hessian(x)`, the batch of one, and
+    the kernel.  `value_grad` is the fused one while `value` and `gradient`
+    are the builder's, and `batch` is `(values_grads, hessians)` while
+    `hessian` is too (`_at_points` and `_values_grads` take it, bit for bit
+    the per-point calls).  Without a kernel, or once a callable is swapped
+    (say by `dataclasses.replace`), both fall back to per-point calls of the
+    fields, so wrapped or corrupted oracles are always the ones called.
     """
 
     dim: int
@@ -47,16 +52,19 @@ class Objective:
     params: SmoothnessParams | None = None
     convex: bool = True
     name: str = ""
-    kernel: tuple[Callable, Callable, Callable] | None = field(default=None, repr=False)
+    kernel: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        value, gradient = self.value, self.gradient
-        if self.kernel is not None and self.kernel[:2] == (value, gradient):
-            fused = self.kernel[2]
+        value, gradient, kernel = self.value, self.gradient, self.kernel
+        own = kernel is not None and kernel[:2] == (value, gradient)
+        if own:
+            fused = kernel[2]
         else:
             def fused(x):
                 return value(x), gradient(x)
         object.__setattr__(self, "value_grad", fused)
+        batch = own and kernel[3:4] == (self.hessian,)
+        object.__setattr__(self, "batch", kernel[4:] if batch else None)
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -65,12 +73,20 @@ class Objective:
         return x
 
 
-def _fused(value, value_grad) -> dict:
-    """Objective fields for a value and a fused value_grad: the gradient is the kernel's."""
+def _fused(value, value_grad, values_grads=None, hessians=None) -> dict:
+    """Objective fields for a value and a fused value_grad: the gradient is the
+    kernel's; with batched kernels, the Hessian is their batch of one."""
     def gradient(x):
         return value_grad(x)[1]
 
-    return {"value": value, "gradient": gradient, "kernel": (value, gradient, value_grad)}
+    fields = {"value": value, "gradient": gradient, "kernel": (value, gradient, value_grad)}
+    if hessians is not None:
+        def hessian(x):
+            return hessians(np.asarray(x, dtype=float)[None])[0]
+
+        fields["hessian"] = hessian
+        fields["kernel"] += (hessian, values_grads, hessians)
+    return fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,13 +149,27 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(a, a))
 
 
-def _at_points(oracle, points: np.ndarray) -> np.ndarray:
-    """oracle(x) for each row x of `points`, one call per point, stacked."""
-    return np.array([oracle(x) for x in points], dtype=float)
+# Rows a chunked pass (a records view, cli.write_csv, certify_smoothness)
+# handles at a time, so no temporary grows with the number of rows.
+ROWS_PER_CHUNK = 256
+
+
+def _at_points(f: Objective, oracle: str, points: np.ndarray) -> np.ndarray:
+    """f's `oracle` ("value", "gradient" or "hessian") at each row of
+    `points`, stacked: from f.batch if f has one, else one call per point."""
+    if f.batch is None:
+        call = getattr(f, oracle)
+        return np.array([call(x) for x in points], dtype=float)
+    if oracle == "hessian":
+        return f.batch[1](points)
+    return f.batch[0](points)[oracle == "gradient"]
 
 
 def _values_grads(f: Objective, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and gradients at the rows of `points`, one value_grad call per point."""
+    """Values and gradients at the rows of `points`: from f.batch if f has
+    one, else one value_grad call per point."""
+    if f.batch is not None:
+        return f.batch[0](points)
     pairs = [f.value_grad(x) for x in points]
     return (np.array([v for v, _ in pairs], dtype=float),
             np.array([g for _, g in pairs], dtype=float).reshape(points.shape))
@@ -162,19 +192,25 @@ def power_norm(dim: int, p: float, l1: float) -> Objective:
         grad = np.zeros(dim) if r == 0.0 else np.multiply(_pow(r, p - 2), x)
         return _pow(r, p) / p, grad
 
-    def hessian(x):
-        r = _norm(x)
-        if r == 0.0:
-            # 0/0 at the origin; the limit is the zero matrix for p > 2
-            return np.zeros((dim, dim))
-        u = np.divide(x, r)
-        return _pow(r, p - 2) * (_eye(dim) + (p - 2) * (u[:, None] * u))
+    def values_grads(X):
+        r = _row_norms(X)
+        grads = np.array([_pow(t, p - 2) for t in r.tolist()])[:, None] * X
+        grads[r == 0.0] = 0.0
+        return np.array([_pow(t, p) / p for t in r.tolist()]), grads
+
+    def hessians(X):
+        r = _row_norms(X)
+        u = X / np.where(r == 0.0, 1.0, r)[:, None]
+        h = (p - 2) * (u[:, :, None] * u[:, None, :])
+        h += _eye(dim)  # in place: a stack is the largest array certify makes
+        h *= np.array([_pow(t, p - 2) for t in r.tolist()])[:, None, None]
+        h[r == 0.0] = 0.0  # 0/0 at the origin; the limit is the zero matrix for p > 2
+        return h
 
     l0 = ((p - 2) / l1) ** (p - 2)
     return Objective(
         dim=dim,
-        **_fused(value, value_grad),
-        hessian=hessian,
+        **_fused(value, value_grad, values_grads, hessians),
         f_star=0.0,
         x_star=np.zeros(dim),
         params=SmoothnessParams(l0, l1),
@@ -205,14 +241,17 @@ def logistic_1d(l1: float = 0.0) -> Objective:
         t = x[0]
         return float(np.logaddexp(0.0, t)), np.array([_sigmoid(t)])
 
-    def hessian(x):
-        s = _sigmoid(x[0])
-        return np.array([[s * (1.0 - s)]])
+    def values_grads(X):
+        t = X[:, 0]
+        return np.logaddexp(0.0, t), np.array([_sigmoid(u) for u in t.tolist()])[:, None]
+
+    def hessians(X):
+        s = [_sigmoid(t) for t in X[:, 0].tolist()]
+        return np.array([u * (1.0 - u) for u in s]).reshape(-1, 1, 1)
 
     return Objective(
         dim=1,
-        **_fused(value, value_grad),
-        hessian=hessian,
+        **_fused(value, value_grad, values_grads, hessians),
         params=SmoothnessParams(0.25 * (1.0 - l1) ** 2, l1),
         name=f"logistic(l1={l1})",
     )
@@ -236,14 +275,21 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
         t = float(a @ x) + b
         return float(np.logaddexp(0.0, t)), _sigmoid(t) * a
 
-    def hessian(x):
-        s = _sigmoid(float(a @ x) + b)
-        return s * (1.0 - s) * aa
+    def affine(X):
+        # each row's <a, x> + b as `a @ x` takes it; `X @ a` rounds differently
+        return _row_dots(X, np.broadcast_to(a, X.shape)) + b
+
+    def values_grads(X):
+        t = affine(X)
+        return np.logaddexp(0.0, t), np.array([_sigmoid(u) for u in t.tolist()])[:, None] * a
+
+    def hessians(X):
+        s = [_sigmoid(t) for t in affine(X).tolist()]
+        return np.array([u * (1.0 - u) for u in s])[:, None, None] * aa
 
     return Objective(
         dim=a.size,
-        **_fused(value, value_grad),
-        hessian=hessian,
+        **_fused(value, value_grad, values_grads, hessians),
         params=SmoothnessParams(0.25 * (norm_a - l1) ** 2, l1),
         name=f"affine_logistic(|a|={norm_a:g},b={b},l1={l1})",
     )
@@ -270,20 +316,30 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
         grad = np.zeros(dim) if r == 0.0 else np.multiply((l0 / l1) * e, x) / r
         return float(l0 / l1**2 * (e - l1 * r)), grad
 
-    def hessian(x):
-        r = _norm(x)
-        if r == 0.0:
-            # radial and tangential curvatures both tend to l0 at the origin
-            return l0 * _eye(dim)
-        u = np.multiply.outer(x, x) / _pow(r, 2)
-        radial = l0 * math.exp(l1 * r)
-        tangential = (l0 / l1) * math.expm1(l1 * r) / r
-        return radial * u + tangential * (_eye(dim) - u)
+    def values_grads(X):
+        r = _row_norms(X)
+        e = np.array([math.expm1(l1 * t) for t in r.tolist()])
+        grads = ((l0 / l1) * e)[:, None] * X / np.where(r == 0.0, 1.0, r)[:, None]
+        grads[r == 0.0] = 0.0
+        return l0 / l1**2 * (e - l1 * r), grads
+
+    def hessians(X):
+        r = _row_norms(X)
+        rs = r.tolist()
+        r2 = np.where(r == 0.0, 1.0, [_pow(t, 2) for t in rs])
+        u = X[:, :, None] * X[:, None, :] / r2[:, None, None]
+        radial = np.array([l0 * math.exp(l1 * t) for t in rs])
+        tangential = np.array([(l0 / l1) * math.expm1(l1 * t) / t if t else 0.0 for t in rs])
+        h = tangential[:, None, None] * (_eye(dim) - u)
+        u *= radial[:, None, None]
+        h += u
+        # radial and tangential curvatures both tend to l0 at the origin
+        h[r == 0.0] = l0 * _eye(dim)
+        return h
 
     return Objective(
         dim=dim,
-        **_fused(value, value_grad),
-        hessian=hessian,
+        **_fused(value, value_grad, values_grads, hessians),
         f_star=0.0,
         x_star=np.zeros(dim),
         params=params,
@@ -351,26 +407,36 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
         coords = np.asarray(x, dtype=float).tolist()
         return sum([_pow(math.sqrt(t * t), p) / p for t in coords])
 
-    def value_grad(x):
+    def terms_grads(coords):
         terms, grad = [], []
-        for t in np.asarray(x, dtype=float).tolist():
+        for t in coords:
             r = math.sqrt(t * t)
             terms.append(_pow(r, p) / p)
             grad.append(0.0 if r == 0.0 else _pow(r, p - 2) * t)  # +0.0 at t = -0.0
+        return terms, grad
+
+    def value_grad(x):
+        terms, grad = terms_grads(np.asarray(x, dtype=float).tolist())
         return sum(terms), np.array(grad)
 
-    def hessian(x):
+    def values_grads(X):
+        terms, grad = terms_grads(X.ravel().tolist())
+        values = [sum(terms[i:i + dim]) for i in range(0, len(terms), dim)]
+        return np.array(values, dtype=float), np.array(grad).reshape(X.shape)
+
+    def hessians(X):
         diag = []
-        for t in np.asarray(x, dtype=float).tolist():
+        for t in X.ravel().tolist():
             r = math.sqrt(t * t)
             u = t / r if r else 0.0  # +0.0 at r = 0, where _pow(r, p - 2) is +0.0
             diag.append(_pow(r, p - 2) * (1.0 + (p - 2) * (u * u)))
-        return np.diag(diag)
+        h = np.zeros((len(X), dim, dim))
+        h.reshape(len(X), -1)[:, :: dim + 1] = np.reshape(diag, X.shape)
+        return h
 
     return Objective(
         dim=dim,
-        **_fused(value, value_grad),
-        hessian=hessian,
+        **_fused(value, value_grad, values_grads, hessians),
         f_star=0.0,
         x_star=np.zeros(dim),
         params=power_norm(1, p, l1).params,
@@ -389,11 +455,15 @@ def sample_ball(rng: np.random.Generator, dim: int, radius: float, n: int) -> np
 
 def spectral_norm(h: np.ndarray) -> float | np.ndarray:
     """Largest-magnitude eigenvalue of a symmetric matrix, exactly; for an
-    (n, d, d) stack, the array of the n values, from one eigvalsh call."""
+    (n, d, d) stack, the array of the n values, from one eigvalsh call.  A
+    matrix with a NaN entry gives NaN, else one with an infinite entry gives
+    inf: only finite matrices reach eigvalsh."""
     if h.shape[-1] == 1:
         top = np.abs(h[..., 0, 0])
     else:
-        top = np.max(np.abs(np.linalg.eigvalsh(h)), axis=-1)
+        finite = np.isfinite(h).all(axis=(-2, -1))
+        top = np.where(np.isnan(h).any(axis=(-2, -1)), np.nan, np.inf)
+        top[finite] = np.max(np.abs(np.linalg.eigvalsh(h[finite])), axis=-1)
     return float(top) if h.ndim == 2 else top
 
 
@@ -411,8 +481,10 @@ def certify_smoothness(
     Nonpositive max violation certifies the constants on the sampled region;
     a clearly positive value is a counterexample (the spectral norm is
     exact up to rounding).  A NaN violation is the worst of all: the first
-    one found is reported, so NaN curvature never certifies.  Deterministic
-    for a fixed seed.
+    one found is reported, so NaN curvature never certifies; an overflow
+    shows there, as an inf or NaN violation, not as a warning.  The points
+    are evaluated ROWS_PER_CHUNK at a time, so no Hessian stack grows with
+    n_samples.  Deterministic for a fixed seed.
     """
     if f.hessian is None:
         raise ValueError(f"objective {f.name!r} does not provide a Hessian")
@@ -422,9 +494,12 @@ def certify_smoothness(
         raise ValueError("region_radius must be positive and finite")
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, f.dim, region_radius, n_samples)
-    h_norms = spectral_norm(_at_points(f.hessian, points))
-    g_norms = _row_norms(_at_points(f.gradient, points))
-    violations = h_norms - params.l0 - params.l1 * g_norms
+    with np.errstate(all="ignore"):
+        violations = np.concatenate([
+            spectral_norm(_at_points(f, "hessian", chunk)) - params.l0
+            - params.l1 * _row_norms(_at_points(f, "gradient", chunk))
+            for chunk in (points[i:i + ROWS_PER_CHUNK]
+                          for i in range(0, n_samples, ROWS_PER_CHUNK))])
     # argmax takes the first NaN, else the first of the largest
     i = int(np.argmax(violations))
     worst = float(violations[i])

@@ -147,9 +147,9 @@ def fd_gradient_check(
     # steps[i, j] = h_i * e_j; every point's 2*dim probes in one array
     steps = h[:, None, None] * np.eye(f.dim)
     probes = np.concatenate([points[:, None, :] + steps, points[:, None, :] - steps], axis=1)
-    vals = _at_points(f.value, probes.reshape(-1, f.dim)).reshape(len(points), 2 * f.dim)
+    vals = _at_points(f, "value", probes.reshape(-1, f.dim)).reshape(len(points), 2 * f.dim)
     fd = (vals[:, : f.dim] - vals[:, f.dim :]) / (2.0 * h[:, None])
-    grads = _at_points(f.gradient, points).reshape(points.shape)
+    grads = _at_points(f, "gradient", points).reshape(points.shape)
     err = _row_norms(fd - grads) / (1.0 + _row_norms(grads))
     margins = _Margins(tol=0.0)
     margins.add_all(rel_tol - err, lambda i: f"x={points[i].tolist()}")
