@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from itertools import chain
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -32,8 +33,9 @@ class Objective:
     known analytically, otherwise left None.
 
     `value_grad(x)` returns `(value(x), gradient(x))`, bit for bit.  A
-    builder writes `value`, a fused `value_grad` and two batched kernels over
-    the rows of an (n, d) array, `values_grads` and `hessians`; `_fused` adds
+    composition (radial, coordinate-wise, ridge) writes `value`, a fused
+    `value_grad` and two batched kernels over the rows of an (n, d) array,
+    `values_grads` and `hessians`, once for all its builders; `_fused` adds
     `gradient(x) = value_grad(x)[1]`, `hessian(x)`, the batch of one, and
     the kernel.  `value_grad` is the fused one while `value` and `gradient`
     are the builder's, and `batch` is `(values_grads, hessians)` while
@@ -108,11 +110,11 @@ _FLOAT64 = np.dtype(np.float64)
 def _norm(v) -> float:
     """np.linalg.norm(v) as a Python float, bit for bit, without its dispatch
     cost on the 1-D float64 points the methods pass (IEEE sqrt rounds the
-    same in math and numpy).  The dot stays on BLAS: its kernel rounds
-    differently from the Python sum a*a + b*b (+ c*c), on 31577 of 200000
-    standard normal 2-vectors and 42525 of 200000 3-vectors (seed 0), while
-    `u @ v` and `u.dot(v)` agreed on all of 200000 pairs.  `_pow` stays
-    scalar for a like reason (see there)."""
+    same in math and numpy).  The dot stays on BLAS, whose kernel sets its
+    rounding: OpenBLAS's SkylakeX ddot (AVX-512, fused multiply-adds) differs
+    from the Python sum a*a + b*b on 31577 of 200000 standard normal
+    2-vectors (seed 0), its Haswell ddot on none.  `u @ v` and `u.dot(v)`
+    agreed on all of 200000 pairs.  `_pow` stays scalar for a like reason."""
     if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1:
         return math.sqrt(v.dot(v))
     return float(np.linalg.norm(v))
@@ -175,47 +177,92 @@ def _values_grads(f: Objective, points: np.ndarray) -> tuple[np.ndarray, np.ndar
             np.array([g for _, g in pairs], dtype=float).reshape(points.shape))
 
 
+# A 1-D profile h is three functions of a radius r on Python floats, where an
+# overflow reads inf as in `_pow` (exp's raises OverflowError past l1*r ~ 709.8,
+# as math.expm1 does): h(r); (h(r), c), the gradient of h(||x||) being c*x with
+# c = h'(r)/r; and (c, k), its Hessian being c*(I + k*u u^T) with u = x/r and
+# k = h''(r)/c - 1 (c*I at r = 0).  Only h(r) is on the value path.
+def _power(p: float) -> tuple:
+    """h(r) = r^p / p: c = r^(p-2) and k = p - 2."""
+    def value(r):
+        return _pow(r, p) / p
+
+    def value_coef(r):
+        return _pow(r, p) / p, _pow(r, p - 2)
+
+    def coef_curv(r):
+        return _pow(r, p - 2), p - 2
+
+    return value, value_coef, coef_curv
+
+
+def _exp(l0: float, l1: float) -> tuple:
+    """h(r) = (l0/l1^2) * (exp(s) - s - 1) at s = l1*r: c = l0*expm1(s)/s and
+    k = exp(s)/(expm1(s)/s) - 1, tending to l0 and 0 as s -> 0.  expm1(s) is
+    divided by s before it meets x, so the gradient c*x overflows only where
+    its norm l0*expm1(s)/l1 does."""
+    scale = l0 / l1**2
+
+    def value(r):
+        return scale * (math.expm1(l1 * r) - l1 * r)
+
+    def value_coef(r):
+        s = l1 * r
+        e = math.expm1(s)
+        return scale * (e - s), l0 * (e / s) if s else l0
+
+    def coef_curv(r):
+        s = l1 * r
+        if not s:
+            return l0, 0.0
+        q = math.expm1(s) / s
+        return l0 * q, math.exp(s) / q - 1.0
+
+    return value, value_coef, coef_curv
+
+
+def _radial(dim: int, profile: tuple, **fields) -> Objective:
+    """h(||x||) for a profile h, minimized at 0: every radial builder's four oracles."""
+    if dim < 1:
+        raise ValueError("dim must be positive")
+    h, value_coef, coef_curv = profile
+
+    def value(x):
+        return h(_norm(x))
+
+    def value_grad(x):
+        r = _norm(x)
+        v, c = value_coef(r)
+        return v, np.zeros(dim) if r == 0.0 else np.multiply(c, x)
+
+    def values_grads(X):
+        r = _row_norms(X)
+        vc = np.fromiter(chain.from_iterable(map(value_coef, r.tolist())), float).reshape(-1, 2)
+        grads = vc[:, 1:] * X
+        grads[r == 0.0] = 0.0
+        return vc[:, 0], grads
+
+    def hessians(X):
+        r = _row_norms(X)
+        ck = np.fromiter(chain.from_iterable(map(coef_curv, r.tolist())), float).reshape(-1, 2)
+        u = X / np.where(r == 0.0, 1.0, r)[:, None]
+        hess = ck[:, 1, None, None] * (u[:, :, None] * u[:, None, :])
+        hess += _eye(dim)  # in place: a stack is the largest array certify makes
+        hess *= ck[:, 0, None, None]
+        return hess
+
+    return Objective(dim=dim, **_fused(value, value_grad, values_grads, hessians),
+                     f_star=0.0, x_star=np.zeros(dim), **fields)
+
+
 def power_norm(dim: int, p: float, l1: float) -> Objective:
     """(1/p) * ||x||^p with p > 2; minimal l0 for a chosen l1 is ((p-2)/l1)^(p-2)."""
     if p <= 2:
         raise ValueError("p must exceed 2")
     if l1 <= 0:
         raise ValueError("l1 must be positive")
-    if dim < 1:
-        raise ValueError("dim must be positive")
-
-    def value(x):
-        return _pow(_norm(x), p) / p
-
-    def value_grad(x):
-        r = _norm(x)
-        grad = np.zeros(dim) if r == 0.0 else np.multiply(_pow(r, p - 2), x)
-        return _pow(r, p) / p, grad
-
-    def values_grads(X):
-        r = _row_norms(X)
-        grads = np.array([_pow(t, p - 2) for t in r.tolist()])[:, None] * X
-        grads[r == 0.0] = 0.0
-        return np.array([_pow(t, p) / p for t in r.tolist()]), grads
-
-    def hessians(X):
-        r = _row_norms(X)
-        u = X / np.where(r == 0.0, 1.0, r)[:, None]
-        h = (p - 2) * (u[:, :, None] * u[:, None, :])
-        h += _eye(dim)  # in place: a stack is the largest array certify makes
-        h *= np.array([_pow(t, p - 2) for t in r.tolist()])[:, None, None]
-        h[r == 0.0] = 0.0  # 0/0 at the origin; the limit is the zero matrix for p > 2
-        return h
-
-    l0 = ((p - 2) / l1) ** (p - 2)
-    return Objective(
-        dim=dim,
-        **_fused(value, value_grad, values_grads, hessians),
-        f_star=0.0,
-        x_star=np.zeros(dim),
-        params=SmoothnessParams(l0, l1),
-        name=f"power_norm(d={dim},p={p},l1={l1})",
-    )
+    return _radial(dim, _power(p), params=SmoothnessParams(((p - 2) / l1) ** (p - 2), l1),
+                   name=f"power_norm(d={dim},p={p},l1={l1})")
 
 
 def _sigmoid(t: float) -> float:
@@ -226,35 +273,13 @@ def _sigmoid(t: float) -> float:
 
 
 def logistic_1d(l1: float = 0.0) -> Objective:
-    """ln(1 + exp(x)) on R; admits l0 = (1 - l1)^2 / 4 for any l1 in [0, 1].
+    """ln(1 + exp(x)) on R, the ridge `affine_logistic([1], 0, l1)`; admits
+    l0 = (1 - l1)^2 / 4 for any l1 in [0, 1].
 
     The infimum 0 is approached as x -> -infinity but never attained, so
     f_star is left unset; Polyak-style runs must pass an explicit target.
     """
-    if not 0.0 <= l1 <= 1.0:
-        raise ValueError("l1 must lie in [0, 1]")
-
-    def value(x):
-        return float(np.logaddexp(0.0, x[0]))
-
-    def value_grad(x):
-        t = x[0]
-        return float(np.logaddexp(0.0, t)), np.array([_sigmoid(t)])
-
-    def values_grads(X):
-        t = X[:, 0]
-        return np.logaddexp(0.0, t), np.array([_sigmoid(u) for u in t.tolist()])[:, None]
-
-    def hessians(X):
-        s = [_sigmoid(t) for t in X[:, 0].tolist()]
-        return np.array([u * (1.0 - u) for u in s]).reshape(-1, 1, 1)
-
-    return Objective(
-        dim=1,
-        **_fused(value, value_grad, values_grads, hessians),
-        params=SmoothnessParams(0.25 * (1.0 - l1) ** 2, l1),
-        name=f"logistic(l1={l1})",
-    )
+    return replace(affine_logistic([1.0], 0.0, l1), name=f"logistic(l1={l1})")
 
 
 def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
@@ -302,49 +327,8 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
         raise ValueError("l1 must be positive (use a quadratic for l1 = 0)")
     if params.l0 <= 0:
         raise ValueError("l0 must be positive")
-    if dim < 1:
-        raise ValueError("dim must be positive")
-    l0, l1 = params.l0, params.l1
-
-    def value(x):
-        r = _norm(x)
-        return float(l0 / l1**2 * (math.expm1(l1 * r) - l1 * r))
-
-    def value_grad(x):
-        r = _norm(x)
-        e = math.expm1(l1 * r)  # OverflowError past l1*r ~ 709.8, as in value
-        grad = np.zeros(dim) if r == 0.0 else np.multiply((l0 / l1) * e, x) / r
-        return float(l0 / l1**2 * (e - l1 * r)), grad
-
-    def values_grads(X):
-        r = _row_norms(X)
-        e = np.array([math.expm1(l1 * t) for t in r.tolist()])
-        grads = ((l0 / l1) * e)[:, None] * X / np.where(r == 0.0, 1.0, r)[:, None]
-        grads[r == 0.0] = 0.0
-        return l0 / l1**2 * (e - l1 * r), grads
-
-    def hessians(X):
-        r = _row_norms(X)
-        rs = r.tolist()
-        r2 = np.where(r == 0.0, 1.0, [_pow(t, 2) for t in rs])
-        u = X[:, :, None] * X[:, None, :] / r2[:, None, None]
-        radial = np.array([l0 * math.exp(l1 * t) for t in rs])
-        tangential = np.array([(l0 / l1) * math.expm1(l1 * t) / t if t else 0.0 for t in rs])
-        h = tangential[:, None, None] * (_eye(dim) - u)
-        u *= radial[:, None, None]
-        h += u
-        # radial and tangential curvatures both tend to l0 at the origin
-        h[r == 0.0] = l0 * _eye(dim)
-        return h
-
-    return Objective(
-        dim=dim,
-        **_fused(value, value_grad, values_grads, hessians),
-        f_star=0.0,
-        x_star=np.zeros(dim),
-        params=params,
-        name=f"exp_phi(d={dim},l0={l0},l1={l1})",
-    )
+    return _radial(dim, _exp(params.l0, params.l1), params=params,
+                   name=f"exp_phi(d={dim},l0={params.l0},l1={params.l1})")
 
 
 def sum_with_smooth(
@@ -393,26 +377,25 @@ def sum_with_smooth(
 
 
 def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
-    """(1/p) * sum_i |x_i|^p, the separable composition of 1-D power terms.
-
-    The constants are those of a 1-D `power_norm`, each term's and so the
-    sum's.  Value, gradient and the diagonal Hessian each run one loop over
-    the coordinates that does each term's arithmetic, bit for bit: the norm
-    of a one-entry block is sqrt(t*t), its one-element dot.
+    """(1/p) * sum_i |x_i|^p: the `_power(p)` profile at each coordinate, so
+    its constants are a 1-D `power_norm`'s.  Value, gradient and the diagonal
+    Hessian each run one loop over the coordinates with each term's
+    arithmetic, bit for bit: a one-entry norm is sqrt(t*t), its dot.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
+    h, value_coef, coef_curv = _power(p)
 
     def value(x):
-        coords = np.asarray(x, dtype=float).tolist()
-        return sum([_pow(math.sqrt(t * t), p) / p for t in coords])
+        return sum([h(math.sqrt(t * t)) for t in np.asarray(x, dtype=float).tolist()])
 
     def terms_grads(coords):
         terms, grad = [], []
         for t in coords:
             r = math.sqrt(t * t)
-            terms.append(_pow(r, p) / p)
-            grad.append(0.0 if r == 0.0 else _pow(r, p - 2) * t)  # +0.0 at t = -0.0
+            v, c = value_coef(r)
+            terms.append(v)
+            grad.append(0.0 if r == 0.0 else c * t)  # +0.0 at t = -0.0
         return terms, grad
 
     def value_grad(x):
@@ -428,20 +411,16 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
         diag = []
         for t in X.ravel().tolist():
             r = math.sqrt(t * t)
-            u = t / r if r else 0.0  # +0.0 at r = 0, where _pow(r, p - 2) is +0.0
-            diag.append(_pow(r, p - 2) * (1.0 + (p - 2) * (u * u)))
-        h = np.zeros((len(X), dim, dim))
-        h.reshape(len(X), -1)[:, :: dim + 1] = np.reshape(diag, X.shape)
-        return h
+            u = t / r if r else 0.0  # the 1-D u = x/r, 0 at r = 0 where the Hessian is c
+            c, k = coef_curv(r)
+            diag.append(c * (1.0 + k * (u * u)))
+        hess = np.zeros((len(X), dim, dim))
+        hess.reshape(len(X), -1)[:, :: dim + 1] = np.reshape(diag, X.shape)
+        return hess
 
-    return Objective(
-        dim=dim,
-        **_fused(value, value_grad, values_grads, hessians),
-        f_star=0.0,
-        x_star=np.zeros(dim),
-        params=power_norm(1, p, l1).params,
-        name=f"separable_pnorm(d={dim},p={p},l1={l1})",
-    )
+    return Objective(dim=dim, **_fused(value, value_grad, values_grads, hessians),
+                     f_star=0.0, x_star=np.zeros(dim), params=power_norm(1, p, l1).params,
+                     name=f"separable_pnorm(d={dim},p={p},l1={l1})")
 
 
 def sample_ball(rng: np.random.Generator, dim: int, radius: float, n: int) -> np.ndarray:

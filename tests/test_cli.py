@@ -796,7 +796,7 @@ class TestVerifySuite:
                 "1000\t0\t4.1103491860946524e-08\t0\n"
             "convex_lower_bounds[affine_logistic(|a|=3,b=0.0,l1=1.0)]\t"
                 "1000\t0\t1.4256191394081278e-11\t0\n"
-            "fd_gradient[exp_phi(d=2,l0=1.0,l1=1.0)]\t50\t0\t9.9998833234412783e-06\t0\n"
+            "fd_gradient[exp_phi(d=2,l0=1.0,l1=1.0)]\t50\t0\t9.9998833233273252e-06\t0\n"
             "smoothness_envelopes[exp_phi(d=2,l0=1.0,l1=1.0)]\t"
                 "1000\t0\t5.9453686823409989e-10\t0\n"
             "convex_lower_bounds[exp_phi(d=2,l0=1.0,l1=1.0)]\t"

@@ -62,6 +62,9 @@ def ref_power_norm(dim, p, l1):
 
 
 def ref_exp_phi(dim, params):
+    """Gradient c*x and Hessian c*(I + k*u u^T), with c = l0*expm1(s)/s and
+    k = exp(s)/(expm1(s)/s) - 1 at s = l1*||x||, and their limits l0 and 0
+    where s = 0."""
     l0, l1 = params.l0, params.l1
 
     def value(x):
@@ -72,22 +75,24 @@ def ref_exp_phi(dim, params):
         r = ref_norm(x)
         if r == 0.0:
             return np.zeros(dim)
-        return np.multiply((l0 / l1) * math.expm1(l1 * r), x) / r
+        s = l1 * r
+        return np.multiply(l0 * (math.expm1(s) / s) if s else l0, x)
 
     def value_grad(x):
         r = ref_norm(x)
-        e = math.expm1(l1 * r)
-        grad = np.zeros(dim) if r == 0.0 else np.multiply((l0 / l1) * e, x) / r
-        return float(l0 / l1**2 * (e - l1 * r)), grad
+        s = l1 * r
+        e = math.expm1(s)
+        grad = np.zeros(dim) if r == 0.0 else np.multiply(l0 * (e / s) if s else l0, x)
+        return float(l0 / l1**2 * (e - s)), grad
 
     def hessian(x):
         r = ref_norm(x)
-        if r == 0.0:
+        s = l1 * r
+        if s == 0.0:
             return l0 * np.eye(dim)
-        u = np.outer(x, x) / r**2
-        radial = l0 * math.exp(l1 * r)
-        tangential = (l0 / l1) * math.expm1(l1 * r) / r
-        return radial * u + tangential * (np.eye(dim) - u)
+        q = math.expm1(s) / s
+        u = x / r
+        return l0 * q * (np.eye(dim) + (math.exp(s) / q - 1.0) * np.outer(u, u))
 
     return Objective(dim=dim, value=value, gradient=gradient, hessian=hessian,
                      params=params, kernel=(value, gradient, value_grad))
@@ -268,6 +273,25 @@ def test_exp_phi_overflow_still_raises():
     for op in (f.value, f.gradient, f.value_grad, f.hessian):
         with pytest.raises(OverflowError):
             op(x)
+
+
+@pytest.mark.parametrize("x0", [705.0, 709.0])
+def test_exp_phi_gradient_is_finite_where_its_value_is(x0):
+    """expm1(l1*r) is divided by r before it meets x, so just below the
+    value's overflow the gradient is finite, per point and batched, and
+    nothing warns."""
+    f = exp_phi(2, SmoothnessParams(1.0, 1.0))
+    x = np.array([x0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = f.value_grad(x)
+        values, grads = f.batch[0](x[None])
+        hessian = f.hessian(x)
+        assert [f.value(x), values[0]] == [value, value] and math.isfinite(value)
+        for g in (grad, f.gradient(x), grads[0]):
+            assert g.tobytes() == grad.tobytes()
+        assert grad[0] == pytest.approx(math.expm1(x0), rel=1e-15) and grad[1] == 0.0
+        assert np.isfinite(hessian).all()
 
 
 def test_pow_overflow_reads_inf_without_raising_or_warning():
