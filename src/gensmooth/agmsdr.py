@@ -163,8 +163,8 @@ def agmsdr_run(
         raise ValueError("objective carries no smoothness constants for the descent step")
     if l_const is None:
         l_const = 3.0 * params.l0
-    if l_const <= 0:
-        raise ValueError("l_const must be positive")
+    if not 0 < l_const < math.inf:
+        raise ValueError("l_const must be positive and finite")
     x = f.check_point(x0)
 
     state = EstimateState(x0=x.copy())
@@ -257,8 +257,8 @@ def two_stage_run(
     count; stage-1 rows are marked stage 1, accelerated rows stage 2.
     Returns the partial stage-1 trace if its budget runs out first.
     """
-    if l_const is not None and l_const <= 0:
-        raise ValueError("l_const must be positive")
+    if l_const is not None and not 0 < l_const < math.inf:
+        raise ValueError("l_const must be positive and finite")
     if p.l1 == 0.0:
         return agmsdr_run(f, x_s, l_const, budget, t_params=p)
 

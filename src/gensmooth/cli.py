@@ -246,14 +246,13 @@ class RunReport:
     termination: str
     best_gap: float | None
     total_oracle_calls: int
-    csv_path: str
 
     def summary(self) -> str:
         gap = "unknown" if self.best_gap is None else format(self.best_gap, ".6g")
         return (
             f"problem={self.config.problem_spec} method={self.config.method_spec} "
             f"termination={self.termination} best_gap={gap} "
-            f"oracle_calls={self.total_oracle_calls} csv={self.csv_path}"
+            f"oracle_calls={self.total_oracle_calls} csv={self.config.output_path}"
         )
 
 
@@ -338,28 +337,30 @@ def write_csv(trace: Trace, path: str | Path):
             fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
 
 
-def run_experiment(cfg: RunConfig) -> RunReport:
-    """Parse, run, write the CSV trace, and return the structured report."""
+def run_config(cfg: RunConfig) -> tuple[Objective, MethodSpec, Trace]:
+    """The one run path: parse both specs, start at `initial_point`, run the method."""
     f = parse_problem(cfg.problem_spec)
     method = parse_method(cfg.method_spec)
     x0 = initial_point(f, cfg)
-    trace = execute_method(f, method, x0, cfg.budget, cfg.grad_tol)
+    return f, method, execute_method(f, method, x0, cfg.budget, cfg.grad_tol)
+
+
+def run_experiment(cfg: RunConfig) -> RunReport:
+    """Run the config, write its CSV trace, and return the structured report."""
+    trace = run_config(cfg)[2]
     write_csv(trace, cfg.output_path)
     gaps = trace.column("f_gap")
-    return RunReport(
-        config=cfg,
-        termination=trace.termination,
-        best_gap=None if None in gaps else min(gaps),
-        total_oracle_calls=int(trace.oracle_calls[-1]),
-        csv_path=str(cfg.output_path),
-    )
+    return RunReport(config=cfg, termination=trace.termination,
+                     best_gap=None if None in gaps else min(gaps),
+                     total_oracle_calls=int(trace.oracle_calls[-1]))
 
 
 # Figure presets, one row per run: (file stem, label, problem spec, method
 # spec, radius); every run starts at radius*e1 with a budget of 10^5.
 #   fig1: p in {4,6,8} on (1/p)||x||^p, R = 10, l1 = 1; all four gradient
 #         rules, the normalized method with r_hat = 2R and beta_k =
-#         r_hat/(k+1), and the two-stage procedure.
+#         r_hat/(k+1), and the two-stage procedure.  The normalized steps 2R, R
+#         go 10*e1 -> -10*e1 -> x* = 0: StationaryExact after 3 calls, any p.
 #   fig2: the same objectives, optimal-rule runs across l1 in
 #         {1,2,4,8,16} with the matching minimal l0 per panel.
 #   fig3: p = 6, R in {5,100,500}; optimal-rule descent against the
@@ -418,16 +419,17 @@ SHIPPED_FOR_VERIFY = (
 )
 
 
-# The rate theorems' runs, each from THEOREM_RADIUS*e1: (problem spec,
-# method spec, budget, the `verify.rate_monitor` bounds replayed on its trace)
-THEOREM_RADIUS = 10.0
+# The rate theorems' runs: (config, the `verify.rate_monitor` bounds replayed
+# on its trace).  The monitors take R = ||x0 - x*|| from the trace's first row.
+_P4 = "power_norm:d=2,p=4,l1=1"
 THEOREM_RUNS = (
-    ("power_norm:d=2,p=4,l1=1", "gd:rule=optimal", 4000, ("min_grad", "convex_gap")),
-    ("power_norm:d=2,p=4,l1=1", "gd:rule=simplified", 4000, ("min_grad", "convex_gap")),
-    ("power_norm:d=2,p=4,l1=1", "gd:rule=polyak", 4000, ("polyak",)),
-    ("power_norm:d=2,p=4,l1=1", "ngd:r_hat=10,schedule=fixed,horizon=1000", 10**4,
+    (RunConfig(_P4, "gd:rule=optimal", radius=10.0, budget=4000), ("min_grad", "convex_gap")),
+    (RunConfig(_P4, "gd:rule=simplified", radius=10.0, budget=4000), ("min_grad", "convex_gap")),
+    (RunConfig(_P4, "gd:rule=polyak", radius=10.0, budget=4000), ("polyak",)),
+    (RunConfig(_P4, "ngd:r_hat=10,schedule=fixed,horizon=1000", radius=10.0, budget=10**4),
      ("normalized",)),
-    ("power_norm:d=2,p=6,l1=1", "two_stage:", 8000, ("two_stage",)),
+    (RunConfig("power_norm:d=2,p=6,l1=1", "two_stage:", radius=10.0, budget=8000),
+     ("two_stage",)),
 )
 
 
@@ -463,16 +465,11 @@ def run_verify_suite(
                 f, f.params, n_pairs=1000, seed=seed, pairs=pairs))
 
     if scope in ("theorems", "all"):
-        for problem, method_spec, budget, bounds in THEOREM_RUNS:
-            f = parse_problem(problem)
-            method = parse_method(method_spec)
-            x0 = initial_point(f, RunConfig(problem, method_spec, radius=THEOREM_RADIUS))
-            trace = execute_method(f, method, x0, budget, 0.0)
-            for bound in bounds:
-                reports.append(verify_mod.rate_monitor(
-                    trace, bound, params=f.params, f0=trace.column("f_gap", slice(1))[0],
-                    r=THEOREM_RADIUS, r_hat=method.r_hat,
-                ))
+        for cfg, bounds in THEOREM_RUNS:
+            f, method, trace = run_config(cfg)
+            f0, r = trace.column("f_gap", slice(1))[0], trace.column("dist_opt", slice(1))[0]
+            reports.extend(verify_mod.rate_monitor(trace, bound, params=f.params, f0=f0, r=r,
+                                                   r_hat=method.r_hat) for bound in bounds)
 
     if negative_controls:
         f = parse_problem("power_norm:d=2,p=4,l1=1")

@@ -64,6 +64,8 @@ class StepRule:
             raise ValueError(f"unknown stepsize variant {self.variant!r}")
         if self.variant != "polyak" and self.params is None:
             raise ValueError(f"{self.variant} rule requires smoothness constants")
+        if self.f_star is not None and not math.isfinite(self.f_star):
+            raise ValueError(f"f_star must be finite, got {self.f_star}")
 
 
 @dataclass(slots=True)

@@ -451,8 +451,8 @@ def _polyak(trace, tol, eps_grid, params, r) -> CheckReport:
 
 
 def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
-    if not l_const > 0:
-        raise ValueError("l_const must be positive")
+    if not 0 < l_const < math.inf:
+        raise ValueError("l_const must be positive and finite")
     if not trace.present("a_capital")[0]:
         raise ValueError("accelerated monitor requires an accelerated-method trace")
     k, f_val, a_capital = trace.k, trace.f_val, trace.a_capital

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gensmooth import first_order
+from gensmooth import first_order, verify
 from gensmooth.first_order import Trace
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.cli import (
@@ -21,6 +21,7 @@ from gensmooth.cli import (
     PROBLEMS,
     REQUIRED,
     RunConfig,
+    THEOREM_RUNS,
     SpecError,
     initial_point,
     main,
@@ -713,10 +714,10 @@ class TestPresets:
         np.testing.assert_array_equal(initial_point(f, big), [500.0, 0.0])
 
     def test_configs_round_trip_through_json(self):
-        for which in ("fig1", "fig2", "fig3"):
-            for cfg in preset_figure(which):
-                again = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))
-                assert again == cfg
+        presets = [cfg for which in PRESETS for cfg in preset_figure(which)]
+        for cfg in presets + [cfg for cfg, _ in THEOREM_RUNS]:
+            again = RunConfig.from_json(json.loads(json.dumps(cfg.to_json())))
+            assert again == cfg
 
 
 class TestVerifySuite:
@@ -746,6 +747,27 @@ class TestVerifySuite:
     def test_unknown_scope(self):
         with pytest.raises(ValueError):
             run_verify_suite(scope="everything")
+
+    def test_theorem_runs_are_run_configs(self, tmp_path, monkeypatch, capsys):
+        """`run --config` on a theorem row writes the trace the suite monitors."""
+        monitored, rate_monitor = [], verify.rate_monitor
+
+        def record(trace, bound, **kwargs):
+            if not monitored or monitored[-1] is not trace:
+                monitored.append(trace)
+            return rate_monitor(trace, bound, **kwargs)
+
+        monkeypatch.setattr(verify, "rate_monitor", record)
+        assert run_verify_suite(scope="theorems")[0] == 0
+        assert len(monitored) == len(THEOREM_RUNS)
+        for i, ((cfg, _), trace) in enumerate(zip(THEOREM_RUNS, monitored)):
+            config = tmp_path / f"theorem{i}.json"
+            config.write_text(json.dumps(cfg.to_json()))
+            out = tmp_path / f"theorem{i}.csv"
+            assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+            write_csv(trace, tmp_path / f"monitored{i}.csv")
+            assert out.read_bytes() == (tmp_path / f"monitored{i}.csv").read_bytes()
+        assert capsys.readouterr().out.count("termination=") == len(THEOREM_RUNS)
 
     def test_theorems_report_golden(self, tmp_path):
         """The rate-theorem runs and their monitors, line for line."""
@@ -1001,6 +1023,30 @@ class TestMainEntry:
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == "error: r_hat must be positive\n"
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("l_const", ["nan", "inf"])
+    @pytest.mark.parametrize("kind", ["agmsdr", "two_stage"])
+    def test_accelerated_l_must_be_positive_and_finite(self, kind, l_const, tmp_path, capsys):
+        code = main(["run", "--problem", "power_norm:d=2,p=4,l1=1",
+                     "--method", f"{kind}:l={l_const}", "--radius", "10", "--budget", "200",
+                     "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: l_const must be positive and finite\n"
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("f_star", ["nan", "-inf", "inf"])
+    @pytest.mark.parametrize("rule", ["polyak", "optimal"])
+    def test_gd_f_star_must_be_finite(self, rule, f_star, tmp_path, capsys):
+        code = main(["run", "--problem", "power_norm:d=2,p=4,l1=1",
+                     "--method", f"gd:rule={rule},f_star={f_star}", "--radius", "10",
+                     "--budget", "200", "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: f_star must be finite, got {float(f_star)}\n"
         assert not (tmp_path / "never.csv").exists()
 
     @pytest.mark.parametrize("grad_tol", ["nan", "-1", "-0.5", "-inf", "-1e-300"])

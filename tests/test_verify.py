@@ -26,8 +26,7 @@ from gensmooth.problems import (
 )
 from gensmooth import first_order
 from gensmooth import verify as verify_mod
-from gensmooth.cli import (RunConfig, execute_method, initial_point, parse_method,
-                            parse_problem, run_verify_suite)
+from gensmooth.cli import RunConfig, run_config, run_verify_suite
 from gensmooth.first_order import StepRule, Trace, gd_run, ngd_run
 from gensmooth.agmsdr import agmsdr_run, two_stage_run
 from gensmooth.verify import (
@@ -367,10 +366,11 @@ class TestRateMonitors:
         with pytest.raises(ValueError):
             rate_monitor(trace, "min_grad")
 
-    @pytest.mark.parametrize("l_const", [0.0, -1.0])
+    @pytest.mark.parametrize("l_const", [0.0, -1.0, math.inf, math.nan])
     def test_nonpositive_l_const_rejected(self, l_const):
+        """Also inf and nan: with L = inf the growth and gap bounds hold on any trace."""
         trace = agmsdr_run(self.f, np.array([1.5, -2.0]), None, 50)
-        with pytest.raises(ValueError, match="l_const must be positive"):
+        with pytest.raises(ValueError, match="l_const must be positive and finite"):
             rate_monitor(trace, "accelerated", l_const=l_const, r=1.0)
 
     def test_wrong_trace_kind_rejected(self):
@@ -485,10 +485,9 @@ def edge_traces():
     """name -> (curvature constants, trace, r_hat) for every edge trace."""
     out = {}
     for name, (problem, spec, budget) in EDGE_RUNS.items():
-        f, method = parse_problem(problem), parse_method(spec)
-        x0 = initial_point(f, RunConfig(problem, spec, radius=10.0))
         with np.errstate(all="ignore"):
-            out[name] = (f.params, execute_method(f, method, x0, budget, 0.0), method.r_hat)
+            f, method, trace = run_config(RunConfig(problem, spec, radius=10.0, budget=budget))
+        out[name] = (f.params, trace, method.r_hat)
     out["hand_gap_gone"] = (SmoothnessParams(1.0, 1.0), _gap_gone_trace(), None)
     return out
 
