@@ -202,6 +202,11 @@ def parse_method(spec: str) -> MethodSpec:
     method = MethodSpec(kind=name, **_bind(spec, name, pairs, METHODS[name]))
     if method.schedule == "fixed" and method.horizon is None:
         raise SpecError(spec, 0, "fixed schedule requires horizon")
+    for key, (_, pos) in pairs.items():  # keys the method would ignore
+        if method.rule_variant == "polyak" and key in ("l0", "l1"):
+            raise SpecError(spec, pos, f"rule=polyak takes no {key}")
+        if key == "horizon" and method.schedule != "fixed":
+            raise SpecError(spec, pos, "horizon applies only to schedule=fixed")
     return method
 
 
@@ -339,6 +344,8 @@ def write_csv(trace: Trace, path: str | Path):
 
 def run_config(cfg: RunConfig) -> tuple[Objective, MethodSpec, Trace]:
     """The one run path: parse both specs, start at `initial_point`, run the method."""
+    if cfg.budget < 0:
+        raise ValueError(f"budget must be nonnegative, got {cfg.budget}")
     f = parse_problem(cfg.problem_spec)
     method = parse_method(cfg.method_spec)
     x0 = initial_point(f, cfg)

@@ -13,7 +13,6 @@ constants that are too small (the negative controls in the test suite).
 
 from __future__ import annotations
 
-import functools
 import math
 from itertools import chain
 from dataclasses import dataclass, field, replace
@@ -130,14 +129,6 @@ def _pow(r: float, e: float) -> float:
         return math.inf
 
 
-@functools.lru_cache(maxsize=8)
-def _eye(dim: int) -> np.ndarray:
-    """A read-only identity, built on a Hessian's first call, never by a builder."""
-    eye = np.eye(dim)
-    eye.flags.writeable = False
-    return eye
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a[i] @ b[i] for each row of two 2-D float64 arrays.  A stack of
     (1, d) @ (d, 1) products runs matmul's vector-dot loop, the one BLAS dot
@@ -247,7 +238,7 @@ def _radial(dim: int, profile: tuple, **fields) -> Objective:
         ck = np.fromiter(chain.from_iterable(map(coef_curv, r.tolist())), float).reshape(-1, 2)
         u = X / np.where(r == 0.0, 1.0, r)[:, None]
         hess = ck[:, 1, None, None] * (u[:, :, None] * u[:, None, :])
-        hess += _eye(dim)  # in place: a stack is the largest array certify makes
+        hess += np.eye(dim)  # in place: a stack is the largest array certify makes
         hess *= ck[:, 0, None, None]
         return hess
 
@@ -377,49 +368,43 @@ def sum_with_smooth(
 
 
 def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
-    """(1/p) * sum_i |x_i|^p: the `_power(p)` profile at each coordinate, so
-    its constants are a 1-D `power_norm`'s.  Value, gradient and the diagonal
-    Hessian each run one loop over the coordinates with each term's
-    arithmetic, bit for bit: a one-entry norm is sqrt(t*t), its dot.
+    """(1/p) * sum_i |x_i|^p: `line = power_norm(1, p, l1)` at each coordinate,
+    so its constants are line's.  Value and gradient run one loop over the
+    coordinates with each term's arithmetic; the batched kernels are line's
+    over all coordinates at once, as (n*d, 1) rows, bit for bit: a one-entry
+    norm is sqrt(t*t), its dot.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
-    h, value_coef, coef_curv = _power(p)
+    line = power_norm(1, p, l1)
+    h, value_coef, _ = _power(p)
 
     def value(x):
         return sum([h(math.sqrt(t * t)) for t in np.asarray(x, dtype=float).tolist()])
 
-    def terms_grads(coords):
+    def value_grad(x):
         terms, grad = [], []
-        for t in coords:
+        for t in np.asarray(x, dtype=float).tolist():
             r = math.sqrt(t * t)
             v, c = value_coef(r)
             terms.append(v)
             grad.append(0.0 if r == 0.0 else c * t)  # +0.0 at t = -0.0
-        return terms, grad
-
-    def value_grad(x):
-        terms, grad = terms_grads(np.asarray(x, dtype=float).tolist())
         return sum(terms), np.array(grad)
 
     def values_grads(X):
-        terms, grad = terms_grads(X.ravel().tolist())
+        terms, grads = _values_grads(line, X.reshape(-1, 1))
+        terms = terms.tolist()
         values = [sum(terms[i:i + dim]) for i in range(0, len(terms), dim)]
-        return np.array(values, dtype=float), np.array(grad).reshape(X.shape)
+        return np.array(values, dtype=float), grads.reshape(X.shape)
 
     def hessians(X):
-        diag = []
-        for t in X.ravel().tolist():
-            r = math.sqrt(t * t)
-            u = t / r if r else 0.0  # the 1-D u = x/r, 0 at r = 0 where the Hessian is c
-            c, k = coef_curv(r)
-            diag.append(c * (1.0 + k * (u * u)))
         hess = np.zeros((len(X), dim, dim))
-        hess.reshape(len(X), -1)[:, :: dim + 1] = np.reshape(diag, X.shape)
+        diag = _at_points(line, "hessian", X.reshape(-1, 1))
+        hess.reshape(len(X), -1)[:, :: dim + 1] = diag.reshape(X.shape)
         return hess
 
     return Objective(dim=dim, **_fused(value, value_grad, values_grads, hessians),
-                     f_star=0.0, x_star=np.zeros(dim), params=power_norm(1, p, l1).params,
+                     f_star=0.0, x_star=np.zeros(dim), params=line.params,
                      name=f"separable_pnorm(d={dim},p={p},l1={l1})")
 
 
@@ -437,12 +422,9 @@ def spectral_norm(h: np.ndarray) -> float | np.ndarray:
     (n, d, d) stack, the array of the n values, from one eigvalsh call.  A
     matrix with a NaN entry gives NaN, else one with an infinite entry gives
     inf: only finite matrices reach eigvalsh."""
-    if h.shape[-1] == 1:
-        top = np.abs(h[..., 0, 0])
-    else:
-        finite = np.isfinite(h).all(axis=(-2, -1))
-        top = np.where(np.isnan(h).any(axis=(-2, -1)), np.nan, np.inf)
-        top[finite] = np.max(np.abs(np.linalg.eigvalsh(h[finite])), axis=-1)
+    finite = np.isfinite(h).all(axis=(-2, -1))
+    top = np.where(np.isnan(h).any(axis=(-2, -1)), np.nan, np.inf)
+    top[finite] = np.max(np.abs(np.linalg.eigvalsh(h[finite])), axis=-1)
     return float(top) if h.ndim == 2 else top
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gensmooth import agmsdr as agmsdr_mod
+from gensmooth.first_order import DIVERGENCE_GUARD
 from gensmooth.cli import execute_method, parse_method, parse_problem
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import Objective, exp_phi, power_norm, separable_pnorm
@@ -171,6 +172,18 @@ class TestSegmentLineSearch:
         assert res.y[0] == 0.75 and res.f_y == pytest.approx(0.0025)
         assert res.evals == 2 + 2 * 2  # beta = 0.5 rejected, 0.75 accepted
 
+    def test_gives_up_after_max_probes(self):
+        """Every point of [v, x) off the cliff x stands on is rejected, so
+        the search spends all LS_MAX_PROBES probes and settles for x."""
+        cliff = Objective(dim=1, value=lambda y: 0.0 if y[0] >= 1.0 else math.inf,
+                          gradient=lambda y: np.ones(1), name="cliff")
+        calls = []
+        x = np.array([1.0])
+        res = segment_line_search(counting(cliff, calls), np.array([0.0]), x, 0.0)
+        assert res.y is x and res.f_y == 0.0 and res.grad_y.tolist() == [1.0]
+        assert res.evals == 2 + 2 * LS_MAX_PROBES
+        assert len(calls) == res.evals + 1  # the gradient at x is not counted
+
     def test_overflow_error_propagates(self):
         f = exp_phi(2, SmoothnessParams(1.0, 1.0))
         x = np.array([1.0, 0.0])
@@ -304,6 +317,16 @@ class TestAgmsdrRun:
         trace = agmsdr_run(f, np.array([1.0]), 1.0, budget=100)
         assert trace.termination == "Diverged"
         assert len(trace) == 1 and trace.records[0].f_val == 1.0
+
+
+    def test_value_above_the_guard_after_a_step_ends_diverged(self):
+        """From radius 1e38 the value 2.5e151 is finite but above
+        DIVERGENCE_GUARD: the run stops `Diverged` after its first step."""
+        f = power_norm(2, 4, 1)
+        trace = agmsdr_run(f, np.array([1e38, 0.0]), None, budget=100)
+        assert trace.termination == "Diverged"
+        assert len(trace) == 2
+        assert math.isfinite(trace.f_val[1]) and trace.f_val[1] > DIVERGENCE_GUARD
 
 
 class TestOracleLedger:

@@ -145,6 +145,21 @@ class TestParseMethod:
             parse_method(spec)
         assert err.value.pos == pos
 
+    @pytest.mark.parametrize(
+        "spec, message, pos",
+        [
+            ("gd:rule=polyak,l0=-5,l1=nan", "rule=polyak takes no l0", 15),
+            ("gd:rule=polyak,f_star=0,l1=1", "rule=polyak takes no l1", 24),
+            ("ngd:r_hat=5,schedule=linear,horizon=7", "horizon applies only to schedule=fixed", 28),
+            ("ngd:horizon=7,r_hat=5,schedule=sqrt", "horizon applies only to schedule=fixed", 4),
+        ],
+        ids=["polyak_l0", "polyak_l1", "linear_horizon", "sqrt_horizon"],
+    )
+    def test_key_the_method_would_ignore(self, spec, message, pos):
+        with pytest.raises(SpecError, match=message) as err:
+            parse_method(spec)
+        assert err.value.pos == pos
+
 
 # One valid value per key that some spec requires.
 SAMPLE_VALUES = {
@@ -965,6 +980,22 @@ class TestMainEntry:
         assert code == 2
         assert capsys.readouterr().err.startswith(f"error: config field {field} must be")
         assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config", "preset"])
+    def test_negative_budget_exits_2(self, source, tmp_path, capsys):
+        """A negative budget is one `error:` line, before any CSV is written."""
+        out = tmp_path / "out"
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"budget": -3}))
+        run = ["run", "--problem", "power_norm:d=2,p=4,l1=1", "--method", "gd:rule=optimal",
+               "--radius", "10", "--out", str(out / "never.csv")]
+        argv = {"flag": [*run, "--budget", "-3"], "config": [*run, "--config", str(cfg_file)],
+                "preset": ["preset", "fig1", "--out-dir", str(out), "--budget", "-3"]}[source]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: budget must be nonnegative, got -3\n"
+        assert not out.exists()
 
     def test_parse_error_exits_2(self, capsys):
         code = main(["run", "--problem", "power_norm:d=2,p=2,l1=1",

@@ -10,7 +10,6 @@ import pytest
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import (
     Objective,
-    _eye,
     _norm,
     affine_logistic,
     certify_smoothness,
@@ -353,9 +352,6 @@ class TestHessianBuffers:
             want = first.copy()
             first += 7.0
             assert f.hessian(x).tobytes() == want.tobytes()
-        eye = _eye(3)
-        assert not eye.flags.writeable
-        assert eye.tobytes() == np.eye(3).tobytes()
 
 
 class TestSpectralNorm:

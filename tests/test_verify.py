@@ -313,6 +313,16 @@ class TestRateMonitors:
         report = rate_monitor(trace, "convex_gap", params=self.f.params, r=self.r)
         assert report.informational
 
+    def test_convex_gap_fails_a_short_run_under_small_constants(self):
+        """Negative control: replayed with much smaller l0 and l1, every eps's
+        threshold lies inside a 10-step run that reached none of them."""
+        trace = gd_run(self.f, StepRule(variant="optimal", params=self.f.params), self.x0, 10)
+        assert rate_monitor(trace, "convex_gap", params=self.f.params, r=self.r).n_failures == 0
+        report = rate_monitor(trace, "convex_gap", params=SmoothnessParams(1e-6, 1e-3), r=self.r)
+        assert report.n_failures == 3
+        assert report.worst_margin == -math.inf
+        assert report.worst_case_input == "eps=0.1 never reached"
+
     def test_polyak_contraction_and_gap(self):
         trace = gd_run(self.f, StepRule(variant="polyak"), self.x0, 4000)
         report = rate_monitor(trace, "polyak", params=self.f.params, r=self.r)
