@@ -16,7 +16,6 @@ from .problems import (
     logistic_1d,
     power_norm,
     separable_pnorm,
-    sum_with_smooth,
 )
 from .first_order import (
     IterRecord,
@@ -61,7 +60,6 @@ __all__ = [
     "logistic_1d",
     "affine_logistic",
     "exp_phi",
-    "sum_with_smooth",
     "separable_pnorm",
     "certify_smoothness",
     "StepRule",

@@ -175,25 +175,14 @@ def agmsdr_run(
     termination = "BudgetExhausted"
     names = ("f_val", "a_capital", "zeta_star", "oracle_calls", "grad_norm", "step_len",
              "f_y", "ls_evals")
-    rows = {name: array("q" if name in ("oracle_calls", "ls_evals") else "d") for name in names}
-    rows["X"] = array("d")
-    put_f, put_a, put_zeta, put_calls, put_g, put_step, put_fy, put_ls = (
-        rows[name].append for name in names)
-    put_x = rows["X"].extend
+    rows = array("d")  # per record: the named columns, then x
     k = 0
     v_first = False  # v_k won the previous iteration's search
 
     def arrival(g, step_len, f_y, evals):
         """A row: the iterate on arrival, then this iteration's products."""
-        put_f(f_x)
-        put_a(state.a_capital)
-        put_zeta(state.zeta_star_lower)
-        put_calls(calls)
-        put_g(g)
-        put_step(step_len)
-        put_fy(f_y)
-        put_ls(evals)
-        put_x(x.tolist())
+        rows.fromlist([f_x, state.a_capital, state.zeta_star_lower, calls, g, step_len, f_y,
+                       evals, *x.tolist()])
 
     while calls < budget:
         v = state.minimizer
@@ -233,7 +222,9 @@ def agmsdr_run(
     arrival(math.nan, 0.0, math.nan, 0)
     last = np.arange(k + 1) == k  # the closing row has no iteration products
     missing = {"grad_norm": last, "f_y": last, "ls_evals": last}
-    cols = _columns(k + 1, 2, f.f_star, f.x_star, missing, **rows)
+    table = np.reshape(rows, (k + 1, -1))
+    cols = _columns(k + 1, 2, f.f_star, f.x_star, missing, X=table[:, len(names):],
+                    **dict(zip(names, table.T)))
     return Trace(columns=cols, final_x=x, termination=termination, method="agmsdr")
 
 

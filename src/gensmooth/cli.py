@@ -262,7 +262,10 @@ class RunReport:
 
 
 def initial_point(f: Objective, cfg: RunConfig) -> np.ndarray:
-    """Explicit vector if given, else radius times the first coordinate axis."""
+    """Explicit vector if given, else radius times the first coordinate axis;
+    a config that gives both is refused."""
+    if cfg.x0 is not None and cfg.radius is not None:
+        raise ValueError("config gives both x0 and radius: give one start")
     if cfg.x0 is not None:
         x0 = np.asarray(cfg.x0, dtype=float)
         if x0.shape != (f.dim,):
@@ -543,8 +546,6 @@ def main(argv: list[str] | None = None) -> int:
         if flag:
             run_p.add_argument(flag, dest=field, type=kind, help=text)
     run_p.add_argument("--config", help="JSON file with RunConfig fields; flags override")
-    # "-1;2", "-inf" and "-1e-300" are values: -h is the one option of one dash
-    run_p._negative_number_matcher = re.compile(r"^-[^-]")
 
     preset_p = subs.add_parser("preset", help="run a figure preset")
     preset_p.add_argument("which", choices=tuple(PRESETS))
@@ -571,6 +572,8 @@ def main(argv: list[str] | None = None) -> int:
     cert_p.add_argument("--l0", type=float, default=None, help="override the problem's l0")
     cert_p.add_argument("--l1", type=float, default=None, help="override the problem's l1")
     cert_p.add_argument("--tol", type=float, default=1e-8)
+    # "-1;2", "-inf" and "-1e-300" are values: -h is the one option of one dash
+    run_p._negative_number_matcher = cert_p._negative_number_matcher = re.compile(r"^-[^-]")
 
     try:
         args = parser.parse_args(argv)

@@ -186,20 +186,22 @@ class Records(Sequence):
 def _columns(n: int, stage: int, f_star: float | None, x_star: np.ndarray | None,
              missing: dict, **written) -> dict:
     """Every array a Trace holds for n rows, from the columns a loop
-    `written` (array.array buffers or numpy arrays).  k counts the rows,
-    f_gap is f_val - f_star, and a column not written is missing on every
-    row; `missing` maps the other OPTIONAL names to their missing rows (a
-    bool or a bool array).  The iterates "X" and gradients "G" (row-major,
+    `written` (array.array buffers or numpy arrays, maybe strided views),
+    each held contiguous: int64 if in _INTS, else float64.  k counts the
+    rows, f_gap is f_val - f_star, and a column not written is missing on
+    every row; `missing` maps the other OPTIONAL names to their missing rows
+    (a bool or a bool array).  The iterates "X" and gradients "G" (row-major,
     not kept) give dist_opt where x_star is known, X turned into x - x_star
     in place, and support_dist where a row also has a nonzero gradient
     norm; an overflow (a diverged row) gives NaN."""
     X, G = written.pop("X", None), written.pop("G", None)
-    cols = {name: np.asarray(v) for name, v in written.items()}
+    cols = {name: np.ascontiguousarray(v, np.int64 if name in _INTS else np.float64)
+            for name, v in written.items()}
     cols.update(k=np.arange(n), stage=np.full(n, stage, dtype=np.int8),
                 f_gap=cols["f_val"] - (math.nan if f_star is None else f_star))
     missing["f_gap"] = f_star is None
     if x_star is not None:
-        diff = np.asarray(X).reshape(n, len(x_star))
+        diff = np.ascontiguousarray(X).reshape(n, len(x_star))
         with np.errstate(all="ignore"):
             diff -= x_star
             cols["dist_opt"] = _row_norms(diff)

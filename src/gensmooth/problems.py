@@ -74,20 +74,17 @@ class Objective:
         return x
 
 
-def _fused(value, value_grad, values_grads=None, hessians=None) -> dict:
-    """Objective fields for a value and a fused value_grad: the gradient is the
-    kernel's; with batched kernels, the Hessian is their batch of one."""
+def _fused(value, value_grad, values_grads, hessians) -> dict:
+    """Objective fields for a value, a fused value_grad and the batched
+    kernels: the gradient is value_grad's, the Hessian the batch of one."""
     def gradient(x):
         return value_grad(x)[1]
 
-    fields = {"value": value, "gradient": gradient, "kernel": (value, gradient, value_grad)}
-    if hessians is not None:
-        def hessian(x):
-            return hessians(np.asarray(x, dtype=float)[None])[0]
+    def hessian(x):
+        return hessians(np.asarray(x, dtype=float)[None])[0]
 
-        fields["hessian"] = hessian
-        fields["kernel"] += (hessian, values_grads, hessians)
-    return fields
+    return {"value": value, "gradient": gradient, "hessian": hessian,
+            "kernel": (value, gradient, value_grad, hessian, values_grads, hessians)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,6 +97,9 @@ class CertificateReport:
     region_radius: float
 
     def passes(self, tol: float = 1e-8) -> bool:
+        """max_violation <= tol, for a finite tol (a negative one is stricter)."""
+        if not math.isfinite(tol):
+            raise ValueError(f"tol must be finite, got {tol}")
         return self.max_violation <= tol
 
 
@@ -320,51 +320,6 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
         raise ValueError("l0 must be positive")
     return _radial(dim, _exp(params.l0, params.l1), params=params,
                    name=f"exp_phi(d={dim},l0={params.l0},l1={params.l1})")
-
-
-def sum_with_smooth(
-    f: Objective,
-    g: Objective,
-    g_lip_grad: float,
-    g_lip_val: float,
-    g_convex: bool = True,
-) -> Objective:
-    """Sum f + g where g has gradient Lipschitz constant `g_lip_grad` and
-    value Lipschitz constant `g_lip_val` on the region of interest.
-
-    The sum keeps l1 and absorbs g into the floor:
-    (l0, l1) -> (l0 + g_lip_val*l1 + g_lip_grad, l1).
-    """
-    if f.dim != g.dim:
-        raise ValueError(f"dimension mismatch: {f.dim} vs {g.dim}")
-    if f.params is None:
-        raise ValueError("f must carry smoothness constants")
-    if g_lip_grad < 0 or g_lip_val < 0:
-        raise ValueError("Lipschitz constants must be nonnegative")
-
-    have_hessians = f.hessian is not None and g.hessian is not None
-
-    def value(x):
-        return f.value(x) + g.value(x)
-
-    def value_grad(x):
-        (fv, fg), (gv, gg) = f.value_grad(x), g.value_grad(x)
-        return fv + gv, fg + gg
-
-    def hessian(x):
-        return f.hessian(x) + g.hessian(x)
-
-    params = SmoothnessParams(
-        f.params.l0 + g_lip_val * f.params.l1 + g_lip_grad, f.params.l1
-    )
-    return Objective(
-        dim=f.dim,
-        **_fused(value, value_grad),
-        hessian=hessian if have_hessians else None,
-        params=params,
-        convex=f.convex and g_convex,
-        name=f"sum({f.name},{g.name})",
-    )
 
 
 def separable_pnorm(dim: int, p: float, l1: float) -> Objective:

@@ -209,6 +209,12 @@ class TestInitialPoint:
         with pytest.raises(ValueError):
             initial_point(f, cfg)
 
+    def test_x0_and_radius_together_refused(self):
+        f = parse_problem("power_norm:d=2,p=4,l1=1")
+        cfg = RunConfig(problem_spec="", method_spec="", x0=[1.0, 2.0], radius=500.0)
+        with pytest.raises(ValueError, match="both x0 and radius"):
+            initial_point(f, cfg)
+
 
 # run_experiment CSVs of the descent methods, budget 2000, as
 # (problem, method, x0, termination, lines with header, sha256).
@@ -1104,6 +1110,41 @@ class TestMainEntry:
             runs[form] = out.read_text()
         assert runs["separate"] == runs["joined"]
         assert runs["joined"].splitlines()[1].startswith("0,6.25")  # f(-1, 2) = 5**2/4
+
+    @pytest.mark.parametrize("x0_from", ["flag", "config"])
+    @pytest.mark.parametrize("radius_from", ["flag", "config"])
+    def test_start_given_twice_exits_2(self, x0_from, radius_from, tmp_path, capsys):
+        """x0 and radius together are one `error:` line, wherever each comes from."""
+        given = {"x0": ([1.0, 2.0], ["--x0", "1;2"]), "radius": (500.0, ["--radius", "500"])}
+        data, flags = {}, []
+        for field, source in (("x0", x0_from), ("radius", radius_from)):
+            value, args = given[field]
+            if source == "config":
+                data[field] = value
+            else:
+                flags += args
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(data))
+        code = main(["run", "--config", str(cfg_file), "--problem", "power_norm:d=2,p=4,l1=1",
+                     "--method", "gd:rule=optimal", *flags, "--budget", "3",
+                     "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: config gives both x0 and radius: give one start\n"
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_certify_tol_must_be_finite(self, tol, tmp_path, capsys, monkeypatch):
+        """A tolerance no violation can be compared against is an error, not a verdict."""
+        monkeypatch.chdir(tmp_path)
+        code = main(["certify", "--problem", "power_norm:d=2,p=4,l1=1",
+                     "--samples", "10", "--tol", tol])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: tol must be finite, got {float(tol)}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_overflow_exits_2(self, tmp_path, capsys):
         """An OverflowError inside the accelerated line search is a clean error."""

@@ -1,4 +1,4 @@
-"""Objective constructors: constants, oracles, combinators, certification."""
+"""Objective constructors: constants, oracles, certification."""
 
 import math
 import tracemalloc
@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gensmooth
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import (
     Objective,
@@ -19,7 +20,6 @@ from gensmooth.problems import (
     sample_ball,
     separable_pnorm,
     spectral_norm,
-    sum_with_smooth,
 )
 
 
@@ -182,81 +182,6 @@ class TestExpPhi:
             exp_phi(2, SmoothnessParams(1.0, 0.0))
 
 
-def softmax_term(mu, vectors, offsets):
-    """mu * ln(sum_i exp((<a_i, x> + b_i)/mu)): smooth, Lipschitz, convex."""
-    a = np.asarray(vectors, dtype=float)
-    b = np.asarray(offsets, dtype=float)
-
-    def weights(x):
-        z = (a @ x + b) / mu
-        z -= z.max()
-        w = np.exp(z)
-        return w / w.sum()
-
-    def value(x):
-        z = (a @ x + b) / mu
-        zmax = z.max()
-        return float(mu * (zmax + math.log(np.sum(np.exp(z - zmax)))))
-
-    def gradient(x):
-        return a.T @ weights(x)
-
-    def hessian(x):
-        w = weights(x)
-        mean = a.T @ w
-        return (a.T * w) @ a / mu - np.outer(mean, mean) / mu
-
-    lip_val = float(np.max(np.linalg.norm(a, axis=1)))
-    lip_grad = lip_val**2 / mu
-    obj = Objective(
-        dim=a.shape[1], value=value, gradient=gradient, hessian=hessian,
-        name=f"softmax(mu={mu})",
-    )
-    return obj, lip_grad, lip_val
-
-
-class TestSumWithSmooth:
-    def test_affine_term_shifts_floor_only(self):
-        f = power_norm(2, 4, 1)
-        slope = np.array([0.7, -0.2])
-        m = float(np.linalg.norm(slope))
-        g = Objective(
-            dim=2,
-            value=lambda x: float(slope @ x),
-            gradient=lambda x: slope.copy(),
-            hessian=lambda x: np.zeros((2, 2)),
-            name="affine",
-        )
-        total = sum_with_smooth(f, g, g_lip_grad=0.0, g_lip_val=m)
-        assert total.params == SmoothnessParams(f.params.l0 + m * f.params.l1, f.params.l1)
-
-    def test_zero_term_keeps_params(self):
-        f = power_norm(2, 4, 1)
-        zero = Objective(
-            dim=2,
-            value=lambda x: 0.0,
-            gradient=lambda x: np.zeros(2),
-            hessian=lambda x: np.zeros((2, 2)),
-            name="zero",
-        )
-        total = sum_with_smooth(f, zero, g_lip_grad=0.0, g_lip_val=0.0)
-        assert total.params == f.params
-
-    def test_softmax_sum_certifies(self):
-        f = power_norm(2, 4, 1)
-        g, lip_grad, lip_val = softmax_term(
-            2.0, [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]], [0.0, 0.1, -0.2]
-        )
-        total = sum_with_smooth(f, g, g_lip_grad=lip_grad, g_lip_val=lip_val)
-        assert_oracles_consistent(total)
-        report = certify_smoothness(total, total.params, 5.0, 4000, seed=9)
-        assert report.passes(1e-8)
-
-    def test_rejects_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            sum_with_smooth(power_norm(2, 4, 1), power_norm(3, 4, 1), 0.0, 0.0)
-
-
 class TestSeparablePnorm:
     def test_pnorm_composition(self):
         h = separable_pnorm(4, 4, 1.0)
@@ -398,6 +323,19 @@ class TestCertifier:
         assert not report.passes(1e-8)
         assert report.violating_point is not None
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf])
+    def test_passes_refuses_a_tolerance_that_is_not_finite(self, tol):
+        f = power_norm(2, 4, 1)
+        report = certify_smoothness(f, f.params, 5.0, 100, seed=0)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            report.passes(tol)
+
+    def test_negative_tolerance_is_stricter(self):
+        f = power_norm(2, 4, 1)
+        loose = SmoothnessParams(f.params.l0 + 1.0, f.params.l1)
+        report = certify_smoothness(f, loose, 5.0, 100, seed=0)
+        assert report.passes(-0.5) and not report.passes(-2.0)
+
     def test_deterministic_given_seed(self):
         f = power_norm(2, 4, 1)
         a = certify_smoothness(f, f.params, 5.0, 500, seed=13)
@@ -440,3 +378,10 @@ class TestCertifier:
         report = certify_smoothness(replace(f, hessian=hessian), f.params, 1.0, 10, seed=1)
         assert math.isnan(report.max_violation)
         np.testing.assert_array_equal(report.violating_point, calls[2])
+
+
+def test_every_exported_name_resolves():
+    """Each name in `gensmooth.__all__` is an attribute of the package."""
+    assert len(set(gensmooth.__all__)) == len(gensmooth.__all__)
+    missing = [name for name in gensmooth.__all__ if not hasattr(gensmooth, name)]
+    assert missing == []

@@ -12,6 +12,7 @@ import pytest
 from gensmooth.agmsdr import EstimateState, agmsdr_run, segment_line_search, two_stage_run
 from gensmooth.cli import SHIPPED_FOR_VERIFY, parse_problem
 from gensmooth.first_order import (
+    COLUMNS,
     DIVERGENCE_GUARD,
     ROWS_PER_CHUNK,
     IterRecord,
@@ -27,12 +28,10 @@ from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import (
     Objective,
     _norm,
-    affine_logistic,
     exp_phi,
     logistic_1d,
     power_norm,
     separable_pnorm,
-    sum_with_smooth,
 )
 
 
@@ -285,18 +284,10 @@ def _same_pair(got, want):
     assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
 
 
-# the combinator, which no shipped spec builds
-COMBINATORS = {
-    "sum_with_smooth": lambda: sum_with_smooth(
-        power_norm(2, 4, 1.0), affine_logistic(np.array([3.0, 0.0]), 0.5, 1.0),
-        g_lip_grad=2.25, g_lip_val=3.0),
-}
-
-
 class TestValueGrad:
-    @pytest.mark.parametrize("spec", SHIPPED_FOR_VERIFY + tuple(COMBINATORS))
+    @pytest.mark.parametrize("spec", SHIPPED_FOR_VERIFY)
     def test_bitwise_equal_to_two_calls(self, spec):
-        f = COMBINATORS[spec]() if spec in COMBINATORS else parse_problem(spec)
+        f = parse_problem(spec)
         rng = np.random.default_rng(11)
         points = [rng.standard_normal(f.dim) * s for s in (0.1, 1.0, 5.0, 30.0)]
         points += [np.zeros(f.dim), np.zeros(f.dim).tolist(), (points[1]).tolist()]
@@ -357,6 +348,32 @@ class TestValueGrad:
         f = Objective(dim=1, value=lambda x: seen.append("v") or 1.0,
                       gradient=lambda x: seen.append("g") or np.zeros(1))
         assert f.value_grad(np.zeros(1))[0] == 1.0 and seen == ["v", "g"]
+
+
+TRACE_RUNS = {
+    "gd": lambda x0: gd_run(PN, StepRule("optimal", PN.params), x0, 200),
+    "ngd": lambda x0: ngd_run(PN, 5.0, "sqrt", x0, 200),
+    "agmsdr": lambda x0: agmsdr_run(PN, x0, None, 200),
+    "two_stage": lambda x0: two_stage_run(PN, x0, PN.params, 2000),
+}
+
+
+@pytest.mark.parametrize("method", TRACE_RUNS)
+def test_trace_column_types(method):
+    """`write_csv` writes %d or %.17g by a column's dtype: k, oracle_calls,
+    stage and ls_evals are integer columns, every other column float64, each
+    its own contiguous array."""
+    trace = TRACE_RUNS[method](np.array([10.0, -3.0]))
+    assert len(trace) > 2
+    for name in COLUMNS:
+        col = getattr(trace, name)
+        if name in ("k", "oracle_calls", "stage", "ls_evals"):
+            assert col.dtype.kind == "i", name
+        else:
+            assert col.dtype == np.float64, name
+        assert col.flags.c_contiguous, name
+        others = [getattr(trace, other) for other in COLUMNS if other != name]
+        assert not any(np.shares_memory(col, other) for other in others), name
 
 
 def test_trace_memory_per_row():
