@@ -42,7 +42,6 @@ from .verify import (
     conjugate_grid_consistency,
     fd_gradient_check,
     kernel_bound_checks,
-    merge_reports,
     rate_monitor,
     serialize_reports,
 )
@@ -83,6 +82,5 @@ __all__ = [
     "kernel_bound_checks",
     "conjugate_grid_consistency",
     "rate_monitor",
-    "merge_reports",
     "serialize_reports",
 ]

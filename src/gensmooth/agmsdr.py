@@ -162,6 +162,8 @@ def agmsdr_run(
     if params is None:
         raise ValueError("objective carries no smoothness constants for the descent step")
     if l_const is None:
+        if params.l0 == 0:
+            raise ValueError("default l = 3*l0 is 0 because the objective's l0 is 0: give l")
         l_const = 3.0 * params.l0
     if not 0 < l_const < math.inf:
         raise ValueError("l_const must be positive and finite")
@@ -240,13 +242,13 @@ def two_stage_run(
 
     Stage 1 takes simplified-rule steps.  It hands over once f - f_star <=
     l0/(5*l1^2) when the optimum is known, and otherwise once ||grad|| <=
-    l0/l1.  `l_const` is the scaling constant of the accelerated stage
-    (`agmsdr_run`'s default when None).
+    l0/l1; ending any other way (out of budget, diverged, exactly
+    stationary), it returns its own trace.  `l_const` is the scaling
+    constant of the accelerated stage (`agmsdr_run`'s default when None).
 
     With l1 = 0 the target is vacuous and stage 1 is skipped entirely.
     Stage-2 records continue the combined iteration index and oracle
     count; stage-1 rows are marked stage 1, accelerated rows stage 2.
-    Returns the partial stage-1 trace if its budget runs out first.
     """
     if l_const is not None and not 0 < l_const < math.inf:
         raise ValueError("l_const must be positive and finite")
@@ -262,7 +264,7 @@ def two_stage_run(
         stage1 = gd_run(f, step_rule, x_s, budget, grad_tol=p.l0 / p.l1)
 
     stage1.method = "two_stage"
-    if stage1.termination in ("BudgetExhausted", "Diverged"):
+    if stage1.termination not in ("GapToleranceMet", "GradToleranceMet"):
         return stage1
 
     stage1_calls = int(stage1.oracle_calls[-1])

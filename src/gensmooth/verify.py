@@ -15,14 +15,16 @@ floors) through these same functions and requires them to report failures.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import SmoothnessParams, phi, phi_star
-from .problems import (Objective, _at_points, _row_dots, _row_norms, _values_grads,
-                       sample_ball)
+from .problems import (ROWS_PER_CHUNK, Objective, _at_points, _row_dots, _row_norms,
+                       _values_grads, sample_ball)
 from .first_order import Trace
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
@@ -59,7 +61,7 @@ class CheckReport:
 
 
 class _Margins:
-    """Accumulates (margin, case description) pairs against one tolerance.
+    """Accumulates (margin, case description) pairs against a tolerance.
 
     A NaN margin counts as a failure and is the worst margin there is: the
     first one stays the worst.
@@ -72,56 +74,37 @@ class _Margins:
         self.worst = math.inf
         self.worst_input = ""
 
-    def add(self, margin: float, case: str):
-        self.n_cases += 1
-        if not (margin >= -self.tol):
-            self.n_failures += 1
-        if margin < self.worst or (margin != margin and self.worst == self.worst):
-            self.worst = margin
-            self.worst_input = case
+    def add(self, margin: float, case: str, tol: float | None = None):
+        self.add_all(np.array([margin], dtype=float), lambda i: case, tol)
 
-    def add_all(self, margins: np.ndarray, describe):
-        """`add` for each entry in order; `describe(i)` names case i and is
-        called once, for the entry that can become the worst."""
-        if margins.size:
-            # argmin takes the first NaN, else the first of the lowest
-            i = int(np.argmin(margins))
-            self.add(float(margins[i]), describe(i))
-            rest = np.delete(margins, i)
-            self.n_cases += rest.size
-            self.n_failures += int(np.count_nonzero(~(rest >= -self.tol)))
+    def add_all(self, margins: np.ndarray, describe, tol: float | None = None):
+        """Count each entry as a case, failing below -tol (the accumulator's
+        own unless given).  The first NaN, else the first lowest entry,
+        becomes the worst if it is NaN or lower than the worst so far;
+        `describe(i)` names case i and is called only for that entry."""
+        if not margins.size:
+            return
+        tol = self.tol if tol is None else tol
+        self.n_cases += margins.size
+        self.n_failures += int(np.count_nonzero(~(margins >= -tol)))
+        i = int(np.argmin(margins))  # the first NaN, else the first of the lowest
+        margin = float(margins[i])
+        if margin < self.worst or (margin != margin and self.worst == self.worst):
+            self.worst, self.worst_input = margin, describe(i)
 
     def report(self, name: str, seed: int = 0, informational: bool = False) -> CheckReport:
-        worst = self.worst if self.n_cases else math.inf
         return CheckReport(check_name=name, n_cases=self.n_cases, n_failures=self.n_failures,
-                           worst_margin=worst, worst_case_input=self.worst_input, seed=seed,
+                           worst_margin=self.worst, worst_case_input=self.worst_input, seed=seed,
                            informational=informational)
-
-
-def merge_reports(reports: list[CheckReport]) -> CheckReport:
-    """Combine shards of one check: counts add, margins take the minimum
-    (or the first NaN, as in `_Margins`)."""
-    if not reports:
-        raise ValueError("nothing to merge")
-    nan = [r for r in reports if math.isnan(r.worst_margin)]
-    worst = nan[0] if nan else min(reports, key=lambda r: r.worst_margin)
-    return CheckReport(
-        check_name=worst.check_name,
-        n_cases=sum(r.n_cases for r in reports),
-        n_failures=sum(r.n_failures for r in reports),
-        worst_margin=worst.worst_margin,
-        worst_case_input=worst.worst_case_input,
-        seed=worst.seed,
-        informational=any(r.informational for r in reports),
-    )
 
 
 def serialize_reports(reports: list[CheckReport]) -> str:
     return "".join(r.line() + "\n" for r in reports)
 
 
-def _check_sample(name: str, n: int, radius: float):
+def _check_sample(name: str, n: int, radius: float, seed: int):
     """An empty sample would pass vacuously, so a sampler refuses it."""
+    operator.index(seed)  # a stateful Generator would hit a stale `_pair_sample` entry
     if n < 1:
         raise ValueError(f"{name} must be at least 1")
     if not 0 < radius < math.inf:
@@ -140,15 +123,18 @@ def fd_gradient_check(
     Step h = 1e-6 * (1 + ||x||) per coordinate; the error is measured
     relative to 1 + ||grad|| so near-stationary points do not blow it up.
     """
-    _check_sample("n_points", n_points, radius)
+    _check_sample("n_points", n_points, radius, seed)
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, f.dim, radius, n_points)
     h = 1e-6 * (1.0 + _row_norms(points))
-    # steps[i, j] = h_i * e_j; every point's 2*dim probes in one array
-    steps = h[:, None, None] * np.eye(f.dim)
-    probes = np.concatenate([points[:, None, :] + steps, points[:, None, :] - steps], axis=1)
-    vals = _at_points(f, "value", probes.reshape(-1, f.dim)).reshape(len(points), 2 * f.dim)
-    fd = (vals[:, : f.dim] - vals[:, f.dim :]) / (2.0 * h[:, None])
+    d, fd = f.dim, np.empty_like(points)
+    per = max(1, ROWS_PER_CHUNK // (2 * d))  # points whose 2*d probes make a chunk
+    for i in range(0, n_points, per):
+        # steps[j, m] = h_j * e_m; a chunk at a time, so no array grows with d^2
+        x, steps = points[i:i + per, None, :], h[i:i + per, None, None] * np.eye(d)
+        probes = np.concatenate([x + steps, x - steps], axis=1).reshape(-1, d)
+        vals = _at_points(f, "value", probes).reshape(-1, 2 * d)
+        fd[i:i + per] = (vals[:, :d] - vals[:, d:]) / (2.0 * h[i:i + per, None])
     grads = _at_points(f, "gradient", points).reshape(points.shape)
     err = _row_norms(fd - grads) / (1.0 + _row_norms(grads))
     margins = _Margins(tol=0.0)
@@ -164,24 +150,19 @@ def _sample_pairs(rng, dim, n_pairs, max_sep, radius):
     return xs, xs + dirs * seps[:, None]
 
 
+@functools.lru_cache(maxsize=1)
 def _pair_sample(f: Objective, n_pairs=1000, max_sep=2.0, seed=0, radius=5.0):
-    """(key, xs, ys, fx, gx, fy, gy): the pairs drawn from `seed`, with f's
-    values and gradients at both ends, for the envelope and lower-bound checks
-    to share; key = (f, n_pairs, max_sep, seed, radius)."""
-    _check_sample("n_pairs", n_pairs, radius)
+    """(xs, ys, fx, gx, fy, gy), read-only: the pairs drawn from `seed`, with
+    f's values and gradients at both ends.  The envelope and lower-bound
+    checks share the last sample, keyed on f's identity (Objective is
+    eq=False) and the arguments, which they pass positionally because
+    lru_cache keys f(a, b) and f(a, b=...) apart."""
+    _check_sample("n_pairs", n_pairs, radius, seed)
     xs, ys = _sample_pairs(np.random.default_rng(seed), f.dim, n_pairs, max_sep, radius)
-    key = (f, n_pairs, max_sep, seed, radius)
-    return (key, xs, ys, *_values_grads(f, xs), *_values_grads(f, ys))
-
-
-def _judged_pairs(f: Objective, pairs, n_pairs, max_sep, seed, radius):
-    """A check's sample without its key: `pairs`, if drawn for f (by identity)
-    with these arguments, else a fresh one."""
-    if pairs is None:
-        return _pair_sample(f, n_pairs, max_sep, seed, radius)[1:]
-    if pairs[0] != (f, n_pairs, max_sep, seed, radius):
-        raise ValueError("pair sample was drawn for another objective or other arguments")
-    return pairs[1:]
+    sample = (xs, ys, *_values_grads(f, xs), *_values_grads(f, ys))
+    for a in sample:
+        a.flags.writeable = False
+    return sample
 
 
 def _case_min(first: np.ndarray, *rest: np.ndarray) -> np.ndarray:
@@ -204,8 +185,6 @@ def check_smoothness_envelopes(
     max_sep: float = 2.0,
     seed: int = 0,
     radius: float = 5.0,
-    *,
-    pairs=None,
 ) -> CheckReport:
     """Sampled check of the two growth envelopes implied by the curvature model:
 
@@ -213,10 +192,9 @@ def check_smoothness_envelopes(
         |f(y) - f(x) - <grad f(x), y - x>|   <= a * phi(l1*s) / l1^2
 
     with a = l0 + l1*||grad f(x)|| and s = ||y - x||; for l1 = 0 the right
-    sides degrade to the familiar a*s and a*s^2/2.  A `pairs` sample from
-    `_pair_sample` for the same f and arguments replaces a fresh one.
+    sides degrade to the familiar a*s and a*s^2/2.
     """
-    xs, ys, fx, gx, fy, gy = _judged_pairs(f, pairs, n_pairs, max_sep, seed, radius)
+    xs, ys, fx, gx, fy, gy = _pair_sample(f, n_pairs, max_sep, seed, radius)
     a = p.l0 + p.l1 * _row_norms(gx)
     s = _row_norms(ys - xs)
     if p.l1 > 0:
@@ -254,8 +232,6 @@ def check_convex_lower_bounds(
     seed: int = 0,
     radius: float = 5.0,
     max_sep: float = 2.0,
-    *,
-    pairs=None,
 ) -> CheckReport:
     """Sampled check of the convex lower-bound family.
 
@@ -266,11 +242,10 @@ def check_convex_lower_bounds(
       f(y) - f(x) - <grad f(x), y - x>  >=  s^2 / (2*a_y + l1*s)
 
     where conj(s, a) = (a/l1^2) * phi_star(l1*s/a).  Convex input only.
-    `pairs` as in `check_smoothness_envelopes`.
     """
     if not f.convex:
         raise ValueError(f"objective {f.name!r} is not marked convex")
-    xs, ys, fx, gx, fy, gy = _judged_pairs(f, pairs, n_pairs, max_sep, seed, radius)
+    xs, ys, fx, gx, fy, gy = _pair_sample(f, n_pairs, max_sep, seed, radius)
     a_x = p.l0 + p.l1 * _row_norms(gx)
     a_y = p.l0 + p.l1 * _row_norms(gy)
     s = _row_norms(gy - gx)
@@ -339,14 +314,15 @@ def _squares(values: np.ndarray) -> np.ndarray:
     return np.array([v ** 2 for v in values.tolist()])
 
 
-def _add_rows(margins: _Margins, k: np.ndarray, *kinds):
-    """Add margins row by row and, within a row, kind by kind.  A kind is
-    (case format with a {k} field, margin per row, whether each row has
-    that margin); `k` labels the rows."""
+def _add_rows(margins: _Margins, k: np.ndarray, *kinds, tol: float | None = None):
+    """Add margins row by row and, within a row, kind by kind, against `tol`
+    as in `_Margins.add_all`.  A kind is (case format with a {k} field,
+    margin per row, whether each row has that margin); `k` labels the rows."""
     values = np.stack([m for _, m, _ in kinds], axis=1).ravel()
     has = np.stack([np.broadcast_to(h, len(k)) for _, _, h in kinds], axis=1).ravel()
     at, width = np.flatnonzero(has), len(kinds)
-    margins.add_all(values[at], lambda i: kinds[at[i] % width][0].format(k=k[at[i] // width]))
+    margins.add_all(values[at], lambda i: kinds[at[i] % width][0].format(k=k[at[i] // width]),
+                    tol)
 
 
 def _first_hit(trace: Trace, eps: float):
@@ -476,9 +452,9 @@ def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
               ("A_k growth k={k}", a_capital[later] - k2 / (4.0 * l_const), True),
               ("gap bound k={k}", 2.0 * l_const * r * r / k2 - trace.f_gap[later],
                trace.present("f_gap")[later]))
-    cert = _Margins(tol=1e-7)
-    _add_rows(cert, k, ("certificate k={k}", trace.zeta_star - a_capital * f_val, True))
-    return merge_reports([margins.report("rate_accelerated"), cert.report("rate_accelerated")])
+    _add_rows(margins, k, ("certificate k={k}", trace.zeta_star - a_capital * f_val, True),
+              tol=1e-7)
+    return margins.report("rate_accelerated")
 
 
 def _two_stage(trace, tol, eps_grid, params, r) -> CheckReport:

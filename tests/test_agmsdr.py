@@ -455,6 +455,14 @@ class TestTwoStage:
         assert trace.termination == "BudgetExhausted"
         assert all(r.stage == 1 for r in trace.records)
 
+    def test_stops_at_an_exactly_stationary_start(self):
+        """Stage 1 ends StationaryExact at the optimum, short of a hand-over."""
+        f = power_norm(2, 4, 1)
+        trace = two_stage_run(f, np.zeros(2), f.params, budget=10)
+        assert trace.termination == "StationaryExact"
+        assert trace.method == "two_stage"
+        assert [(r.stage, r.oracle_calls) for r in trace.records] == [(1, 1)]
+
     def test_two_stage_monitor_passes(self):
         f = power_norm(2, 6, 1)
         trace = two_stage_run(f, np.array([10.0, 0.0]), f.params, budget=10**5)

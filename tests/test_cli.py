@@ -1074,6 +1074,26 @@ class TestMainEntry:
         assert out.err == "error: l_const must be positive and finite\n"
         assert not (tmp_path / "never.csv").exists()
 
+    @pytest.mark.parametrize("problem", ["logistic:l1=1", "affine_logistic:a=3;4,l1=5"])
+    def test_agmsdr_default_l_needs_a_positive_l0(self, problem, tmp_path, capsys):
+        code = main(["run", "--problem", problem, "--method", "agmsdr:", "--radius", "1",
+                     "--budget", "20", "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: default l = 3*l0 is 0 because the objective's l0 is 0: "
+                           "give l\n")
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_two_stage_from_the_optimum_stops_there(self, tmp_path, capsys):
+        out_csv = tmp_path / "run.csv"
+        code = main(["run", "--problem", "power_norm:d=2,p=4,l1=1", "--method", "two_stage:",
+                     "--radius", "0", "--budget", "10", "--out", str(out_csv)])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "termination=StationaryExact" in out and "oracle_calls=1 " in out
+        assert out_csv.read_text().splitlines()[1:] == ["0,0,0,0,0,1,1"]
+
     @pytest.mark.parametrize("f_star", ["nan", "-inf", "inf"])
     @pytest.mark.parametrize("rule", ["polyak", "optimal"])
     def test_gd_f_star_must_be_finite(self, rule, f_star, tmp_path, capsys):

@@ -6,6 +6,7 @@ be caught, otherwise the layer proves nothing.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import pairwise
 
@@ -41,7 +42,6 @@ from gensmooth.verify import (
     conjugate_grid_consistency,
     fd_gradient_check,
     kernel_bound_checks,
-    merge_reports,
     rate_monitor,
     serialize_reports,
 )
@@ -84,6 +84,19 @@ class TestFdGradientCheck:
         )
         report = fd_gradient_check(broken, n_points=50, seed=1)
         assert report.n_failures > 0
+
+    def test_memory_does_not_grow_with_points_times_dim_squared(self):
+        """The 2*d probes of each point are evaluated a chunk at a time; all
+        8 points' probes at once (the unchunked check) peak at 29 MB here."""
+        f = power_norm(300, 4, 1)
+        tracemalloc.start()
+        try:
+            report = fd_gradient_check(f, n_points=8, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.line() == f"fd_gradient[{f.name}]\t8\t0\t9.9993381628381911e-06\t0"
+        assert peak < 25e6
 
 
 class TestSmoothnessEnvelopes:
@@ -152,20 +165,19 @@ def _counting(f: Objective, calls: list) -> Objective:
 
 
 class TestSharedPairSample:
-    """The envelope and lower-bound checks can judge one evaluated sample."""
+    """The envelope and lower-bound checks share the last evaluated sample."""
 
     @pytest.mark.parametrize("f", SHIPPED, ids=lambda f: f.name)
     def test_checks_on_a_shared_sample_call_no_oracle(self, f):
         calls = []
         counted = _counting(f, calls)
         kw = dict(n_pairs=300, max_sep=1.5, seed=4, radius=3.0)
-        pairs = _pair_sample(counted, **kw)
+        shared = [check_smoothness_envelopes(counted, f.params, **kw)]
         assert len(calls) == 4 * 300  # a value and a gradient at both ends
-        shared = [check_smoothness_envelopes(counted, f.params, **kw, pairs=pairs),
-                  check_convex_lower_bounds(counted, f.params, **kw, pairs=pairs)]
+        shared.append(check_convex_lower_bounds(counted, f.params, **kw))
         assert len(calls) == 4 * 300
-        own = [check_smoothness_envelopes(f, f.params, **kw),
-               check_convex_lower_bounds(f, f.params, **kw)]
+        own = [check_smoothness_envelopes(replace(f), f.params, **kw),
+               check_convex_lower_bounds(replace(f), f.params, **kw)]
         for got, want in zip(shared, own):
             assert got.line() == want.line()
             assert got.worst_case_input == want.worst_case_input
@@ -184,16 +196,39 @@ class TestSharedPairSample:
 
     @pytest.mark.parametrize("check", [check_smoothness_envelopes, check_convex_lower_bounds])
     @pytest.mark.parametrize("other", [
-        {"f": power_norm(2, 4, 1)},  # equal in every field, but another objective
+        {"copy": True},  # an objective equal in every field, but another one
         {"seed": 5}, {"radius": 4.0}, {"max_sep": 1.0}, {"n_pairs": 299},
     ], ids=["objective", "seed", "radius", "max_sep", "n_pairs"])
-    def test_mismatched_sample_is_refused(self, check, other):
-        f = power_norm(2, 4, 1)
+    def test_another_objective_or_argument_draws_a_fresh_sample(self, check, other):
+        calls = []
+        f = _counting(power_norm(2, 4, 1), calls)
         kw = dict(n_pairs=300, max_sep=2.0, seed=4, radius=5.0)
-        pairs = _pair_sample(f, **kw)
+        check(f, f.params, **kw)
+        assert len(calls) == 4 * 300
         kw.update(other)
-        with pytest.raises(ValueError, match="pair sample"):
-            check(kw.pop("f", f), f.params, **kw, pairs=pairs)
+        check(replace(f) if kw.pop("copy", False) else f, f.params, **kw)
+        assert len(calls) == 4 * 300 + 4 * kw["n_pairs"]
+
+    def test_sample_is_read_only(self):
+        sample = _pair_sample(power_norm(2, 4, 1), 50, 2.0, 0, 5.0)
+        assert len(sample) == 6
+        for a in sample:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+
+    @pytest.mark.parametrize("seed", [1.5, np.random.default_rng(0)], ids=["float", "generator"])
+    @pytest.mark.parametrize("check", [check_smoothness_envelopes, check_convex_lower_bounds,
+                                       fd_gradient_check])
+    def test_non_integer_seed_is_refused(self, check, seed):
+        """A Generator keys the cache by identity while its state moves on,
+        so it would be handed a stale sample."""
+        calls = []
+        f = _counting(power_norm(2, 4, 1), calls)
+        args = () if check is fd_gradient_check else (f.params,)
+        with pytest.raises(TypeError):
+            check(f, *args, seed=seed)
+        assert calls == []
 
 
 BAD_SAMPLES = {"empty": (0, 5.0), "negative_count": (-3, 5.0), "zero_radius": (10, 0.0),
@@ -365,6 +400,18 @@ class TestRateMonitors:
         # demanding progress for a much smaller scaling constant must fail
         rep = rate_monitor(trace, "accelerated", l_const=0.4, r=5.0)
         assert rep.n_failures > 0
+
+    def test_accelerated_certificate_has_its_own_tolerance(self):
+        """Certificate rows fail below -1e-7, the chain rows below -tol, in
+        one report."""
+        trace = agmsdr_run(self.f, np.array([1.0, 0.5]), None, 50)  # ||grad|| <= l0/l1
+        assert rate_monitor(trace, "accelerated", l_const=12.0, r=1.2).passed
+        trace.zeta_star = trace.a_capital * trace.f_val
+        trace.zeta_star[2] -= 5e-8
+        trace.zeta_star[3] -= 5e-7
+        rep = rate_monitor(trace, "accelerated", l_const=12.0, r=1.2)
+        assert (rep.n_failures, rep.worst_case_input) == (1, "certificate k=3")
+        assert -6e-7 < rep.worst_margin < -4e-7
 
     def test_unknown_bound_rejected(self):
         trace = gd_run(self.f, StepRule(variant="polyak"), self.x0, 10)
@@ -563,28 +610,6 @@ class TestReports:
         text = serialize_reports(reps)
         assert text.count("\n") == 2
         assert text.splitlines()[1].startswith("b\t2\t1\t")
-
-    def test_merge_takes_min_margin_and_sums(self):
-        reps = [
-            CheckReport("x", 5, 0, 0.5, worst_case_input="p"),
-            CheckReport("x", 7, 2, -0.25, worst_case_input="q"),
-        ]
-        merged = merge_reports(reps)
-        assert merged.n_cases == 12
-        assert merged.n_failures == 2
-        assert merged.worst_margin == -0.25
-        assert merged.worst_case_input == "q"
-
-    def test_merge_takes_first_nan_margin(self):
-        reps = [
-            CheckReport("x", 5, 0, 0.5, worst_case_input="p"),
-            CheckReport("x", 7, 2, math.nan, worst_case_input="q"),
-            CheckReport("x", 3, 3, -9.0, worst_case_input="r"),
-            CheckReport("x", 2, 2, math.nan, worst_case_input="s"),
-        ]
-        merged = merge_reports(reps)
-        assert merged.line() == "x\t17\t7\tnan\t0"
-        assert merged.worst_case_input == "q"
 
     def test_failures_iff_margin_below_tolerance(self):
         rep = CheckReport("demo", 4, 0, 5e-10)
@@ -864,7 +889,6 @@ def _ref_rate_monitor(trace, bound, params, f0, r, r_hat, l_const, tol=1e-9,
     if bound == "accelerated":
         if recs[0].a_capital is None:
             raise ValueError("accelerated monitor requires an accelerated-method trace")
-        cert = _Margins(tol=1e-7)
         for rec, nxt in pairwise(recs):
             if rec.f_y is not None:
                 margins.add(rec.f_val - rec.f_y, f"f(y)<=f(x) at k={rec.k}")
@@ -872,13 +896,15 @@ def _ref_rate_monitor(trace, bound, params, f0, r, r_hat, l_const, tol=1e-9,
                 required = rec.grad_norm**2 / (2.0 * l_const)
                 margins.add(rec.f_y - nxt.f_val - required, f"step progress k={rec.k}")
         for rec in recs:
-            cert.add(rec.zeta_star - rec.a_capital * rec.f_val, f"certificate k={rec.k}")
             if rec.k >= 1:
                 margins.add(rec.a_capital - rec.k**2 / (4.0 * l_const), f"A_k growth k={rec.k}")
                 if rec.f_gap is not None:
                     margins.add(2.0 * l_const * r * r / rec.k**2 - rec.f_gap,
                                 f"gap bound k={rec.k}")
-        return merge_reports([margins.report("rate_accelerated"), cert.report("rate_accelerated")])
+        for rec in recs:
+            margins.add(rec.zeta_star - rec.a_capital * rec.f_val, f"certificate k={rec.k}",
+                        tol=1e-7)
+        return margins.report("rate_accelerated")
     stage1 = [rec for rec in recs if rec.stage == 1]
     stage2 = [rec for rec in recs if rec.stage == 2]
     if params.l1 > 0 and stage1:
