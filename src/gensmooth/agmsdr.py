@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SmoothnessParams
-from .problems import Objective, _norm
+from .problems import Objective, _dot, _norm
 from .first_order import (
     ARRAYS,
     DIVERGENCE_GUARD,
@@ -75,12 +75,12 @@ class EstimateState:
 
     def model_minimum(self) -> float:
         s = self.lin_accum
-        return float(s @ self.x0) - 0.5 * float(s @ s) + self.affine_accum
+        return _dot(s, self.x0) - 0.5 * _dot(s, s) + self.affine_accum
 
     def accumulate(self, a: float, y: np.ndarray, f_y: float, grad_y: np.ndarray):
         self.a_capital += a
         self.lin_accum = self.lin_accum + a * grad_y
-        self.affine_accum += a * (f_y - float(grad_y @ y))
+        self.affine_accum += a * (f_y - _dot(grad_y, y))
         self.zeta_star_lower = self.model_minimum()
 
 
@@ -116,7 +116,7 @@ def segment_line_search(
             return LineSearchResult(v, f_v, grad_v, 1)
     direction = x - v
     grad_x = f.gradient(x)
-    if float(grad_x @ direction) <= 0.0:
+    if _dot(grad_x, direction) <= 0.0:
         return LineSearchResult(x, f_x, grad_x, 2 if v_first else 0)
     if not v_first:
         f_v, grad_v = f.value_grad(v)
@@ -129,7 +129,7 @@ def segment_line_search(
         f_y, grad_y = f.value_grad(y)
         if not math.isfinite(f_y) or f_y > f_x:
             lo = beta
-        elif float(grad_y @ direction) > 0.0:
+        elif _dot(grad_y, direction) > 0.0:
             hi = beta
         else:
             return LineSearchResult(y, f_y, grad_y, 2 + 2 * probe)
@@ -246,7 +246,8 @@ def two_stage_run(
     stationary), it returns its own trace.  `l_const` is the scaling
     constant of the accelerated stage (`agmsdr_run`'s default when None).
 
-    With l1 = 0 the target is vacuous and stage 1 is skipped entirely.
+    With l1 = 0 the target is vacuous and stage 1 is skipped entirely; else
+    an l0 of 0 makes both targets 0, and is refused.
     Stage-2 records continue the combined iteration index and oracle
     count; stage-1 rows are marked stage 1, accelerated rows stage 2.
     """
@@ -254,6 +255,8 @@ def two_stage_run(
         raise ValueError("l_const must be positive and finite")
     if p.l1 == 0.0:
         return agmsdr_run(f, x_s, l_const, budget, t_params=p)
+    if p.l0 == 0.0:
+        raise ValueError("two_stage's hand-over targets are 0 because the objective's l0 is 0")
 
     step_rule = StepRule(variant="simplified", params=p)
     if f.f_star is not None:

@@ -293,18 +293,17 @@ def _descent(
     f_val, grad = f.value_grad(x)
     if not math.isfinite(f_val):
         raise ValueError("objective is not finite at the starting point")
-    F, N, S, X, G = (array("d") for _ in range(5))
+    rows, X, G = array("d"), array("d"), array("d")  # rows: f_val, grad_norm, step_len
     k = 0
     while True:
+        xs, gs = x.tolist(), grad.tolist()
         g = _norm(grad)
         diverged = (not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD
                     or not math.isfinite(g))
         step = step_len(k, g, f_val) if g > 0 and not diverged else 0.0
-        F.append(f_val)
-        N.append(g)
-        S.append(step)
-        X.extend(xs := x.tolist())
-        G.extend(gs := grad.tolist())
+        rows.fromlist([f_val, g, step])
+        X.extend(xs)
+        G.extend(gs)
         if diverged:
             termination = "Diverged"
             break
@@ -325,6 +324,7 @@ def _descent(
         k += 1
 
     n = k + 1
+    F, N, S = np.reshape(rows, (n, 3)).T
     cols = _columns(n, 1, f_star, f.x_star, {}, f_val=F, grad_norm=N, step_len=S, X=X, G=G,
                     oracle_calls=np.arange(1, n + 1))
     return Trace(columns=cols, final_x=x, termination=termination, method=method)

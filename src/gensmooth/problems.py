@@ -103,20 +103,38 @@ class CertificateReport:
         return self.max_violation <= tol
 
 
-_FLOAT64 = np.dtype(np.float64)
+def _sum(terms) -> float:
+    """Python floats added left to right from 0.0 (Python 3.12's sum() compensates)."""
+    s = 0.0
+    for t in terms:
+        s += t
+    return s
+
+
+def _dot(u, v) -> float:
+    """<u, v> for two points (lists or 1-D arrays) in np.add.reduce(u * v)'s
+    order, not BLAS's, whose ddot rounds as the kernel OpenBLAS picks for the
+    CPU (with fused multiply-adds or not).  Below 8 entries numpy's pairwise
+    sum is `_sum`'s left-to-right loop, run here over the Python floats."""
+    if len(u) >= 8:
+        return float(np.add.reduce(np.multiply(u, v)))
+    s = 0.0
+    for a, b in zip(u.tolist() if type(u) is np.ndarray else u,
+                    v.tolist() if type(v) is np.ndarray else v):
+        s += a * b
+    return s
 
 
 def _norm(v) -> float:
-    """np.linalg.norm(v) as a Python float, bit for bit, without its dispatch
-    cost on the 1-D float64 points the methods pass (IEEE sqrt rounds the
-    same in math and numpy).  The dot stays on BLAS, whose kernel sets its
-    rounding: OpenBLAS's SkylakeX ddot (AVX-512, fused multiply-adds) differs
-    from the Python sum a*a + b*b on 31577 of 200000 standard normal
-    2-vectors (seed 0), its Haswell ddot on none.  `u @ v` and `u.dot(v)`
-    agreed on all of 200000 pairs.  `_pow` stays scalar for a like reason."""
-    if type(v) is np.ndarray and v.dtype is _FLOAT64 and v.ndim == 1:
-        return math.sqrt(v.dot(v))
-    return float(np.linalg.norm(v))
+    """sqrt(_dot(v, v)) as a Python float (IEEE sqrt rounds the same in math
+    and numpy), its short loop inlined; a matrix's entries are one point, as
+    in a Frobenius norm."""
+    if len(v) < 8 and (type(v) is list or v.ndim == 1):
+        s = 0.0
+        for t in v if type(v) is list else v.tolist():
+            s += t * t
+        return math.sqrt(s)
+    return math.sqrt(_dot(np.ravel(v), np.ravel(v)))
 
 
 def _pow(r: float, e: float) -> float:
@@ -130,11 +148,14 @@ def _pow(r: float, e: float) -> float:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] for each row of two 2-D float64 arrays.  A stack of
-    (1, d) @ (d, 1) products runs matmul's vector-dot loop, the one BLAS dot
-    per row that `u @ v` makes; einsum, (a*b).sum(1) and
-    np.linalg.norm(axis=1) round differently from it in the last bit."""
-    return (a[:, None, :] @ b[:, :, None]).reshape(len(a))
+    """_dot of each row pair of two 2-D float64 arrays, bit for bit: the same
+    reduction along each row of the C-ordered products (of F-ordered ones it
+    would add column by column), a block of at most 32 KiB at a time."""
+    out, step = np.empty(len(a)), max(1, 2**12 // a.shape[1])
+    for i in range(0, len(a), step):
+        np.add.reduce(np.multiply(a[i:i + step], b[i:i + step], order="C"), axis=1,
+                      out=out[i:i + step])
+    return out
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -277,22 +298,22 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
     """ln(1 + exp(<a, x> + b)); affine substitution scales the constants to
     l0 = (||a|| - l1)^2 / 4 for any l1 in [0, ||a||]."""
     a = np.asarray(a, dtype=float)
-    norm_a = float(np.linalg.norm(a))
-    if norm_a == 0.0:
-        raise ValueError("a must be nonzero")
+    with np.errstate(over="ignore"):
+        norm_a = _norm(a)
+    if not (0.0 < norm_a < math.inf and math.isfinite(b)):
+        raise ValueError(f"a must be nonzero, and a, b and ||a|| finite: ||a|| = {norm_a}, b = {b}")
     if not 0.0 <= l1 <= norm_a:
         raise ValueError(f"l1 must lie in [0, ||a||] = [0, {norm_a}]")
     aa = np.outer(a, a)
 
     def value(x):
-        return float(np.logaddexp(0.0, float(a @ x) + b))
+        return float(np.logaddexp(0.0, _dot(a, x) + b))
 
     def value_grad(x):
-        t = float(a @ x) + b
+        t = _dot(a, x) + b
         return float(np.logaddexp(0.0, t)), _sigmoid(t) * a
 
     def affine(X):
-        # each row's <a, x> + b as `a @ x` takes it; `X @ a` rounds differently
         return _row_dots(X, np.broadcast_to(a, X.shape)) + b
 
     def values_grads(X):
@@ -335,7 +356,7 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
     h, value_coef, _ = _power(p)
 
     def value(x):
-        return sum([h(math.sqrt(t * t)) for t in np.asarray(x, dtype=float).tolist()])
+        return _sum([h(math.sqrt(t * t)) for t in np.asarray(x, dtype=float).tolist()])
 
     def value_grad(x):
         terms, grad = [], []
@@ -344,12 +365,12 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
             v, c = value_coef(r)
             terms.append(v)
             grad.append(0.0 if r == 0.0 else c * t)  # +0.0 at t = -0.0
-        return sum(terms), np.array(grad)
+        return _sum(terms), np.array(grad)
 
     def values_grads(X):
         terms, grads = _values_grads(line, X.reshape(-1, 1))
         terms = terms.tolist()
-        values = [sum(terms[i:i + dim]) for i in range(0, len(terms), dim)]
+        values = [_sum(terms[i:i + dim]) for i in range(0, len(terms), dim)]
         return np.array(values, dtype=float), grads.reshape(X.shape)
 
     def hessians(X):

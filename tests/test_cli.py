@@ -222,29 +222,29 @@ _PN, _SP = "power_norm:d=2,p=6,l1=1", "separable_pnorm:d=3,p=4,l1=1"
 _NGD_FIXED = "ngd:r_hat=20,schedule=fixed,horizon=1500"
 DESCENT_CSV_GOLDEN = [
     (_PN, "gd:rule=optimal", [6.0, -8.0], "BudgetExhausted", 2001,
-     "7ac92989a998f8eebaef85c1cc7b47919ce81a1b131f3eb13affeaf168e2dba5"),
+     "85125dad8dd945327bd0af6e09e69f5512a81b944f04c33fa786628473d5b6eb"),
     (_PN, "gd:rule=simplified", [6.0, -8.0], "BudgetExhausted", 2001,
-     "95ff3a336e17d3ed90d55864c2afa7bb373b16d817b8e5a720608a19ac8707c2"),
+     "cd4f85c656cad46b93d7c2d61a6f786d77e6fe4aafcd30e16507fd7059db07c3"),
     (_PN, "gd:rule=clipped", [6.0, -8.0], "BudgetExhausted", 2001,
-     "fc7a771df5f3cd6ef51b51331050bfa0b02c859f7f03ce348ddc705e4102c7a8"),
+     "56c111eaded6d886f95c9732d91ed7ab73f31764b79fe7555c8fe7d50a3d8abd"),
     (_PN, "gd:rule=polyak", [6.0, -8.0], "StationaryExact", 423,
-     "afb0c1698bd891759edbd0147978270c9cb2acbb6923ef170d7bc383b9957eea"),
+     "4b46fb8666d2976962890b67d7038ddf1a9566326ba1228bc44488c211844d4f"),
     (_PN, _NGD_FIXED, [6.0, -8.0], "BudgetExhausted", 1502,
-     "d87e5d02a75786ab211d62045e509837340f1a41eda6916f0f3b464adf88da82"),
+     "2ee5a75c374d38d33221b239cf32dbb7877034585081d7445b729502c409a232"),
     (_PN, "ngd:r_hat=20,schedule=linear", [6.0, -8.0], "StationaryExact", 4,
      "1c194862f1822afcc5f4655ac516daa84a970555bb004d0297f3b12f98f75f22"),
     (_SP, "gd:rule=optimal", [3.0, -4.0, 5.0], "BudgetExhausted", 2001,
-     "fd957b5c89b4a23eb118b04a94c26cb8183f4f77cf72d6daa514138c209c210c"),
+     "56ef3429a5ff5529e80707e2c19caa26616ed00531f1f060e9b7d4ecbd460840"),
     (_SP, "gd:rule=simplified", [3.0, -4.0, 5.0], "BudgetExhausted", 2001,
-     "a8fb53bf3ffc40f3eca847aef935b169ed946cee3d2c86b2c0d92a129ac941d9"),
+     "bdd089a516bb14570fe4e6e98756ac5844a6115e9a880dbfd89e03252d039098"),
     (_SP, "gd:rule=clipped", [3.0, -4.0, 5.0], "BudgetExhausted", 2001,
-     "8bc15987c3e353ce2158964564dc2e2e775c46bea8ba6dad8fe79a2c8a36ed18"),
+     "7143311bb4c1a8cb966439a2625d5b8916abaffb383f029f7e098498a5dd476e"),
     (_SP, "gd:rule=polyak", [3.0, -4.0, 5.0], "StationaryExact", 439,
-     "ba03698b72078c218e477603d2b270f69d7b408da97aa183c6ee9867e2ea4349"),
+     "1bfe51b3d24a7d3152572bf9479cf8c024d6283c2400a028b889bf54f385e7f8"),
     (_SP, _NGD_FIXED, [3.0, -4.0, 5.0], "BudgetExhausted", 1502,
-     "c29b571a7196ff19b79c2ee3162e71b34a7335efd6d8bd5a0e9b904552104ca1"),
+     "47ae1dc6bb5693f72ca1ced8eee4513d88589bf84e810b22148ea40f0fa6bbab"),
     (_SP, "ngd:r_hat=20,schedule=linear", [3.0, -4.0, 5.0], "BudgetExhausted", 2001,
-     "8363886228031c70c82f2af65c919f9f728a31b61354b8ce62e1f8e7e008a51c"),
+     "c0d7f53e250adb4e5eb4306d73a70d09431ec84e8032b8e95e09c21d3dd2aa32"),
     ("logistic:l1=0.5", "gd:rule=optimal", [3.0], "BudgetExhausted", 2001,
      "39229e2b3e4547304441d3692c0b510b84bf229e002a67a21dcfcef630b4de81"),
     (_PN, "gd:rule=optimal,l0=1,l1=0", [10.0, 0.0], "Diverged", 5,
@@ -254,7 +254,7 @@ DESCENT_CSV_GOLDEN = [
     # a target below the optimum: f_gap = f_val + 1, so no row's gap shares
     # its bits with its value
     (_PN, "gd:rule=optimal,f_star=-1", [6.0, -8.0], "BudgetExhausted", 2001,
-     "91f80fb91a92f43605b60b2e06cd7ed4db499c97122fc20c97108afafdd5197e"),
+     "58a1072b2438d238e67a952045eef7c429c6a424650b0fbac2c1681a55dd7fc7"),
 ]
 
 
@@ -350,7 +350,7 @@ class TestRunExperiment:
              "fe1ca67b9f0bbf1b96bbc2a26ee1eb7e9a8a69784f16c9573d6bd35c8b646e08"),
             # a non-radial objective off the axis, stopped by the budget
             (_SP, "two_stage:", [3.0, -4.0, 5.0], 2000, 679, 11,
-             "9ab1a590788dad3876582f30a1beff28fb0cb6e2f4458d2adac8273335daff75"),
+             "21d00529da21d89245c9368b211b507b11b6233c7fa1773f2d8771cbf6328a04"),
         ],
         ids=["two_stage_gap", "two_stage_grad", "agmsdr", "two_stage_separable"],
     )
@@ -815,16 +815,16 @@ class TestVerifySuite:
             "kernel_conjugate_sandwich\t10000\t0\t0\t0\n"
             "kernel_log_bracket\t10000\t0\t0\t0\n"
             "kernel_conjugate_grid\t100\t0\t9.9468951195069617e-07\t0\n"
-            "fd_gradient[power_norm(d=2,p=4.0,l1=1.0)]\t50\t0\t9.9998831476701578e-06\t0\n"
+            "fd_gradient[power_norm(d=2,p=4.0,l1=1.0)]\t50\t0\t9.9998789668457699e-06\t0\n"
             "smoothness_envelopes[power_norm(d=2,p=4.0,l1=1.0)]\t"
                 "1000\t0\t1.6072097420838309e-09\t0\n"
             "convex_lower_bounds[power_norm(d=2,p=4.0,l1=1.0)]\t"
                 "1000\t0\t9.0902634946555797e-10\t0\n"
-            "fd_gradient[power_norm(d=2,p=6.0,l1=1.0)]\t50\t0\t9.9998754656129495e-06\t0\n"
+            "fd_gradient[power_norm(d=2,p=6.0,l1=1.0)]\t50\t0\t9.9998636730179575e-06\t0\n"
             "smoothness_envelopes[power_norm(d=2,p=6.0,l1=1.0)]\t"
-                "1000\t0\t4.7009108597762412e-06\t0\n"
+                "1000\t0\t4.7009108597779759e-06\t0\n"
             "convex_lower_bounds[power_norm(d=2,p=6.0,l1=1.0)]\t"
-                "1000\t0\t1.4903767016607482e-06\t0\n"
+                "1000\t0\t1.4903767016590135e-06\t0\n"
             "fd_gradient[power_norm(d=2,p=8.0,l1=1.0)]\t50\t0\t9.9998718847567806e-06\t0\n"
             "smoothness_envelopes[power_norm(d=2,p=8.0,l1=1.0)]\t"
                 "1000\t0\t0.0010792912449930406\t0\n"
@@ -844,11 +844,11 @@ class TestVerifySuite:
                 "1000\t0\t5.9453686823409989e-10\t0\n"
             "convex_lower_bounds[exp_phi(d=2,l0=1.0,l1=1.0)]\t"
                 "1000\t0\t2.7659688689697799e-10\t0\n"
-            "fd_gradient[separable_pnorm(d=3,p=4.0,l1=1.0)]\t50\t0\t9.9999314995995788e-06\t0\n"
+            "fd_gradient[separable_pnorm(d=3,p=4.0,l1=1.0)]\t50\t0\t9.9999314995984201e-06\t0\n"
             "smoothness_envelopes[separable_pnorm(d=3,p=4.0,l1=1.0)]\t"
-                "1000\t0\t6.4188910988127859e-06\t0\n"
+                "1000\t0\t6.4188910988119185e-06\t0\n"
             "convex_lower_bounds[separable_pnorm(d=3,p=4.0,l1=1.0)]\t"
-                "1000\t0\t1.0187261561511586e-06\t0\n"
+                "1000\t0\t1.018726156152026e-06\t0\n"
             "rate_min_grad\t4000\t0\t4.111056758699597\t0\n"
             "rate_convex_gap\t4002\t0\t3.1482987575853599e-11\t0\n"
             "rate_min_grad\t4000\t0\t4.1110567565997496\t0\n"
@@ -856,7 +856,7 @@ class TestVerifySuite:
             "rate_polyak\t443\t0\t5.9975534042069783e-109\t0\n"
             "rate_normalized_fixed\t2\t0\t0.20183711076428867\t0\n"
             "rate_two_stage\t5335\t0\t0\t0\n"
-            "fd_gradient[corrupted_gradient]\t50\t50\t-0.0088618041261345794\t0\n"
+            "fd_gradient[corrupted_gradient]\t50\t50\t-0.008861804128188152\t0\n"
             "negative_control_halved_l0\t1000\t114\t-6.7352837861615384\t0\n"
         )
         assert [r.worst_case_input for r in reports] == [
@@ -864,12 +864,12 @@ class TestVerifySuite:
             "g=0.0",
             "g=0.0",
             "g=9.545904936907373",
-            "x=[-4.813891868792964, 0.31918329388905403]",
+            "x=[-1.5726929848460454, -4.21537734648222]",
             "x=[-0.3088148533554567, 2.060179698147804] "
             "y=[-0.3088625921685082, 2.060390370599535]",
             "x=[-0.3088148533554567, 2.060179698147804] "
             "y=[-0.3088625921685082, 2.060390370599535]",
-            "x=[-4.813891868792964, 0.31918329388905403]",
+            "x=[-1.5726929848460454, -4.21537734648222]",
             "x=[-0.3088148533554567, 2.060179698147804] "
             "y=[-0.3088625921685082, 2.060390370599535]",
             "x=[-0.3088148533554567, 2.060179698147804] "
@@ -1083,6 +1083,31 @@ class TestMainEntry:
         assert out.out == ""
         assert out.err == ("error: default l = 3*l0 is 0 because the objective's l0 is 0: "
                            "give l\n")
+        assert not (tmp_path / "never.csv").exists()
+
+    def test_two_stage_needs_a_positive_l0(self, tmp_path, capsys):
+        """With l0 = 0 both hand-over targets are 0, which stage 1 never meets."""
+        code = main(["run", "--problem", "logistic:l1=1", "--method", "two_stage:", "--radius",
+                     "1", "--budget", "200", "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: two_stage's hand-over targets are 0 because the objective's "
+                           "l0 is 0\n")
+        assert not (tmp_path / "never.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--method", "gd:rule=optimal", "--radius", "2", "--budget", "5"], ["certify"]])
+    def test_overflowing_affine_norm_is_one_error_line(self, command, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*command, "--problem", "affine_logistic:a=1e300;1,l1=1",
+                         *(["--out", str(tmp_path / "never.csv")] if command[0] == "run" else [])])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+        assert "a, b and ||a|| finite" in out.err
         assert not (tmp_path / "never.csv").exists()
 
     def test_two_stage_from_the_optimum_stops_there(self, tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The oracles' Python-float arithmetic against a numpy-scalar reference, bit for bit.
 
-The reference below is the numpy-scalar form of the same oracles: `_norm`
-as np.sqrt of the dot (np.linalg.norm for other inputs), every power of a
-norm as numpy's scalar `**`, every outer product as np.outer on each call,
-and separable_pnorm as a block sum over one-dimensional power terms.
+The reference below is the numpy-scalar form of the same oracles: every dot
+as np.add.reduce of the products and `_norm` as np.sqrt of that dot (a
+matrix raveled first), every power of a norm as numpy's scalar `**`, every
+outer product as np.outer on each call, and separable_pnorm as the same
+reduction over one-dimensional power terms.
 The logistic references keep the oracles' math.exp sigmoid.  Values, gradients, value_grad and Hessians
 must agree in every bit, and raise the same exceptions, at seeded points of
 scale 1e-170 to 1e300 and at signed zeros, subnormals, infinities, nan and
@@ -29,10 +30,14 @@ from gensmooth.problems import (
 )
 
 
+def ref_dot(u, v):
+    """The fixed-order dot as numpy's reduction takes it, on any host."""
+    return float(np.add.reduce(np.multiply(u, v)))
+
+
 def ref_norm(v):
-    if type(v) is np.ndarray and v.dtype == np.float64 and v.ndim == 1:
-        return np.sqrt(v.dot(v))
-    return np.linalg.norm(v)
+    v = np.ravel(np.asarray(v, dtype=float))
+    return np.sqrt(ref_dot(v, v))
 
 
 def ref_power_norm(dim, p, l1):
@@ -109,17 +114,17 @@ def ref_affine_logistic(a, b, l1):
     a = np.asarray(a, dtype=float)
 
     def value(x):
-        return float(np.logaddexp(0.0, float(a @ x) + b))
+        return float(np.logaddexp(0.0, ref_dot(a, x) + b))
 
     def gradient(x):
-        return ref_sigmoid(float(a @ x) + b) * a
+        return ref_sigmoid(ref_dot(a, x) + b) * a
 
     def value_grad(x):
-        t = float(a @ x) + b
+        t = ref_dot(a, x) + b
         return float(np.logaddexp(0.0, t)), ref_sigmoid(t) * a
 
     def hessian(x):
-        s = ref_sigmoid(float(a @ x) + b)
+        s = ref_sigmoid(ref_dot(a, x) + b)
         return s * (1.0 - s) * np.outer(a, a)
 
     return Objective(dim=a.size, value=value, gradient=gradient, hessian=hessian,
@@ -150,11 +155,11 @@ def ref_separable_pnorm(dim, p, l1):
     blocks = [slice(i, i + 1) for i in range(dim)]
 
     def value(x):
-        return float(sum(part.value(x[b]) for b in blocks))
+        return float(np.add.reduce([part.value(x[b]) for b in blocks]))
 
     def value_grad(x):
         pairs = [part.value_grad(x[b]) for b in blocks]
-        return float(sum(v for v, _ in pairs)), np.concatenate([g for _, g in pairs])
+        return float(np.add.reduce([v for v, _ in pairs])), np.concatenate([g for _, g in pairs])
 
     def gradient(x):
         return value_grad(x)[1]

@@ -156,6 +156,14 @@ class TestAffineLogistic:
         with pytest.raises(ValueError):
             affine_logistic(np.array([1.0, 0.0]), 0.0, 1.5)
 
+    @pytest.mark.parametrize("a, b", [([1e300, 1.0], 0.0), ([math.inf, 1.0], 0.0),
+                                      ([math.nan], 0.0), ([1e200] * 9, 0.0), ([3.0], math.inf),
+                                      ([3.0], math.nan)])
+    def test_rejects_a_non_finite_a_b_or_norm_without_a_warning(self, a, b):
+        """Refused before a*a^T is formed, whose overflow numpy warns about."""
+        with pytest.raises(ValueError, match=r"a, b and \|\|a\|\| finite"):
+            affine_logistic(np.array(a), b, 1.0)
+
 
 class TestExpPhi:
     def test_origin(self):
@@ -205,23 +213,24 @@ class TestSeparablePnorm:
 
 class TestNorm:
     @staticmethod
-    def assert_bitwise_linalg_norm(v):
+    def assert_bitwise_reduction(v):
+        """_norm(v) is np.sqrt of numpy's reduction of v*v, bit for bit."""
         got = _norm(v)
         assert type(got) is float
-        assert np.float64(got).tobytes() == np.float64(np.linalg.norm(v)).tobytes()
+        assert np.float64(got).tobytes() == np.sqrt(np.add.reduce(v * v)).tobytes()
 
-    @pytest.mark.parametrize("dim", [1, 2, 3, 7])
-    def test_matches_linalg_norm_on_random_vectors(self, dim):
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 8, 9])
+    def test_matches_the_reduction_on_random_vectors(self, dim):
         rng = np.random.default_rng(dim)
         for scale in (1e-3, 1.0, 1e3):
             for _ in range(50):
-                self.assert_bitwise_linalg_norm(scale * rng.standard_normal(dim))
+                self.assert_bitwise_reduction(scale * rng.standard_normal(dim))
 
     @pytest.mark.parametrize("entry", [0.0, 1e-170, 1e160, math.nan])
-    def test_matches_linalg_norm_on_edge_cases(self, entry):
+    def test_matches_the_reduction_on_edge_cases(self, entry):
         with np.errstate(over="ignore", under="ignore"):
-            for dim in (1, 2, 3):
-                self.assert_bitwise_linalg_norm(np.full(dim, entry))
+            for dim in (1, 2, 3, 8):
+                self.assert_bitwise_reduction(np.full(dim, entry))
 
     @pytest.mark.parametrize(
         "v", [[3.0, 4.0], np.array([3, 4]), np.array([[1.0, 2.0], [3.0, 4.0]])],

@@ -46,7 +46,7 @@ def _ref_make_record(f, k, x, f_val, grad, g, step_len, calls, f_star):
         diff = x - f.x_star
         dist = float(_norm(diff))
         if g > 0:
-            support = max(float(grad @ diff), 0.0) / g
+            support = max(float(np.add.reduce(grad * diff)), 0.0) / g
     return IterRecord(k, f_val, gap, g, step_len, calls, 1, support, dist)
 
 

@@ -95,7 +95,7 @@ class TestFdGradientCheck:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert report.line() == f"fd_gradient[{f.name}]\t8\t0\t9.9993381628381911e-06\t0"
+        assert report.line() == f"fd_gradient[{f.name}]\t8\t0\t9.9993567800502043e-06\t0"
         assert peak < 25e6
 
 
@@ -649,8 +649,9 @@ class TestNanMargins:
 
 
 # The per-case loops that the batched samplers and the certifier replaced,
-# kept as the reference they must match bit for bit.  They differ only on
-# NaN margins, which the loops let pass.
+# kept as the reference they must match bit for bit, each dot taken in the
+# library's fixed order (numpy's reduction).  They differ only on NaN
+# margins, which the loops let pass.
 
 def _ref_fd_gradient_check(f, n_points, seed, rel_tol=1e-5, radius=5.0):
     rng = np.random.default_rng(seed)
@@ -685,7 +686,7 @@ def _ref_envelopes(f, p, n_pairs, seed, max_sep=2.0, radius=5.0, tol=1e-9):
             grad_bound = a * s
             taylor_bound = 0.5 * a * s * s
         m1 = grad_bound - float(_norm(gy - gx))
-        m2 = taylor_bound - abs(f.value(y) - f.value(x) - float(gx @ (y - x)))
+        m2 = taylor_bound - abs(f.value(y) - f.value(x) - float(np.add.reduce(gx * (y - x))))
         margins.add(min(m1, m2), f"x={x.tolist()} y={y.tolist()}")
     return margins.report(f"smoothness_envelopes[{f.name}]", seed=seed)
 
@@ -707,9 +708,9 @@ def _ref_lower_bounds(f, p, n_pairs, seed, max_sep=2.0, radius=5.0, tol=1e-9):
         a_x = p.l0 + p.l1 * float(_norm(gx))
         a_y = p.l0 + p.l1 * float(_norm(gy))
         s = float(_norm(gy - gx))
-        bregman = f.value(y) - f.value(x) - float(gx @ (y - x))
+        bregman = f.value(y) - f.value(x) - float(np.add.reduce(gx * (y - x)))
         m1 = bregman - _ref_conjugate_term(s, a_y, p.l1)
-        m2 = float((gx - gy) @ (x - y)) - (
+        m2 = float(np.add.reduce((gx - gy) * (x - y))) - (
             _ref_conjugate_term(s, a_y, p.l1) + _ref_conjugate_term(s, a_x, p.l1)
         )
         denom = 2.0 * a_y + p.l1 * s
