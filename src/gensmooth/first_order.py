@@ -297,7 +297,7 @@ def _descent(
     k = 0
     while True:
         xs, gs = x.tolist(), grad.tolist()
-        g = _norm(grad)
+        g = _norm(grad)  # not of gs: from 8 entries on, a list is turned back into an array
         diverged = (not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD
                     or not math.isfinite(g))
         step = step_len(k, g, f_val) if g > 0 and not diverged else 0.0
