@@ -9,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gensmooth import problems
 from gensmooth.cli import SHIPPED_FOR_VERIFY, main, parse_problem
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import (
@@ -236,22 +235,24 @@ def test_a_swapped_oracle_is_the_one_called(build, name):
 
 
 # certify_smoothness(f, f.params, 1.0, 2048, 0) at d = 30: (builder,
-# repr(max_violation), sha256 of violating_point.tobytes()), pinned before
+# repr(max_violation), sha256s of violating_point.tobytes()), pinned before
 # the chunked certifier (exp_phi's since its coefficient-form Hessian, and
 # since the fixed-order dot); it then peaked at 30.3 MB under tracemalloc.
 # exp_phi's worst violation is rounding noise around 0, its inequality
-# holding with equality, so it and its point follow the rounding of
-# eigvalsh, whose LAPACK calls BLAS kernels chosen for the CPU: they (None)
-# must be what an unchunked certificate finds.
+# holding with equality: four samples tie at the worst value, and which
+# comes first follows the rounding of eigvalsh, whose LAPACK calls BLAS
+# kernels chosen for the CPU (sample 86 under SkylakeX, 114 under Haswell).
 CHUNKED_GOLDEN = (
     (lambda: power_norm(30, 4, 1), "-2.0000627685425787",
-     "cab4c94391e3b6180d32ed5f32185636ca7d1d72567c8e12842a080b2444f90d"),
-    (lambda: exp_phi(30, SmoothnessParams(1, 1)), None, None),
+     {"cab4c94391e3b6180d32ed5f32185636ca7d1d72567c8e12842a080b2444f90d"}),
+    (lambda: exp_phi(30, SmoothnessParams(1, 1)), "3.774758283725532e-15",
+     {"8ff6f65f71d696cefd1383b45ec0eb788c930ccefd8787f42625b1ad29d8f0ff",
+      "49a383a0f1bcdaa1d81689693e3b51c418d5fc3345c1060e9356a87ad7281f86"}),
 )
 
 
-@pytest.mark.parametrize("build,worst,digest", CHUNKED_GOLDEN, ids=["power_norm", "exp_phi"])
-def test_chunked_certifier_memory(build, worst, digest, monkeypatch):
+@pytest.mark.parametrize("build,worst,digests", CHUNKED_GOLDEN, ids=["power_norm", "exp_phi"])
+def test_chunked_certifier_memory(build, worst, digests):
     f = build()
     f.hessian(np.ones(30))  # builds the cached identity, which outlives the certificate
     tracemalloc.start()
@@ -261,13 +262,8 @@ def test_chunked_certifier_memory(build, worst, digest, monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
-    if digest is None:
-        monkeypatch.setattr(problems, "ROWS_PER_CHUNK", 2048)
-        whole = certify_smoothness(f, f.params, 1.0, 2048, 0)
-        worst = repr(whole.max_violation)
-        digest = hashlib.sha256(whole.violating_point.tobytes()).hexdigest()
     assert repr(report.max_violation) == worst
-    assert hashlib.sha256(report.violating_point.tobytes()).hexdigest() == digest
+    assert hashlib.sha256(report.violating_point.tobytes()).hexdigest() in digests
 
 
 NAN_ENTRY = np.array([[np.nan, 0.0], [0.0, 1.0]])

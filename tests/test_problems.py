@@ -164,6 +164,16 @@ class TestAffineLogistic:
         with pytest.raises(ValueError, match=r"a, b and \|\|a\|\| finite"):
             affine_logistic(np.array(a), b, 1.0)
 
+    @pytest.mark.parametrize("f, x", [(logistic_1d(0.5), [1.0, 2.0]),
+                                      (affine_logistic(np.ones(8), 0.0, 1.0), [1.0]),
+                                      (affine_logistic(np.ones(8), 0.0, 1.0), np.ones(9))],
+                             ids=["logistic", "d8_one_entry", "d8_nine_entries"])
+    @pytest.mark.parametrize("oracle", ["value", "value_grad", "gradient"])
+    def test_a_point_of_the_wrong_length_is_refused(self, f, x, oracle):
+        """A direct oracle call does not truncate or broadcast the point."""
+        with pytest.raises(ValueError, match="dot of"):
+            getattr(f, oracle)(np.array(x))
+
 
 class TestExpPhi:
     def test_origin(self):
