@@ -30,14 +30,7 @@ import numpy as np
 from .kernels import SmoothnessParams
 from .problems import Objective, _dot, _norm
 from .first_order import (
-    ARRAYS,
-    DIVERGENCE_GUARD,
-    StepRule,
-    Trace,
-    _columns,
-    _move,
-    gd_run,
-    stepsize_simplified,
+    ARRAYS, DIVERGENCE_GUARD, StepRule, Trace, _move, _trace, gd_run, stepsize_simplified,
 )
 
 # Largest rise f(x_{k+1}) - f(y_k) the accelerated loop tolerates as rounding.
@@ -224,10 +217,8 @@ def agmsdr_run(
     arrival(math.nan, 0.0, math.nan, 0)
     last = np.arange(k + 1) == k  # the closing row has no iteration products
     missing = {"grad_norm": last, "f_y": last, "ls_evals": last}
-    table = np.reshape(rows, (k + 1, -1))
-    cols = _columns(k + 1, 2, f.f_star, f.x_star, missing, X=table[:, len(names):],
-                    **dict(zip(names, table.T)))
-    return Trace(columns=cols, final_x=x, termination=termination, method="agmsdr")
+    return _trace(rows, names, f, f.f_star, 2, missing, grads=False, final_x=x,
+                  termination=termination, method="agmsdr")
 
 
 def two_stage_run(

@@ -461,6 +461,8 @@ def run_verify_suite(
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     reports: list[verify_mod.CheckReport] = []
 
     if scope in ("kernels", "all"):

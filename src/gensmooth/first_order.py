@@ -184,29 +184,27 @@ class Records(Sequence):
 
 
 def _columns(n: int, stage: int, f_star: float | None, x_star: np.ndarray | None,
-             missing: dict, **written) -> dict:
+             missing: dict, X=None, G=None, **written) -> dict:
     """Every array a Trace holds for n rows, from the columns a loop
-    `written` (array.array buffers or numpy arrays, maybe strided views),
-    each held contiguous: int64 if in _INTS, else float64.  k counts the
+    `written` (numpy arrays, maybe strided views of a row buffer), each
+    held contiguous: int64 if in _INTS, else float64.  k counts the
     rows, f_gap is f_val - f_star, and a column not written is missing on
     every row; `missing` maps the other OPTIONAL names to their missing rows
-    (a bool or a bool array).  The iterates "X" and gradients "G" (row-major,
+    (a bool or a bool array).  The (n, d) iterates X and gradients G (views,
     not kept) give dist_opt where x_star is known, X turned into x - x_star
     in place, and support_dist where a row also has a nonzero gradient
     norm; an overflow (a diverged row) gives NaN."""
-    X, G = written.pop("X", None), written.pop("G", None)
     cols = {name: np.ascontiguousarray(v, np.int64 if name in _INTS else np.float64)
             for name, v in written.items()}
     cols.update(k=np.arange(n), stage=np.full(n, stage, dtype=np.int8),
                 f_gap=cols["f_val"] - (math.nan if f_star is None else f_star))
     missing["f_gap"] = f_star is None
     if x_star is not None:
-        diff = np.ascontiguousarray(X).reshape(n, len(x_star))
         with np.errstate(all="ignore"):
-            diff -= x_star
-            cols["dist_opt"] = _row_norms(diff)
+            X -= x_star
+            cols["dist_opt"] = _row_norms(X)
             if G is not None:
-                dots = _row_dots(np.asarray(G).reshape(diff.shape), diff)
+                dots = _row_dots(G, X)
                 # max(dot, 0.0) as Python takes it: a NaN or a -0.0 stays
                 cols["support_dist"] = np.where(dots < 0.0, 0.0, dots) / cols["grad_norm"]
                 missing["support_dist"] = ~(cols["grad_norm"] > 0)
@@ -217,6 +215,18 @@ def _columns(n: int, stage: int, f_star: float | None, x_star: np.ndarray | None
             missing[name] = True
         mask[:, j] = missing.get(name, False)
     return dict(cols, missing=mask)
+
+
+def _trace(rows: array, names: tuple, f: Objective, f_star: float | None, stage: int,
+           missing: dict, grads: bool, **trace) -> Trace:
+    """The Trace of a loop's row buffer, viewed in place: each row is the
+    `names` columns, the iterate, then the gradient if `grads` (f.dim
+    entries each); `trace` is Trace's final_x, termination and method."""
+    m, d = len(names), f.dim
+    table = np.frombuffer(rows).reshape(-1, m + d * (1 + grads))
+    cols = _columns(len(table), stage, f_star, f.x_star, missing, X=table[:, m:m + d],
+                    G=table[:, m + d:] if grads else None, **dict(zip(names, table.T)))
+    return Trace(cols, **trace)
 
 
 def stepsize_optimal(grad_norm: float, p: SmoothnessParams) -> float:
@@ -293,7 +303,7 @@ def _descent(
     f_val, grad = f.value_grad(x)
     if not math.isfinite(f_val):
         raise ValueError("objective is not finite at the starting point")
-    rows, X, G = array("d"), array("d"), array("d")  # rows: f_val, grad_norm, step_len
+    rows = array("d")  # per record: f_val, grad_norm, step_len, oracle_calls, x, grad
     k = 0
     while True:
         xs, gs = x.tolist(), grad.tolist()
@@ -301,9 +311,7 @@ def _descent(
         diverged = (not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD
                     or not math.isfinite(g))
         step = step_len(k, g, f_val) if g > 0 and not diverged else 0.0
-        rows.fromlist([f_val, g, step])
-        X.extend(xs)
-        G.extend(gs)
+        rows.fromlist([f_val, g, step, k + 1, *xs, *gs])
         if diverged:
             termination = "Diverged"
             break
@@ -323,11 +331,8 @@ def _descent(
         f_val, grad = f.value_grad(x)
         k += 1
 
-    n = k + 1
-    F, N, S = np.reshape(rows, (n, 3)).T
-    cols = _columns(n, 1, f_star, f.x_star, {}, f_val=F, grad_norm=N, step_len=S, X=X, G=G,
-                    oracle_calls=np.arange(1, n + 1))
-    return Trace(columns=cols, final_x=x, termination=termination, method=method)
+    return _trace(rows, ("f_val", "grad_norm", "step_len", "oracle_calls"), f, f_star, 1, {},
+                  grads=True, final_x=x, termination=termination, method=method)
 
 
 def gd_run(

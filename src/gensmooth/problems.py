@@ -430,6 +430,8 @@ def certify_smoothness(
         raise ValueError("n_samples must be at least 1")
     if not 0 < region_radius < math.inf:
         raise ValueError("region_radius must be positive and finite")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, f.dim, region_radius, n_samples)
     with np.errstate(all="ignore"):

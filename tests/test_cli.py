@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 import re
 import warnings
 from dataclasses import replace
@@ -1254,6 +1255,69 @@ class TestMainEntry:
 
     def test_usage_error_exits_2(self, capsys):
         assert main(["run", "--radius", "1"]) == 2
+
+    @pytest.mark.parametrize("command", [
+        ["verify", "--seed", "-1"], ["certify", "--problem", "logistic:l1=0.5", "--seed", "-3"]])
+    def test_negative_seed_names_itself(self, command, capsys):
+        assert main(command) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: seed must be nonnegative, got {command[-1]}\n"
+
+
+# Values the fuzz below writes into specs and flags: the first five valid
+# almost everywhere, the rest at an edge or beyond it.
+FUZZ_VALUES = ("1", "2", "4", "6", "0.5", "0", "-0", "2.5", "-1", "1e-300", "1e300", "inf",
+               "-inf", "nan", "3;4", "1e-320")
+FUZZ_DIMS = ("1", "2", "3", "-1", "0", "1.5")
+FUZZ_RADII = ("1", "10", "0.5", "0", "-1", "1e300", "nan", "inf")
+
+
+def _fuzz_spec(rng, name, keys):
+    """A `name:` spec from its table: each required key present with
+    probability 0.9 and each other key 0.3; a choice key takes one of its
+    choices or a wrong one, d a value of FUZZ_DIMS, any other key one of
+    FUZZ_VALUES, half the time one of the first five."""
+    pairs = []
+    for key, (_, convert, default) in keys.items():
+        if rng.random() < (0.9 if default is REQUIRED else 0.3):
+            pool = ((*convert, "bogus") if isinstance(convert, tuple)
+                    else FUZZ_DIMS if key == "d" else FUZZ_VALUES)
+            pairs.append(f"{key}={rng.choice(pool if rng.random() < 0.5 else pool[:5])}")
+    return f"{name}:" + ",".join(pairs)
+
+
+def test_one_error_line_fuzz(tmp_path, capsys):
+    """800 argument lists drawn from the spec tables, run in-process: each
+    exits 0, 1 or 2 with no warning; 0 and 1 print nothing on stderr, and 2
+    prints one `error:` line and writes no CSV.  Budgets and samples are at
+    most 30 and d at most 3, so the whole draw takes under 2 s."""
+    rng = random.Random(0)
+    out = tmp_path / "run.csv"
+    for _ in range(800):
+        name = rng.choice(list(PROBLEMS))
+        problem = _fuzz_spec(rng, name, PROBLEMS[name][1])
+        radius = rng.choice(FUZZ_RADII)
+        if rng.random() < 0.8:
+            kind = rng.choice(list(METHODS))
+            argv = ["run", "--problem", problem, "--method", _fuzz_spec(rng, kind, METHODS[kind]),
+                    "--radius", radius, "--budget", rng.choice(("0", "1", "30")),
+                    "--out", str(out)]
+        else:
+            argv = ["certify", "--problem", problem, "--radius", radius,
+                    "--samples", rng.choice(("0", "1", "20"))]
+        out.unlink(missing_ok=True)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2), argv
+        assert not caught, (argv, [str(w.message) for w in caught])
+        if code == 2:
+            assert err.count("\n") == 1 and err.startswith("error: "), (argv, err)
+            assert not out.exists(), argv
+        else:
+            assert err == "", (argv, err)
 
 
 def test_readme_documents_spec_tables():

@@ -174,6 +174,8 @@ DESCENT_OBJECTIVES = {
     "exp_phi": (exp_phi(2, SmoothnessParams(1.0, 1.0)), [1.5, -2.0]),
     "logistic": (logistic_1d(0.5), [3.0]),  # no x_star: distances are None
     "off_star": (OFF_STAR, [3.0, -4.0]),
+    # d >= 8: the dots and norms of the rows take the reduction branch
+    "power_norm_d9": (power_norm(9, 4, 1), 5 * np.random.default_rng(3).standard_normal(9)),
 }
 
 
@@ -234,7 +236,7 @@ class TestRecordsMatchRowArithmetic:
             rows = list(trace.records)
         assert math.isnan(rows[-1].support_dist)  # inf/inf: defined, but NaN
 
-    @pytest.mark.parametrize("name", ["power_norm", "exp_phi", "logistic"])
+    @pytest.mark.parametrize("name", ["power_norm", "exp_phi", "logistic", "power_norm_d9"])
     def test_agmsdr(self, name):
         f, x0 = DESCENT_OBJECTIVES[name]
         trace = agmsdr_run(f, np.array(x0) / 4.0, None, 400)
@@ -394,22 +396,31 @@ def test_trace_memory_per_row():
     assert (peak - base) / n <= 320
 
 
-def test_trace_memory_per_row_in_high_dimension():
+HIGH_DIM_RUNS = {  # run, budget, rows it records, bound on the peak bytes a row
+    "gd": (lambda f, x0, budget: gd_run(f, StepRule("optimal", f.params), x0, budget), 2000,
+           2000, 1.01 * 17074),
+    "agmsdr": (lambda f, x0, budget: agmsdr_run(f, x0, 3 * f.params.l0, budget), 3000,
+               1494, 1.01 * 8611),
+}
+
+
+@pytest.mark.parametrize("method", HIGH_DIM_RUNS)
+def test_trace_memory_per_row_in_high_dimension(method):
     """At d = 1000 a finished trace holds its scalar columns only; the run
-    peaks at the loop's iterate and gradient buffers (16*d bytes a row)
-    and no second block of that size."""
+    peaks at the loop's row buffer (8*d bytes a row for the iterate, 16*d
+    with the gradient) and no second block of that size."""
+    run, budget, rows, peak_bound = HIGH_DIM_RUNS[method]
     f = power_norm(1000, 4, 1)
-    rule = StepRule("optimal", f.params)
     x0 = np.random.default_rng(5).standard_normal(1000)
-    gd_run(f, rule, x0, 10)
+    run(f, x0, 10)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        trace = gd_run(f, rule, x0, 2000)
+        trace = run(f, x0, budget)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     n = len(trace)
-    assert n == 2000 and trace.termination == "BudgetExhausted"
+    assert n == rows and trace.termination == "BudgetExhausted"
     assert (held - base) / n <= 160
-    assert (peak - base) / n <= 1.01 * 17074
+    assert (peak - base) / n <= peak_bound
