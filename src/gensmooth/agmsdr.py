@@ -191,7 +191,7 @@ def agmsdr_run(
             break
 
         step_len = stepsize_simplified(g, params) * g if g > 0 else 0.0
-        x_next = _move(y.tolist(), step_len, grad_y.tolist(), g) if g > 0 else y
+        x_next = np.array(_move(y.tolist(), step_len, grad_y.tolist(), g)) if g > 0 else y
         f_next = f.value(x_next)
         calls += 1
         if f_next > f_y + MONOTONE_TOL:

@@ -349,6 +349,8 @@ def run_config(cfg: RunConfig) -> tuple[Objective, MethodSpec, Trace]:
     """The one run path: parse both specs, start at `initial_point`, run the method."""
     if cfg.budget < 0:
         raise ValueError(f"budget must be nonnegative, got {cfg.budget}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
     f = parse_problem(cfg.problem_spec)
     method = parse_method(cfg.method_spec)
     x0 = initial_point(f, cfg)

@@ -276,11 +276,11 @@ def stepsize_polyak(f_val: float, f_star: float, grad_norm: float) -> float:
     return (f_val - f_star) / grad_norm**2
 
 
-def _move(xs: list, step: float, gs: list, g: float) -> np.ndarray:
-    """x - step * (grad / g) from x and grad as lists, bit for bit (IEEE / * -
-    round the same in Python as in numpy's elementwise loops), in less time
-    than three ufunc dispatches on a short vector."""
-    return np.array([xi - step * (gi / g) for xi, gi in zip(xs, gs)])
+def _move(xs: list, step: float, gs: list, g: float) -> list:
+    """x - step * (grad / g) from x and grad as lists, as a list, bit for bit
+    numpy's (IEEE / * - round the same in Python as in numpy's elementwise
+    loops), in less time than three ufunc dispatches on a short vector."""
+    return [xi - step * (gi / g) for xi, gi in zip(xs, gs)]
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -298,16 +298,20 @@ def _descent(
 
     `step_len(k, g, f_val)` gives the move length s_k at a nonzero
     gradient; an exactly stationary or a diverged iterate records a zero
-    step.  Record k costs k + 1 gradient calls.
+    step.  Record k costs k + 1 gradient calls.  The iterate and the
+    gradient stay lists of Python floats from the first oracle call to the
+    last: the oracle is `f.floats` (for a swapped callable, `value_grad` on
+    an array and `.tolist()`), the move `_move`, and only `final_x` is an
+    array.
     """
-    f_val, grad = f.value_grad(x)
+    xs = x.tolist()
+    f_val, gs = f.floats(xs)
     if not math.isfinite(f_val):
         raise ValueError("objective is not finite at the starting point")
     rows = array("d")  # per record: f_val, grad_norm, step_len, oracle_calls, x, grad
     k = 0
     while True:
-        xs, gs = x.tolist(), grad.tolist()
-        g = _norm(grad)  # not of gs: from 8 entries on, a list is turned back into an array
+        g = _norm(gs)
         diverged = (not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD
                     or not math.isfinite(g))
         step = step_len(k, g, f_val) if g > 0 and not diverged else 0.0
@@ -327,12 +331,12 @@ def _descent(
         if k + 1 >= budget:
             termination = "BudgetExhausted"
             break
-        x = _move(xs, step, gs, g)
-        f_val, grad = f.value_grad(x)
+        xs = _move(xs, step, gs, g)
+        f_val, gs = f.floats(xs)
         k += 1
 
     return _trace(rows, ("f_val", "grad_norm", "step_len", "oracle_calls"), f, f_star, 1, {},
-                  grads=True, final_x=x, termination=termination, method=method)
+                  grads=True, final_x=np.array(xs), termination=termination, method=method)
 
 
 def gd_run(

@@ -31,17 +31,22 @@ class Objective:
     by the certifier).  `f_star`/`x_star` are filled in when the optimum is
     known analytically, otherwise left None.
 
-    `value_grad(x)` returns `(value(x), gradient(x))`, bit for bit.  A
-    composition (radial, coordinate-wise, ridge) writes `value`, a fused
-    `value_grad` and two batched kernels over the rows of an (n, d) array,
+    `value_grad(x)` returns `(value(x), gradient(x))`, bit for bit, and
+    `floats(xs)` the same pair for a point given as a list of Python floats,
+    the gradient as a list too (the descent loop's oracle).  A composition
+    (radial, coordinate-wise, ridge) writes `value`, a fused `value_grad`,
+    `floats` and two batched kernels over the rows of an (n, d) array,
     `values_grads` and `hessians`, once for all its builders; `_fused` adds
     `gradient(x) = value_grad(x)[1]`, `hessian(x)`, the batch of one, and
-    the kernel.  `value_grad` is the fused one while `value` and `gradient`
-    are the builder's, and `batch` is `(values_grads, hessians)` while
-    `hessian` is too (`_at_points` and `_values_grads` take it, bit for bit
-    the per-point calls).  Without a kernel, or once a callable is swapped
-    (say by `dataclasses.replace`), both fall back to per-point calls of the
-    fields, so wrapped or corrupted oracles are always the ones called.
+    the kernel.  `value_grad` and `floats` are the fused ones while `value`
+    and `gradient` are the builder's, and `batch` is `(values_grads,
+    hessians)` while `hessian` is too (`_at_points` and `_values_grads`
+    take it, bit for bit the per-point calls).  Without a kernel, or once a
+    callable is swapped (say by `dataclasses.replace`), they fall back to
+    per-point calls of the fields, so wrapped or corrupted oracles are
+    always the ones called.  `floats` falls back to
+    `value_grad(np.array(xs))` and `.tolist()`, as it does where a kernel
+    stops after `value_grad`.
     """
 
     dim: int
@@ -63,9 +68,16 @@ class Objective:
         else:
             def fused(x):
                 return value(x), gradient(x)
+        if own and len(kernel) > 3:
+            floats = kernel[3]
+        else:
+            def floats(xs):
+                v, g = fused(np.array(xs))
+                return v, g.tolist()
         object.__setattr__(self, "value_grad", fused)
-        batch = own and kernel[3:4] == (self.hessian,)
-        object.__setattr__(self, "batch", kernel[4:] if batch else None)
+        object.__setattr__(self, "floats", floats)
+        batch = own and kernel[4:5] == (self.hessian,)
+        object.__setattr__(self, "batch", kernel[5:] if batch else None)
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -74,9 +86,10 @@ class Objective:
         return x
 
 
-def _fused(value, value_grad, values_grads, hessians) -> dict:
-    """Objective fields for a value, a fused value_grad and the batched
-    kernels: the gradient is value_grad's, the Hessian the batch of one."""
+def _fused(value, value_grad, floats, values_grads, hessians) -> dict:
+    """Objective fields for a value, a fused value_grad, its twin on Python
+    floats and the batched kernels: the gradient is value_grad's, the
+    Hessian the batch of one."""
     def gradient(x):
         return value_grad(x)[1]
 
@@ -84,7 +97,7 @@ def _fused(value, value_grad, values_grads, hessians) -> dict:
         return hessians(np.asarray(x, dtype=float)[None])[0]
 
     return {"value": value, "gradient": gradient, "hessian": hessian,
-            "kernel": (value, gradient, value_grad, hessian, values_grads, hessians)}
+            "kernel": (value, gradient, value_grad, floats, hessian, values_grads, hessians)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,15 +140,32 @@ def _dot(u, v) -> float:
     return s
 
 
+def _array(v: list) -> np.ndarray:
+    """A list of Python floats as a float64 array, in about 0.6x the time of
+    np.array, which first discovers the type of every entry."""
+    return np.fromiter(v, float, len(v))
+
+
 def _norm(v) -> float:
     """sqrt(_dot(v, v)) as a Python float, a matrix's entries as one point;
-    the short loop inlined, as calling _dot costs 0.4 us more at d <= 3."""
+    the short loop inlined, as calling _dot costs 0.4 us more at d <= 3,
+    and a longer list made an array once."""
     if len(v) < 8 and (type(v) is list or v.ndim == 1):
         s = 0.0
         for t in v if type(v) is list else v.tolist():
             s += t * t
         return math.sqrt(s)
-    return math.sqrt(_dot(np.ravel(v), np.ravel(v)))
+    v = _array(v) if type(v) is list else np.ravel(v)
+    return math.sqrt(_dot(v, v))
+
+
+def _scaled(c: float, v) -> list:
+    """c * v for a point (a list or a 1-D array) as a list of Python floats,
+    bit for bit numpy's: a comprehension below 8 entries, numpy's multiply
+    (the cheaper on an array) from 8 on, `_dot`'s crossover."""
+    if len(v) >= 8:
+        return np.multiply(c, v).tolist()
+    return [c * t for t in (v.tolist() if type(v) is np.ndarray else v)]
 
 
 def _pow(r: float, e: float) -> float:
@@ -235,7 +265,7 @@ def _exp(l0: float, l1: float) -> tuple:
 
 
 def _radial(dim: int, profile: tuple, **fields) -> Objective:
-    """h(||x||) for a profile h, minimized at 0: every radial builder's four oracles."""
+    """h(||x||) for a profile h, minimized at 0: every radial builder's five oracles."""
     if dim < 1:
         raise ValueError("dim must be positive")
     h, value_coef, coef_curv = profile
@@ -247,6 +277,12 @@ def _radial(dim: int, profile: tuple, **fields) -> Objective:
         r = _norm(x)
         v, c = value_coef(r)
         return v, np.zeros(dim) if r == 0.0 else np.multiply(c, x)
+
+    def floats(xs):
+        x = _array(xs) if dim >= 8 else xs  # one array for the norm and the product
+        r = _norm(x)
+        v, c = value_coef(r)
+        return v, [0.0] * dim if r == 0.0 else _scaled(c, x)
 
     def values_grads(X):
         r = _row_norms(X)
@@ -264,7 +300,7 @@ def _radial(dim: int, profile: tuple, **fields) -> Objective:
         hess *= ck[:, 0, None, None]
         return hess
 
-    return Objective(dim=dim, **_fused(value, value_grad, values_grads, hessians),
+    return Objective(dim=dim, **_fused(value, value_grad, floats, values_grads, hessians),
                      f_star=0.0, x_star=np.zeros(dim), **fields)
 
 
@@ -314,6 +350,10 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
         t = _dot(a, x) + b
         return float(np.logaddexp(0.0, t)), _sigmoid(t) * a
 
+    def floats(xs):
+        t = _dot(a, xs) + b
+        return float(np.logaddexp(0.0, t)), _scaled(_sigmoid(t), a)
+
     def affine(X):
         return _row_dots(X, np.broadcast_to(a, X.shape)) + b
 
@@ -327,7 +367,7 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
 
     return Objective(
         dim=a.size,
-        **_fused(value, value_grad, values_grads, hessians),
+        **_fused(value, value_grad, floats, values_grads, hessians),
         params=SmoothnessParams(0.25 * (norm_a - l1) ** 2, l1),
         name=f"affine_logistic(|a|={norm_a:g},b={b},l1={l1})",
     )
@@ -347,9 +387,10 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
 def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
     """(1/p) * sum_i |x_i|^p: `line = power_norm(1, p, l1)` at each coordinate,
     so its constants are line's.  Value and gradient run one loop over the
-    coordinates with each term's arithmetic; the batched kernels are line's
-    over all coordinates at once, as (n*d, 1) rows, bit for bit: a one-entry
-    norm is sqrt(t*t), its dot.
+    coordinates with each term's arithmetic, in `floats` (`value_grad` is
+    `floats` on the array's list); the batched kernels are line's over all
+    coordinates at once, as (n*d, 1) rows, bit for bit: a one-entry norm is
+    sqrt(t*t), its dot.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -359,14 +400,18 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
     def value(x):
         return _sum([h(math.sqrt(t * t)) for t in np.asarray(x, dtype=float).tolist()])
 
-    def value_grad(x):
+    def floats(xs):
         terms, grad = [], []
-        for t in np.asarray(x, dtype=float).tolist():
+        for t in xs:
             r = math.sqrt(t * t)
             v, c = value_coef(r)
             terms.append(v)
             grad.append(0.0 if r == 0.0 else c * t)  # +0.0 at t = -0.0
-        return _sum(terms), np.array(grad)
+        return _sum(terms), grad
+
+    def value_grad(x):
+        v, grad = floats(np.asarray(x, dtype=float).tolist())
+        return v, np.array(grad)
 
     def values_grads(X):
         terms, grads = _values_grads(line, X.reshape(-1, 1))
@@ -380,7 +425,7 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
         hess.reshape(len(X), -1)[:, :: dim + 1] = diag.reshape(X.shape)
         return hess
 
-    return Objective(dim=dim, **_fused(value, value_grad, values_grads, hessians),
+    return Objective(dim=dim, **_fused(value, value_grad, floats, values_grads, hessians),
                      f_star=0.0, x_star=np.zeros(dim), params=line.params,
                      name=f"separable_pnorm(d={dim},p={p},l1={l1})")
 

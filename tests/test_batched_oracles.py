@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gensmooth.cli import SHIPPED_FOR_VERIFY, main, parse_problem
+from gensmooth.cli import PROBLEMS, SHIPPED_FOR_VERIFY, main, parse_problem
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import (
     _at_points,
@@ -232,6 +232,72 @@ def test_a_swapped_oracle_is_the_one_called(build, name):
     assert repr(got.max_violation) == repr(want.max_violation)
     assert got.violating_point.tobytes() == want.violating_point.tobytes()
     assert len(calls) == (300 if name != "value" else 0)  # certify takes no values
+
+
+# One builder of each `cli.PROBLEMS` name at a dimension d (logistic is 1-D).
+FLOATS_BUILDERS = {
+    "power_norm": lambda d: power_norm(d, 4, 1.0),
+    "logistic": lambda d: logistic_1d(0.5),
+    "affine_logistic": lambda d: affine_logistic(
+        np.random.default_rng(d).standard_normal(d) + 1.0, 0.25, 0.5),
+    "exp_phi": lambda d: exp_phi(d, SmoothnessParams(1.7, 0.6)),
+    "separable_pnorm": lambda d: separable_pnorm(d, 3.5, 1.0),
+}
+FLOATS_CASES = [(name, d) for name in FLOATS_BUILDERS for d in (1, 2, 3, 7, 8, 9, 30)
+                if name != "logistic" or d == 1]
+
+
+def floats_outcome(fn, x):
+    """(value bytes, gradient bytes) of `fn` at x, or the type it raises; a
+    list gradient must hold Python floats only."""
+    with np.errstate(all="ignore"):
+        try:
+            value, grad = fn(x)
+        except Exception as exc:  # any exception: its type is the outcome
+            return type(exc)
+    if type(grad) is list:
+        assert all(type(t) is float for t in grad)
+    return np.float64(value).tobytes(), np.asarray(grad, dtype=float).tobytes()
+
+
+def test_floats_builders_cover_every_problem():
+    assert set(FLOATS_BUILDERS) == set(PROBLEMS)
+
+
+@pytest.mark.parametrize("name,d", FLOATS_CASES, ids=[f"{n}-{d}" for n, d in FLOATS_CASES])
+def test_floats_is_value_grad_bit_for_bit(name, d):
+    """`floats` on a point's list of Python floats gives value_grad's value
+    and every gradient entry, bit for bit, as a list of Python floats: at
+    the origin, at -0.0 entries, where power_norm's value overflows to inf,
+    and at seeded points from 1e-300 to 1e300."""
+    f = FLOATS_BUILDERS[name](d)
+    special = np.zeros((4, d))
+    special[1] = -0.0  # the origin with every sign bit set
+    special[2, ::2] = -0.0
+    special[2, 1::2] = np.arange(1, d // 2 + 1)
+    special[3] = 1e100  # ||x||^4 overflows, ||x||^2 does not
+    if name == "power_norm":
+        assert f.value(special[3]) == math.inf
+    for x in [*special, *np.concatenate(point_blocks(d, seed=d, n_blocks=12, rows=2))]:
+        got = floats_outcome(f.floats, x.tolist())
+        assert got == floats_outcome(f.value_grad, x), (name, x.tolist())
+    assert type(f.floats(special[2].tolist())[1]) is list
+
+
+@pytest.mark.parametrize("name", ["value", "gradient", "hessian"])
+@pytest.mark.parametrize("d", [2, 9])
+def test_a_swapped_oracle_is_the_one_floats_calls(d, name):
+    """A `dataclasses.replace`d value or gradient makes `floats` call the
+    swapped callables, once each per point, for the same bits; a swapped
+    Hessian leaves the builder's floats in place."""
+    f = power_norm(d, 4, 1.0)
+    calls = []
+    g = counted(f, name, calls)
+    assert (g.floats is f.floats) == (name == "hessian")
+    for x in sample_ball(np.random.default_rng(3), d, 3.0, 5):
+        calls.clear()
+        assert floats_outcome(g.floats, x.tolist()) == floats_outcome(f.floats, x.tolist())
+        assert calls == ([] if name == "hessian" else [name])
 
 
 # certify_smoothness(f, f.params, 1.0, 2048, 0) at d = 30: (builder,

@@ -1257,9 +1257,13 @@ class TestMainEntry:
         assert main(["run", "--radius", "1"]) == 2
 
     @pytest.mark.parametrize("command", [
-        ["verify", "--seed", "-1"], ["certify", "--problem", "logistic:l1=0.5", "--seed", "-3"]])
-    def test_negative_seed_names_itself(self, command, capsys):
+        ["verify", "--seed", "-1"], ["certify", "--problem", "logistic:l1=0.5", "--seed", "-3"],
+        ["run", "--problem", "power_norm:d=2,p=4,l1=1", "--method", "gd:rule=optimal",
+         "--radius", "1", "--budget", "5", "--out", "never-written.csv", "--seed", "-1"]])
+    def test_negative_seed_names_itself(self, command, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
         assert main(command) == 2
+        assert not (tmp_path / "never-written.csv").exists()
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == f"error: seed must be nonnegative, got {command[-1]}\n"

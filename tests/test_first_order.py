@@ -357,7 +357,8 @@ class TestBestIterate:
 
 
 class TestMoveOnPythonFloats:
-    """`first_order._move` is the loops' x - step * (grad / g), bit for bit."""
+    """`first_order._move` is the loops' x - step * (grad / g), bit for bit,
+    as a list of Python floats."""
 
     # subnormals, signed zeros and extremes, so that quotients and products
     # overflow to inf or underflow to zero or a subnormal
@@ -379,8 +380,10 @@ class TestMoveOnPythonFloats:
                 # as at the update: g finite and > 0, step a Python float >= 0
                 g, step = abs(float(row[-2])) or 5e-324, abs(float(row[-1]))
                 want = x - step * (grad / g)
-                got = first_order._move(x.tolist(), step, grad.tolist(), g)
-                assert got.dtype == np.float64 and got.shape == (dim,)
+                moved = first_order._move(x.tolist(), step, grad.tolist(), g)
+                assert type(moved) is list and len(moved) == dim
+                assert all(type(v) is float for v in moved)
+                got = np.array(moved)
                 np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
                 seen.update(("-0.0" if v == 0.0 and math.copysign(1.0, v) < 0 else
                              "inf" if math.isinf(v) else "nan" if math.isnan(v) else
