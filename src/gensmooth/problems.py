@@ -34,14 +34,15 @@ class Objective:
     `value_grad(x)` returns `(value(x), gradient(x))`, bit for bit, and
     `floats(xs)` the same pair for a point given as a list of Python floats,
     the gradient as a list too (the descent loop's oracle).  A composition
-    (radial, coordinate-wise, ridge) writes `value`, a fused `value_grad`,
-    `floats` and two batched kernels over the rows of an (n, d) array,
-    `values_grads` and `hessians`, once for all its builders; `_fused` adds
-    `gradient(x) = value_grad(x)[1]`, `hessian(x)`, the batch of one, and
-    the kernel.  `value_grad` and `floats` are the fused ones while `value`
-    and `gradient` are the builder's, and `batch` is `(values_grads,
-    hessians)` while `hessian` is too (`_at_points` and `_values_grads`
-    take it, bit for bit the per-point calls).  Without a kernel, or once a
+    (radial, coordinate-wise, ridge) writes `value`, `floats` and two
+    batched kernels over the rows of an (n, d) array, `values_grads` and
+    `hessians`, once for all its builders; `_fused` adds `value_grad(x)`,
+    `floats` on the array's list, `gradient(x) = value_grad(x)[1]`,
+    `hessian(x)`, the batch of one, and the kernel.  `value_grad` and
+    `floats` are the fused ones while `value` and `gradient` are the
+    builder's, and `batch` is `(values_grads, hessians)` while `hessian` is
+    too (`_at_points` and `_values_grads` take it, bit for bit the
+    per-point calls).  Without a kernel, or once a
     callable is swapped (say by `dataclasses.replace`), they fall back to
     per-point calls of the fields, so wrapped or corrupted oracles are
     always the ones called.  `floats` falls back to
@@ -86,10 +87,14 @@ class Objective:
         return x
 
 
-def _fused(value, value_grad, floats, values_grads, hessians) -> dict:
-    """Objective fields for a value, a fused value_grad, its twin on Python
-    floats and the batched kernels: the gradient is value_grad's, the
-    Hessian the batch of one."""
+def _fused(value, floats, values_grads, hessians) -> dict:
+    """Objective fields for a value, the fused oracle on Python floats and
+    the batched kernels: value_grad is floats on the array's list, the
+    gradient value_grad's, the Hessian the batch of one."""
+    def value_grad(x):
+        v, grad = floats(np.asarray(x, dtype=float).tolist())
+        return v, np.array(grad)
+
     def gradient(x):
         return value_grad(x)[1]
 
@@ -140,32 +145,16 @@ def _dot(u, v) -> float:
     return s
 
 
-def _array(v: list) -> np.ndarray:
-    """A list of Python floats as a float64 array, in about 0.6x the time of
-    np.array, which first discovers the type of every entry."""
-    return np.fromiter(v, float, len(v))
-
-
 def _norm(v) -> float:
     """sqrt(_dot(v, v)) as a Python float, a matrix's entries as one point;
-    the short loop inlined, as calling _dot costs 0.4 us more at d <= 3,
-    and a longer list made an array once."""
+    the short loop inlined, as calling _dot costs 0.4 us more at d <= 3."""
     if len(v) < 8 and (type(v) is list or v.ndim == 1):
         s = 0.0
         for t in v if type(v) is list else v.tolist():
             s += t * t
         return math.sqrt(s)
-    v = _array(v) if type(v) is list else np.ravel(v)
+    v = np.ravel(v)
     return math.sqrt(_dot(v, v))
-
-
-def _scaled(c: float, v) -> list:
-    """c * v for a point (a list or a 1-D array) as a list of Python floats,
-    bit for bit numpy's: a comprehension below 8 entries, numpy's multiply
-    (the cheaper on an array) from 8 on, `_dot`'s crossover."""
-    if len(v) >= 8:
-        return np.multiply(c, v).tolist()
-    return [c * t for t in (v.tolist() if type(v) is np.ndarray else v)]
 
 
 def _pow(r: float, e: float) -> float:
@@ -265,7 +254,7 @@ def _exp(l0: float, l1: float) -> tuple:
 
 
 def _radial(dim: int, profile: tuple, **fields) -> Objective:
-    """h(||x||) for a profile h, minimized at 0: every radial builder's five oracles."""
+    """h(||x||) for a profile h, minimized at 0: every radial builder's oracles."""
     if dim < 1:
         raise ValueError("dim must be positive")
     h, value_coef, coef_curv = profile
@@ -273,16 +262,10 @@ def _radial(dim: int, profile: tuple, **fields) -> Objective:
     def value(x):
         return h(_norm(x))
 
-    def value_grad(x):
-        r = _norm(x)
-        v, c = value_coef(r)
-        return v, np.zeros(dim) if r == 0.0 else np.multiply(c, x)
-
     def floats(xs):
-        x = _array(xs) if dim >= 8 else xs  # one array for the norm and the product
-        r = _norm(x)
+        r = _norm(xs)
         v, c = value_coef(r)
-        return v, [0.0] * dim if r == 0.0 else _scaled(c, x)
+        return v, [0.0] * dim if r == 0.0 else [c * t for t in xs]
 
     def values_grads(X):
         r = _row_norms(X)
@@ -300,7 +283,7 @@ def _radial(dim: int, profile: tuple, **fields) -> Objective:
         hess *= ck[:, 0, None, None]
         return hess
 
-    return Objective(dim=dim, **_fused(value, value_grad, floats, values_grads, hessians),
+    return Objective(dim=dim, **_fused(value, floats, values_grads, hessians),
                      f_star=0.0, x_star=np.zeros(dim), **fields)
 
 
@@ -341,18 +324,15 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
         raise ValueError(f"a must be nonzero, and a, b and ||a|| finite: ||a|| = {norm_a}, b = {b}")
     if not 0.0 <= l1 <= norm_a:
         raise ValueError(f"l1 must lie in [0, ||a||] = [0, {norm_a}]")
-    aa = np.outer(a, a)
+    aa, al = np.outer(a, a), a.tolist()
 
     def value(x):
         return float(np.logaddexp(0.0, _dot(a, x) + b))
 
-    def value_grad(x):
-        t = _dot(a, x) + b
-        return float(np.logaddexp(0.0, t)), _sigmoid(t) * a
-
     def floats(xs):
-        t = _dot(a, xs) + b
-        return float(np.logaddexp(0.0, t)), _scaled(_sigmoid(t), a)
+        t = _dot(al, xs) + b
+        s = _sigmoid(t)
+        return float(np.logaddexp(0.0, t)), [s * u for u in al]
 
     def affine(X):
         return _row_dots(X, np.broadcast_to(a, X.shape)) + b
@@ -367,7 +347,7 @@ def affine_logistic(a: np.ndarray, b: float, l1: float) -> Objective:
 
     return Objective(
         dim=a.size,
-        **_fused(value, value_grad, floats, values_grads, hessians),
+        **_fused(value, floats, values_grads, hessians),
         params=SmoothnessParams(0.25 * (norm_a - l1) ** 2, l1),
         name=f"affine_logistic(|a|={norm_a:g},b={b},l1={l1})",
     )
@@ -387,10 +367,9 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
 def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
     """(1/p) * sum_i |x_i|^p: `line = power_norm(1, p, l1)` at each coordinate,
     so its constants are line's.  Value and gradient run one loop over the
-    coordinates with each term's arithmetic, in `floats` (`value_grad` is
-    `floats` on the array's list); the batched kernels are line's over all
-    coordinates at once, as (n*d, 1) rows, bit for bit: a one-entry norm is
-    sqrt(t*t), its dot.
+    coordinates with each term's arithmetic, in `floats`; the batched
+    kernels are line's over all coordinates at once, as (n*d, 1) rows, bit
+    for bit: a one-entry norm is sqrt(t*t), its dot.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
@@ -409,10 +388,6 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
             grad.append(0.0 if r == 0.0 else c * t)  # +0.0 at t = -0.0
         return _sum(terms), grad
 
-    def value_grad(x):
-        v, grad = floats(np.asarray(x, dtype=float).tolist())
-        return v, np.array(grad)
-
     def values_grads(X):
         terms, grads = _values_grads(line, X.reshape(-1, 1))
         terms = terms.tolist()
@@ -425,7 +400,7 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
         hess.reshape(len(X), -1)[:, :: dim + 1] = diag.reshape(X.shape)
         return hess
 
-    return Objective(dim=dim, **_fused(value, value_grad, floats, values_grads, hessians),
+    return Objective(dim=dim, **_fused(value, floats, values_grads, hessians),
                      f_star=0.0, x_star=np.zeros(dim), params=line.params,
                      name=f"separable_pnorm(d={dim},p={p},l1={l1})")
 

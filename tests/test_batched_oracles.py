@@ -269,7 +269,9 @@ def test_floats_is_value_grad_bit_for_bit(name, d):
     """`floats` on a point's list of Python floats gives value_grad's value
     and every gradient entry, bit for bit, as a list of Python floats: at
     the origin, at -0.0 entries, where power_norm's value overflows to inf,
-    and at seeded points from 1e-300 to 1e300."""
+    and at seeded points from 1e-300 to 1e300.  As a builder's value_grad
+    is its floats on the array's list, both are also held to the batch of
+    one, the numpy form of the same formula."""
     f = FLOATS_BUILDERS[name](d)
     special = np.zeros((4, d))
     special[1] = -0.0  # the origin with every sign bit set
@@ -281,6 +283,8 @@ def test_floats_is_value_grad_bit_for_bit(name, d):
     for x in [*special, *np.concatenate(point_blocks(d, seed=d, n_blocks=12, rows=2))]:
         got = floats_outcome(f.floats, x.tolist())
         assert got == floats_outcome(f.value_grad, x), (name, x.tolist())
+        batch_of_one = floats_outcome(lambda x: [a[0] for a in f.batch[0](x[None])], x)
+        assert got == batch_of_one, (name, x.tolist())
     assert type(f.floats(special[2].tolist())[1]) is list
 
 
