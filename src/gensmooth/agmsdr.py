@@ -16,7 +16,8 @@ The two-stage driver first runs plain gradient descent until the gap (or,
 lacking a known optimum, the gradient norm) is small enough that the
 curvature along the rest of the trajectory is bounded by a constant, then
 hands over to the accelerated loop.  Oracle accounting here charges every
-value and gradient call.
+value and gradient call.  As in the descent loop, every point is a list of
+Python floats, and only the final iterate becomes an array.
 """
 
 from __future__ import annotations
@@ -29,9 +30,8 @@ import numpy as np
 
 from .kernels import SmoothnessParams
 from .problems import Objective, _dot, _norm
-from .first_order import (
-    ARRAYS, DIVERGENCE_GUARD, StepRule, Trace, _move, _trace, gd_run, stepsize_simplified,
-)
+from .first_order import (ARRAYS, DIVERGENCE_GUARD, StepRule, Trace, _move, _trace, gd_run,
+                          stepsize_simplified)
 
 # Largest rise f(x_{k+1}) - f(y_k) the accelerated loop tolerates as rounding.
 MONOTONE_TOL = 1e-9
@@ -42,7 +42,8 @@ LS_MAX_PROBES = 60
 
 @dataclass
 class EstimateState:
-    """Running state of the quadratic model.
+    """Running state of the quadratic model; `x0`, `lin_accum` and the
+    minimizer are lists of Python floats, each entry numpy's bits.
 
     `lin_accum` is the accumulated linear term sum_i a_i * grad f(y_{i-1}),
     so the model minimizer is always x0 - lin_accum.  `affine_accum` is the
@@ -52,42 +53,41 @@ class EstimateState:
     from above on convex problems.
     """
 
-    x0: np.ndarray
+    x0: list
     a_capital: float = 0.0
-    lin_accum: np.ndarray | None = None
+    lin_accum: list | None = None
     affine_accum: float = 0.0
     zeta_star_lower: float = 0.0
 
     def __post_init__(self):
         if self.lin_accum is None:
-            self.lin_accum = np.zeros_like(self.x0)
+            self.lin_accum = [0.0] * len(self.x0)
 
     @property
-    def minimizer(self) -> np.ndarray:
-        return self.x0 - self.lin_accum
+    def minimizer(self) -> list:
+        return [a - s for a, s in zip(self.x0, self.lin_accum)]
 
     def model_minimum(self) -> float:
         s = self.lin_accum
         return _dot(s, self.x0) - 0.5 * _dot(s, s) + self.affine_accum
 
-    def accumulate(self, a: float, y: np.ndarray, f_y: float, grad_y: np.ndarray):
+    def accumulate(self, a: float, y: list, f_y: float, grad_y: list):
         self.a_capital += a
-        self.lin_accum = self.lin_accum + a * grad_y
+        self.lin_accum = [s + a * g for s, g in zip(self.lin_accum, grad_y)]
         self.affine_accum += a * (f_y - _dot(grad_y, y))
         self.zeta_star_lower = self.model_minimum()
 
 
 @dataclass(slots=True)
 class LineSearchResult:
-    y: np.ndarray
+    y: list
     f_y: float
-    grad_y: np.ndarray
+    grad_y: list
     evals: int
 
 
-def segment_line_search(
-    f: Objective, v: np.ndarray, x: np.ndarray, f_x: float, v_first: bool = False
-) -> LineSearchResult:
+def segment_line_search(f: Objective, v: list, x: list, f_x: float,
+                        v_first: bool = False) -> LineSearchResult:
     """A point y on [v, x] with f(y) <= f(x) and <grad f(y), v - y> >= 0.
 
     These two conditions are all the AGMsDR analysis asks of the segment
@@ -101,25 +101,27 @@ def segment_line_search(
     settles for y = x.  f_x = f(x) is the caller's; `evals` counts the value
     and gradient calls made here except the gradient at the returned y: 0
     (x) or 1 (v) when the endpoint probed first wins, 2 when the other does,
-    2 + 2*probes after a bisection.
+    2 + 2*probes after a bisection.  Points and gradients are lists of
+    Python floats: x's gradient is one `f.gradient` call, on an array, and
+    every other probe an `f.floats` call.
     """
     if v_first:
-        f_v, grad_v = f.value_grad(v)
+        f_v, grad_v = f.floats(v)
         if f_v <= f_x:
             return LineSearchResult(v, f_v, grad_v, 1)
-    direction = x - v
-    grad_x = f.gradient(x)
+    direction = [a - b for a, b in zip(x, v)]
+    grad_x = f.gradient(np.array(x)).tolist()
     if _dot(grad_x, direction) <= 0.0:
         return LineSearchResult(x, f_x, grad_x, 2 if v_first else 0)
     if not v_first:
-        f_v, grad_v = f.value_grad(v)
+        f_v, grad_v = f.floats(v)
         if f_v <= f_x:
             return LineSearchResult(v, f_v, grad_v, 2)
     lo, hi = 0.0, 1.0
     for probe in range(1, LS_MAX_PROBES + 1):
         beta = 0.5 * (lo + hi)
-        y = v + beta * direction
-        f_y, grad_y = f.value_grad(y)
+        y = [a + beta * b for a, b in zip(v, direction)]
+        f_y, grad_y = f.floats(y)
         if not math.isfinite(f_y) or f_y > f_x:
             lo = beta
         elif _dot(grad_y, direction) > 0.0:
@@ -130,13 +132,8 @@ def segment_line_search(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def agmsdr_run(
-    f: Objective,
-    x0: np.ndarray,
-    l_const: float | None,
-    budget: int,
-    t_params: SmoothnessParams | None = None,
-) -> Trace:
+def agmsdr_run(f: Objective, x0: np.ndarray, l_const: float | None, budget: int,
+               t_params: SmoothnessParams | None = None) -> Trace:
     """Accelerated loop from x0 with scaling constant l_const.
 
     The descent operator is the simplified-stepsize gradient step, using
@@ -149,7 +146,9 @@ def agmsdr_run(
 
     A rise f(x_{k+1}) > f(y_k) beyond `MONOTONE_TOL` aborts: on a convex
     objective that can only mean the curvature constants are wrong.  A
-    non-finite gradient norm at y_k ends the run `Diverged`.
+    non-finite gradient norm at y_k ends the run `Diverged`.  An iteration
+    starts only while the calls made are below `budget`, so the last one
+    may overrun the budget by its own calls.
     """
     params = t_params if t_params is not None else f.params
     if params is None:
@@ -161,11 +160,11 @@ def agmsdr_run(
     if not 0 < l_const < math.inf:
         raise ValueError("l_const must be positive and finite")
     x = f.check_point(x0)
-
-    state = EstimateState(x0=x.copy())
     f_x = f.value(x)
     if not math.isfinite(f_x):
         raise ValueError("objective is not finite at the starting point")
+    x = x.tolist()
+    state = EstimateState(x0=x)
     calls = 1
     termination = "BudgetExhausted"
     names = ("f_val", "a_capital", "zeta_star", "oracle_calls", "grad_norm", "step_len",
@@ -177,7 +176,7 @@ def agmsdr_run(
     def arrival(g, step_len, f_y, evals):
         """A row: the iterate on arrival, then this iteration's products."""
         rows.fromlist([f_x, state.a_capital, state.zeta_star_lower, calls, g, step_len, f_y,
-                       evals, *x.tolist()])
+                       evals, *x])
 
     while calls < budget:
         v = state.minimizer
@@ -191,14 +190,12 @@ def agmsdr_run(
             break
 
         step_len = stepsize_simplified(g, params) * g if g > 0 else 0.0
-        x_next = np.array(_move(y.tolist(), step_len, grad_y.tolist(), g)) if g > 0 else y
-        f_next = f.value(x_next)
+        x_next = _move(y, step_len, grad_y, g) if g > 0 else y
+        f_next = f.value(np.array(x_next))
         calls += 1
         if f_next > f_y + MONOTONE_TOL:
-            raise RuntimeError(
-                f"descent step increased the value at iteration {k} "
-                f"({f_y} -> {f_next}): curvature constants do not match the objective"
-            )
+            raise RuntimeError(f"descent step increased the value at iteration {k} ({f_y} -> "
+                               f"{f_next}): curvature constants do not match the objective")
 
         arrival(g, step_len, f_y, evals)
         k += 1
@@ -215,9 +212,11 @@ def agmsdr_run(
             break
 
     arrival(math.nan, 0.0, math.nan, 0)
+    final_x = np.array(x)
+    x = v = ls = y = grad_y = x_next = state = None  # lists, 32 B an entry: free them now
     last = np.arange(k + 1) == k  # the closing row has no iteration products
     missing = {"grad_norm": last, "f_y": last, "ls_evals": last}
-    return _trace(rows, names, f, f.f_star, 2, missing, grads=False, final_x=x,
+    return _trace(rows, names, f, f.f_star, 2, missing, grads=False, final_x=final_x,
                   termination=termination, method="agmsdr")
 
 
@@ -234,7 +233,8 @@ def two_stage_run(
     Stage 1 takes simplified-rule steps.  It hands over once f - f_star <=
     l0/(5*l1^2) when the optimum is known, and otherwise once ||grad|| <=
     l0/l1; ending any other way (out of budget, diverged, exactly
-    stationary), it returns its own trace.  `l_const` is the scaling
+    stationary), or meeting it on the budget's last call, it returns its
+    own trace, out of budget in that last case.  `l_const` is the scaling
     constant of the accelerated stage (`agmsdr_run`'s default when None).
 
     With l1 = 0 the target is vacuous and stage 1 is skipped entirely; else
@@ -251,17 +251,17 @@ def two_stage_run(
 
     step_rule = StepRule(variant="simplified", params=p)
     if f.f_star is not None:
-        stage1 = gd_run(
-            f, step_rule, x_s, budget, grad_tol=0.0, gap_tol=p.l0 / (5.0 * p.l1**2)
-        )
+        stage1 = gd_run(f, step_rule, x_s, budget, gap_tol=p.l0 / (5.0 * p.l1**2))
     else:
         stage1 = gd_run(f, step_rule, x_s, budget, grad_tol=p.l0 / p.l1)
 
     stage1.method = "two_stage"
     if stage1.termination not in ("GapToleranceMet", "GradToleranceMet"):
         return stage1
-
     stage1_calls = int(stage1.oracle_calls[-1])
+    if stage1_calls >= budget:
+        stage1.termination = "BudgetExhausted"
+        return stage1
     stage2 = agmsdr_run(f, stage1.final_x, l_const, budget - stage1_calls, t_params=p)
     stage2.k += stage1.k[-1] + 1
     stage2.oracle_calls += stage1_calls

@@ -9,7 +9,7 @@ from gensmooth import agmsdr as agmsdr_mod
 from gensmooth.first_order import DIVERGENCE_GUARD
 from gensmooth.cli import execute_method, parse_method, parse_problem
 from gensmooth.kernels import SmoothnessParams
-from gensmooth.problems import Objective, exp_phi, power_norm, separable_pnorm
+from gensmooth.problems import Objective, _dot, exp_phi, power_norm, separable_pnorm
 from gensmooth.agmsdr import (
     LS_MAX_PROBES,
     EstimateState,
@@ -47,10 +47,33 @@ def counting(f, calls):
                      x_star=f.x_star, params=f.params, name=f.name)
 
 
+def array_search(f, v, x, f_x):
+    """segment_line_search's x-first order on numpy arrays: (y, f_y, grad_y)."""
+    direction = x - v
+    grad_x = f.gradient(x)
+    if _dot(grad_x, direction) <= 0.0:
+        return x, f_x, grad_x
+    f_v, grad_v = f.value_grad(v)
+    if f_v <= f_x:
+        return v, f_v, grad_v
+    lo, hi = 0.0, 1.0
+    for _ in range(LS_MAX_PROBES):
+        beta = 0.5 * (lo + hi)
+        y = v + beta * direction
+        f_y, grad_y = f.value_grad(y)
+        if not math.isfinite(f_y) or f_y > f_x:
+            lo = beta
+        elif _dot(grad_y, direction) > 0.0:
+            hi = beta
+        else:
+            return y, f_y, grad_y
+    return x, f_x, grad_x
+
+
 class TestSegmentLineSearch:
     def test_minimum_at_far_endpoint(self):
         f = quadratic()
-        res = segment_line_search(f, np.array([2.0, 0.0]), np.zeros(2), 0.0)
+        res = segment_line_search(f, [2.0, 0.0], [0.0, 0.0], 0.0)
         assert res.f_y <= 1e-12
         np.testing.assert_allclose(res.y, np.zeros(2), atol=1e-9)
 
@@ -67,34 +90,36 @@ class TestSegmentLineSearch:
             rng = np.random.default_rng(17)
             probes = set()
             for _ in range(200):
-                v = rng.uniform(-scale, scale, size=f.dim)
-                x = rng.uniform(-scale, scale, size=f.dim)
+                vs = rng.uniform(-scale, scale, size=f.dim).tolist()
+                xs = rng.uniform(-scale, scale, size=f.dim).tolist()
+                v, x = np.array(vs), np.array(xs)
                 f_x = f.value(x)
-                res = segment_line_search(f, v, x, f_x, v_first)
-                probes.add("x" if res.y is x else "v" if res.y is v else "bisection")
+                res = segment_line_search(f, vs, xs, f_x, v_first)
+                probes.add("x" if res.y is xs else "v" if res.y is vs else "bisection")
+                y, grad_y = np.array(res.y), np.array(res.grad_y)
                 assert res.f_y <= f_x
-                slack = 1e-12 * float(np.linalg.norm(res.grad_y) * np.linalg.norm(x - v))
-                assert float(res.grad_y @ (v - res.y)) >= -slack
-                beta = float((res.y - v) @ (x - v)) / float((x - v) @ (x - v))
-                np.testing.assert_allclose(res.y, v + beta * (x - v), rtol=0,
+                slack = 1e-12 * float(np.linalg.norm(grad_y) * np.linalg.norm(x - v))
+                assert float(grad_y @ (v - y)) >= -slack
+                beta = float((y - v) @ (x - v)) / float((x - v) @ (x - v))
+                np.testing.assert_allclose(y, v + beta * (x - v), rtol=0,
                                            atol=1e-12 * scale)
                 assert -1e-15 <= beta <= 1.0 + 1e-15
-                assert res.f_y == f.value(res.y)
-                np.testing.assert_array_equal(res.grad_y, f.gradient(res.y))
+                assert res.f_y == f.value(y)
+                np.testing.assert_array_equal(grad_y, f.gradient(y))
             assert probes == {"x", "v", "bisection"}, v_first
 
     def test_eval_budget_respected(self):
         f = power_norm(2, 4, 1)
-        x = np.array([-1.5, 2.5])
-        res = segment_line_search(f, np.array([2.0, -1.0]), x, f.value(x))
+        x = [-1.5, 2.5]
+        res = segment_line_search(f, [2.0, -1.0], x, f.value(np.array(x)))
         assert 0 < res.evals <= 2 + 2 * LS_MAX_PROBES
 
     def test_probe_one_short_circuits(self):
         """<grad f(x), x - v> <= 0 keeps y = x at the cost of one gradient."""
         calls = []
         f = counting(quadratic(), calls)
-        x = np.array([1.0, 0.0])
-        res = segment_line_search(f, np.array([2.0, 1.0]), x, 0.5)
+        x = [1.0, 0.0]
+        res = segment_line_search(f, [2.0, 1.0], x, 0.5)
         assert [kind for kind, _ in calls] == ["g"] and res.evals == 0
         assert res.y is x and res.f_y == 0.5
         np.testing.assert_array_equal(res.grad_y, x)
@@ -103,8 +128,8 @@ class TestSegmentLineSearch:
         """f(v) <= f(x) takes y = v after one value_grad at v."""
         calls = []
         f = counting(quadratic(), calls)
-        v = np.array([-1.0, 0.0])
-        res = segment_line_search(f, v, np.array([1.0, 0.0]), 0.5)
+        v = [-1.0, 0.0]
+        res = segment_line_search(f, v, [1.0, 0.0], 0.5)
         assert [kind for kind, _ in calls] == ["g", "v", "g"] and res.evals == 2
         np.testing.assert_array_equal(res.y, v)
         np.testing.assert_array_equal(res.grad_y, v)
@@ -112,8 +137,8 @@ class TestSegmentLineSearch:
     def test_v_first_takes_v_after_one_value_grad(self):
         calls = []
         f = counting(quadratic(), calls)
-        v = np.array([-1.0, 0.0])
-        res = segment_line_search(f, v, np.array([1.0, 0.0]), 0.5, v_first=True)
+        v = [-1.0, 0.0]
+        res = segment_line_search(f, v, [1.0, 0.0], 0.5, v_first=True)
         assert [kind for kind, _ in calls] == ["v", "g"] and res.evals == 1
         assert res.y is v and res.f_y == 0.5
         np.testing.assert_array_equal(res.grad_y, v)
@@ -122,8 +147,8 @@ class TestSegmentLineSearch:
         """f(v) > f(x) costs the value and gradient at v, then x's test."""
         calls = []
         f = counting(quadratic(), calls)
-        x = np.array([1.0, 0.0])
-        res = segment_line_search(f, np.array([2.0, 1.0]), x, 0.5, v_first=True)
+        x = [1.0, 0.0]
+        res = segment_line_search(f, [2.0, 1.0], x, 0.5, v_first=True)
         assert [kind for kind, _ in calls] == ["v", "g", "g"] and res.evals == 2
         assert res.y is x and res.f_y == 0.5
         np.testing.assert_array_equal(res.grad_y, x)
@@ -133,19 +158,20 @@ class TestSegmentLineSearch:
         `evals` counts all calls but the gradient at the returned y."""
         f = power_norm(2, 4, 1)
         calls = []
-        v, x = np.array([2.0, -1.0]), np.array([-1.5, 0.5])
-        res = segment_line_search(counting(f, calls), v, x, f.value(x), v_first=True)
+        v, x = [2.0, -1.0], [-1.5, 0.5]
+        f_x = f.value(np.array(x))
+        res = segment_line_search(counting(f, calls), v, x, f_x, v_first=True)
         assert [kind for kind, _ in calls[:3]] == ["v", "g", "g"]
         assert res.y is not x and res.y is not v
         assert res.evals == len(calls) - 1 > 2
-        x_first = segment_line_search(f, v, x, f.value(x))
+        x_first = segment_line_search(f, v, x, f_x)
         np.testing.assert_array_equal(res.y, x_first.y)
         assert res.evals == x_first.evals
 
     def test_degenerate_segment_short_circuits(self):
         f = quadratic()
-        x = np.array([1.0, 1.0])
-        res = segment_line_search(f, x, x, f.value(x))
+        x = [1.0, 1.0]
+        res = segment_line_search(f, x, x, f.value(np.array(x)))
         assert res.evals == 0
         np.testing.assert_array_equal(res.y, x)
 
@@ -154,8 +180,8 @@ class TestSegmentLineSearch:
         counts every call but the gradient at the returned point."""
         f = power_norm(2, 4, 1)
         calls = []
-        v, x = np.array([2.0, -1.0]), np.array([-1.5, 0.5])
-        res = segment_line_search(counting(f, calls), v, x, f.value(x))
+        v, x = [2.0, -1.0], [-1.5, 0.5]
+        res = segment_line_search(counting(f, calls), v, x, f.value(np.array(x)))
         assert res.evals > 2  # the search bisected
         assert res.evals == len(calls) - 1
         assert not any(kind == "v" and np.array_equal(p, x) for kind, p in calls)
@@ -168,7 +194,7 @@ class TestSegmentLineSearch:
             gradient=lambda x: 2 * (x - 0.8),
             name="spiky",
         )
-        res = segment_line_search(spiky, np.array([0.0]), np.array([1.0]), 0.04)
+        res = segment_line_search(spiky, [0.0], [1.0], 0.04)
         assert res.y[0] == 0.75 and res.f_y == pytest.approx(0.0025)
         assert res.evals == 2 + 2 * 2  # beta = 0.5 rejected, 0.75 accepted
 
@@ -178,22 +204,40 @@ class TestSegmentLineSearch:
         cliff = Objective(dim=1, value=lambda y: 0.0 if y[0] >= 1.0 else math.inf,
                           gradient=lambda y: np.ones(1), name="cliff")
         calls = []
-        x = np.array([1.0])
-        res = segment_line_search(counting(cliff, calls), np.array([0.0]), x, 0.0)
-        assert res.y is x and res.f_y == 0.0 and res.grad_y.tolist() == [1.0]
+        x = [1.0]
+        res = segment_line_search(counting(cliff, calls), [0.0], x, 0.0)
+        assert res.y is x and res.f_y == 0.0 and res.grad_y == [1.0]
         assert res.evals == 2 + 2 * LS_MAX_PROBES
         assert len(calls) == res.evals + 1  # the gradient at x is not counted
 
     def test_overflow_error_propagates(self):
         f = exp_phi(2, SmoothnessParams(1.0, 1.0))
-        x = np.array([1.0, 0.0])
+        x = [1.0, 0.0]
         with pytest.raises(OverflowError):
-            segment_line_search(f, np.array([-800.0, 0.0]), x, f.value(x))
+            segment_line_search(f, [-800.0, 0.0], x, f.value(np.array(x)))
+
+    @pytest.mark.parametrize("dim", [2, 9, 30])
+    def test_list_points_match_the_array_formulas(self, dim):
+        """On seeded segments every search ends where the same search on
+        numpy arrays ends, with the same value and gradient, bit for bit;
+        the bisection among them."""
+        rng = np.random.default_rng(dim)
+        bisected = 0
+        for f in (power_norm(dim, 4, 1), separable_pnorm(dim, 4, 1)):
+            for _ in range(50):
+                v, x = rng.uniform(-3.0, 3.0, size=(2, dim))
+                f_x = f.value(x)
+                res = segment_line_search(f, v.tolist(), x.tolist(), f_x)
+                y, f_y, grad_y = array_search(f, v, x, f_x)
+                assert res.y == y.tolist() and res.f_y == f_y
+                assert res.grad_y == grad_y.tolist()
+                bisected += res.evals > 2
+        assert bisected > 0
 
 
 class TestEstimateState:
     def test_initial_state(self):
-        s = EstimateState(x0=np.array([1.0, 2.0]))
+        s = EstimateState(x0=[1.0, 2.0])
         assert s.a_capital == 0.0
         assert s.model_minimum() == 0.0
         np.testing.assert_array_equal(s.minimizer, [1.0, 2.0])
@@ -202,31 +246,31 @@ class TestEstimateState:
         """The tracked minimizer zeroes the model gradient exactly."""
         rng = np.random.default_rng(5)
         x0 = rng.standard_normal(3)
-        s = EstimateState(x0=x0.copy())
+        s = EstimateState(x0=x0.tolist())
         ys, grads, avals = [], [], []
         for _ in range(6):
             y = rng.standard_normal(3)
             gy = rng.standard_normal(3)
             a = rng.uniform(0.1, 2.0)
-            s.accumulate(a, y, float(rng.random()), gy)
+            s.accumulate(a, y.tolist(), float(rng.random()), gy.tolist())
             ys.append(y)
             grads.append(gy)
             avals.append(a)
-        v = s.minimizer
+        v = np.array(s.minimizer)
         model_grad = (v - x0) + sum(a * g for a, g in zip(avals, grads))
         np.testing.assert_allclose(model_grad, np.zeros(3), atol=1e-10)
 
     def test_model_minimum_matches_direct_evaluation(self):
         rng = np.random.default_rng(6)
         x0 = rng.standard_normal(2)
-        s = EstimateState(x0=x0.copy())
+        s = EstimateState(x0=x0.tolist())
         terms = []
         for _ in range(4):
             y = rng.standard_normal(2)
             gy = rng.standard_normal(2)
             fy = float(rng.random())
             a = rng.uniform(0.1, 2.0)
-            s.accumulate(a, y, fy, gy)
+            s.accumulate(a, y.tolist(), fy, gy.tolist())
             terms.append((a, y, fy, gy))
 
         def zeta(x):
@@ -235,7 +279,26 @@ class TestEstimateState:
                 total += a * (fy + float(gy @ (x - y)))
             return total
 
-        assert s.model_minimum() == pytest.approx(zeta(s.minimizer), abs=1e-12)
+        assert s.model_minimum() == pytest.approx(zeta(np.array(s.minimizer)), abs=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 9, 30])
+    def test_list_state_matches_the_array_formulas(self, dim):
+        """The accumulated term, the minimizer and the model minimum on
+        lists are the array formulas' bits on seeded data."""
+        rng = np.random.default_rng(dim)
+        x0 = rng.standard_normal(dim)
+        s = EstimateState(x0=x0.tolist())
+        lin_accum, affine_accum = np.zeros(dim), 0.0
+        for _ in range(8):
+            y, gy = rng.standard_normal((2, dim))
+            fy, a = float(rng.random()), rng.uniform(0.1, 2.0)
+            s.accumulate(a, y.tolist(), fy, gy.tolist())
+            lin_accum = lin_accum + a * gy
+            affine_accum += a * (fy - _dot(gy, y))
+            assert s.lin_accum == lin_accum.tolist()
+            assert s.minimizer == (x0 - lin_accum).tolist()
+            minimum = _dot(lin_accum, x0) - 0.5 * _dot(lin_accum, lin_accum) + affine_accum
+            assert s.model_minimum() == s.zeta_star_lower == minimum
 
 
 class TestAgmsdrRun:
@@ -309,6 +372,16 @@ class TestAgmsdrRun:
         trace = agmsdr_run(counting(f, calls), 10.0 * x0 / np.linalg.norm(x0), None, 2000)
         assert max(trace.ls_evals) > 2  # some iterations bisected
         assert trace.oracle_calls[-1] == len(calls)
+
+    def test_stationary_start_stops_after_one_iteration(self):
+        """At the optimum the search keeps y = x, the gradient is 0 and
+        x_{k+1} = y: one iteration of three calls, then StationaryExact."""
+        f = power_norm(2, 4, 1)
+        trace = agmsdr_run(f, np.zeros(2), None, 50)
+        assert trace.termination == "StationaryExact"
+        assert len(trace) == 2 and trace.oracle_calls.tolist() == [3, 3]
+        assert type(trace.final_x) is np.ndarray and trace.final_x.dtype == np.float64
+        np.testing.assert_array_equal(trace.final_x, f.x_star)
 
     @pytest.mark.filterwarnings("error")  # inf * 0 in the first slope test warns nothing
     def test_non_finite_gradient_ends_diverged(self):
@@ -454,6 +527,18 @@ class TestTwoStage:
         trace = two_stage_run(f, np.array([10.0, 0.0]), f.params, budget=3)
         assert trace.termination == "BudgetExhausted"
         assert all(r.stage == 1 for r in trace.records)
+
+    @pytest.mark.parametrize("budget", [13, 14, 15])
+    def test_hand_over_stays_within_budget(self, budget):
+        """From 10*e1 stage 1 meets its target on its 14th call: with no
+        call left it ends there, out of budget, instead of charging the
+        accelerated stage's first value."""
+        f = power_norm(2, 6, 1)
+        trace = two_stage_run(f, np.array([10.0, 0.0]), f.params, budget)
+        assert trace.oracle_calls[-1] <= budget
+        assert trace.termination == "BudgetExhausted"
+        if budget == 14:
+            assert len(trace) == 14 and (trace.stage == 1).all()
 
     def test_stops_at_an_exactly_stationary_start(self):
         """Stage 1 ends StationaryExact at the optimum, short of a hand-over."""

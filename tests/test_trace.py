@@ -75,7 +75,7 @@ def _ref_descent(f, x, budget, step_len, f_star, grad_tol=0.0, gap_tol=None):
 
 
 def _ref_agmsdr(f, x, l_const, budget, params):
-    state = EstimateState(x0=x.copy())
+    state = EstimateState(x0=x.tolist())
     f_x = f.value(x)
     calls = 1
     records = []
@@ -98,10 +98,10 @@ def _ref_agmsdr(f, x, l_const, budget, params):
     while calls < budget:
         k = len(records)
         v = state.minimizer
-        ls = segment_line_search(f, v, x, f_x, v_first)  # the endpoint that won last first
+        ls = segment_line_search(f, v, x.tolist(), f_x, v_first)  # last winner first
         v_first = ls.y is v
         calls += ls.evals
-        y, f_y = ls.y, ls.f_y
+        y, f_y = np.array(ls.y), ls.f_y
         grad_y = f.gradient(y)
         calls += 1
         g = float(_norm(grad_y))
@@ -116,7 +116,7 @@ def _ref_agmsdr(f, x, l_const, budget, params):
         rec.ls_evals = ls.evals
         records.append(rec)
         a_next = (1.0 + math.sqrt(1.0 + 4.0 * l_const * state.a_capital)) / (2.0 * l_const)
-        state.accumulate(a_next, y, f_y, grad_y)
+        state.accumulate(a_next, y.tolist(), f_y, grad_y.tolist())
         x, f_x = x_next, f_next
         if g == 0.0 or not math.isfinite(f_x) or abs(f_x) > DIVERGENCE_GUARD:
             break
