@@ -13,9 +13,11 @@ semicolon-separated components (e.g. `a=3;4`).  Parse errors name the
 offending token and its position and exit with status 2, as do run-time
 failures such as an overflow or an accelerated step that raised the value.
 
-CSV columns: k,f_val,f_gap,grad_norm,step_len,oracle_calls,stage.  Floats
-are written with repr-faithful precision and no locale formatting, so a
-rerun with the same config produces byte-identical files.
+CSV columns: k,f_val,f_gap,grad_norm,step_len,oracle_calls,stage.  Cells
+are byte for byte what '%d' and '%.17g' print: repr-faithful floats, no
+locale formatting.  Files are written as bytes, so no newline translation
+touches them, and a rerun with the same config produces byte-identical
+files.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .problems import (
     separable_pnorm,
 )
 from .first_order import (
-    GD_VARIANTS, NGD_SCHEDULES, OPTIONAL, ROWS_PER_CHUNK, StepRule, Trace, gd_run, ngd_run,
+    GD_VARIANTS, NGD_SCHEDULES, OPTIONAL, StepRule, Trace, gd_run, ngd_run,
 )
 from .agmsdr import agmsdr_run, two_stage_run
 from . import verify as verify_mod
@@ -314,35 +316,24 @@ def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
     raise ValueError(f"unknown method kind {method.kind!r}")
 
 
-def _cells(col: np.ndarray) -> list[str]:
-    """A column's entries as CSV cells, %d or %.17g, formatted by one `%`."""
-    spec = "%.17g" if col.dtype.kind == "f" else "%d"
-    return ("\n".join([spec] * len(col)) % tuple(col.tolist())).split("\n")
+CSV_CHUNK = 1024  # rows write_csv formats at a time
 
 
 def write_csv(trace: Trace, path: str | Path):
-    """The trace as CSV, written ROWS_PER_CHUNK rows at a time.  Each column
-    of a chunk is formatted once; a column with the bits of one already
-    formatted reuses its cells (f_gap is f_val whenever f_star is 0), and a
-    missing entry is an empty cell."""
+    """The trace as CSV, written as bytes, CSV_CHUNK rows at a time by
+    `csvformat.csv_rows`."""
+    from .csvformat import csv_rows  # compiled, and its tables built, on the first write
+
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     names = CSV_HEADER.split(",")
-    with path.open("w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for start in range(0, len(trace), ROWS_PER_CHUNK):
-            rows = slice(start, start + ROWS_PER_CHUNK)
-            formatted, chunk = {}, []
-            for name in names:
-                col = getattr(trace, name)[rows]
-                key = (col.dtype.char, col.tobytes())
-                if key not in formatted:
-                    formatted[key] = _cells(col)
-                cells = formatted[key]
-                if name in OPTIONAL and not (present := trace.present(name, rows)).all():
-                    cells = [c if p else "" for c, p in zip(cells, present.tolist())]
-                chunk.append(cells)
-            fh.write("\n".join(map(",".join, zip(*chunk))) + "\n")
+    with path.open("wb") as fh:
+        fh.write(CSV_HEADER.encode() + b"\n")
+        for start in range(0, len(trace), CSV_CHUNK):
+            rows = slice(start, start + CSV_CHUNK)
+            fh.write(csv_rows([getattr(trace, name)[rows] for name in names],
+                              [trace.present(name, rows) if name in OPTIONAL else None
+                               for name in names]))
 
 
 def run_config(cfg: RunConfig) -> tuple[Objective, MethodSpec, Trace]:

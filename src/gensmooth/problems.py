@@ -183,8 +183,8 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(_row_dots(a, a))
 
 
-# Rows a chunked pass (a records view, cli.write_csv, certify_smoothness)
-# handles at a time, so no temporary grows with the number of rows.
+# Rows a chunked pass (a records view, certify_smoothness, the fd-gradient
+# check) handles at a time, so no temporary grows with the number of rows.
 ROWS_PER_CHUNK = 256
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,10 +13,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gensmooth import first_order, verify
-from gensmooth.first_order import Trace
+from gensmooth import csvformat, first_order, verify
+from gensmooth.first_order import StepRule, Trace, gd_run
+from gensmooth.csvformat import csv_rows
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.cli import (
+    CSV_CHUNK,
     CSV_HEADER,
     METHODS,
     PRESETS,
@@ -443,6 +446,23 @@ class TestWriteCsv:
             "5,nan,,,-inf,78,2\n"
         )
 
+    def test_memory_does_not_grow_with_rows(self, tmp_path):
+        """A 10^5-row trace is formatted CSV_CHUNK rows at a time: the peak
+        is that of one chunk (928 558 bytes measured with numpy 2.4)."""
+        f = parse_problem("power_norm:d=2,p=4,l1=1")
+        trace = gd_run(f, StepRule("optimal", f.params), np.array([10.0, 0.0]), 10**5)
+        assert len(trace) == 10**5 > 50 * CSV_CHUNK
+        write_csv(trace, tmp_path / "warm.csv")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_csv(trace, tmp_path / "t.csv")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10**6
+        assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "warm.csv").read_bytes()
+
 
 def rowwise_csv(trace: Trace) -> str:
     """The trace as CSV, formatted row by row: one `%` per full row, field by
@@ -468,7 +488,7 @@ class TestWriteCsvDifferential:
     GAPS = ("equal", "other", "mixed", "unknown")
 
     @pytest.mark.parametrize("gap", GAPS)
-    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 600, 1023, 1024, 1025])
     def test_matches_rowwise(self, n, gap, tmp_path):
         rng = np.random.default_rng(10 * n + self.GAPS.index(gap))
 
@@ -496,6 +516,76 @@ class TestWriteCsvDifferential:
         assert (tmp_path / "t.csv").read_text() == rowwise_csv(trace)
         equal = np.array_equal(cols["f_gap"].view(np.int64), f_val.view(np.int64))
         assert equal == (gap == "equal") and trace.present("f_gap").any() == (gap != "unknown")
+
+
+def percent_cells(col: np.ndarray) -> tuple[list[str], list[str]]:
+    """`csv_rows` of one column, cell by cell, beside '%.17g' or '%d' of each entry."""
+    assert len(col) >= csvformat.SHORT_CHUNK  # else `%` formats every entry
+    spec = "%.17g" if col.dtype.kind == "f" else "%d"
+    return csv_rows([col], [None]).decode().split("\n")[:-1], [spec % v for v in col.tolist()]
+
+
+def boundary_floats() -> np.ndarray:
+    """Both signs of: 10**k and its neighbours for every k of the fast range
+    (13 of them print as a power of ten they lie below: the 17 digits carry
+    to 10**17), the fast range's own edges, 1e-5 and 1e-4, where %g leaves
+    fixed point, 1e16 and 1e17, where it leaves it, exact halves at the
+    17th digit, zero, inf, NaN, subnormals and the largest double."""
+    centres = [float(f"1e{k}") for k in range(-280, 281)]
+    centres += [csvformat._FAST_MIN, csvformat._FAST_MAX, 1e-5, 1e-4, 1e16, 1e17,
+                9999999999999998.0, 99999999999999984.0, 5e-324, 2.2250738585072014e-308,
+                1.7976931348623157e308]
+    values = [w for c in centres for w in (math.nextafter(c, 0), c, math.nextafter(c, math.inf))]
+    values += [1e15 + 0.25 + k for k in range(20)]  # 10*v ends in exactly .5
+    values += [0.0, math.inf, math.nan]
+    return np.array(values + [-v for v in values])
+
+
+class TestCsvRows:
+    """The numpy formatter against `%`, byte for byte."""
+
+    def test_bit_patterns(self):
+        """Seeded float64 bit patterns: every exponent, both signs, subnormals,
+        infs and NaNs.  The fast path certifies nearly every draw of its
+        range, so the `%` fallback cannot carry the comparison."""
+        rng = np.random.default_rng(30)
+        n = 2 * 10**5
+        bits = (rng.integers(0, 2**52, n, dtype=np.uint64)
+                | (np.arange(n, dtype=np.uint64) % 2048) << np.uint64(52)
+                | rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63))
+        values = bits.view(np.float64)
+        got, want = percent_cells(values)
+        assert got == want
+        fast = csvformat._digits(values)[0]
+        in_range = (np.abs(values) >= csvformat._FAST_MIN) & (np.abs(values) <= csvformat._FAST_MAX)
+        assert in_range.sum() > 0.9 * n
+        assert fast[in_range].mean() >= 0.99
+        assert not fast[~in_range].any()
+
+    def test_boundaries(self):
+        values = boundary_floats()
+        got, want = percent_cells(values)
+        assert got == want
+        # 1e-14 lies below 10**-14: its log10 floors to -15, and its digits
+        # round up to 10**17, which carries back to the exponent -14
+        fast, digits, x = csvformat._digits(np.array([1e-14, 1e98]))
+        assert fast.all() and digits.tolist() == [10**16] * 2 and x.tolist() == [-14, 98]
+        # exact halves are left to `%`, which rounds them to even
+        assert not csvformat._digits(np.array([1e15 + 0.25, 1e15 + 0.75]))[0].any()
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int8])
+    def test_integers(self, dtype):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(31)
+        edges = [0, 1, -1, 9, 10, 99, 100, info.min, info.max, info.min + 1, info.max - 1]
+        if dtype is np.int64:
+            edges += [s * v for s in (1, -1)
+                      for v in (2**53, 2**53 + 1, 10**16, 10**17 - 1, 10**17)]
+        values = np.concatenate([np.array(edges, dtype),
+                                 rng.integers(info.min, info.max, 500, dtype, endpoint=True),
+                                 rng.integers(-1000, 1000, 500).astype(dtype)])
+        got, want = percent_cells(values)
+        assert got == want
 
 
 # preset_figure(which, "out") row by row: (problem_spec, method_spec, radius,
