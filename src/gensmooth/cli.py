@@ -292,8 +292,10 @@ def _resolve_params(f: Objective, l0: float | None, l1: float | None) -> Smoothn
 
 def execute_method(f: Objective, method: MethodSpec, x0: np.ndarray,
                    budget: int, grad_tol: float) -> Trace:
-    """The method's trace.  A diverging run overflows to inf and nan in numpy
-    arithmetic, which the trace records; numpy's warnings for it are muted.
+    """The method's trace.  A diverging run overflows to inf and nan in the
+    loops' Python-float arithmetic, which the trace records; numpy's warnings
+    where the trace's columns meet them are muted, and an oracle that raises
+    (exp_phi's OverflowError) raises here.
     Only `gd` stops at `grad_tol` (>= 0); a positive one is an error for the rest."""
     if not grad_tol >= 0:
         raise ValueError(f"grad_tol must be nonnegative, got {grad_tol}")
@@ -503,7 +505,8 @@ _RUN_FLAGS = {
     "x0": ("--x0", _float_list, "explicit start, semicolon-separated"),
     "budget": ("--budget", int, None),
     "grad_tol": ("--grad-tol", float, None),
-    "seed": ("--seed", int, None),
+    "seed": ("--seed", int, "recorded in the config and in *_meta.json; does not yet "
+             "change the run"),
     "output_path": ("--out", str, "CSV output path"),
     "label": (None, str, None),
 }

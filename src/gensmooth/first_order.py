@@ -300,9 +300,9 @@ def _descent(
     gradient; an exactly stationary or a diverged iterate records a zero
     step.  Record k costs k + 1 gradient calls.  The iterate and the
     gradient stay lists of Python floats from the first oracle call to the
-    last: the oracle is `f.floats` (for a swapped callable, `value_grad` on
-    an array and `.tolist()`), the move `_move`, and only `final_x` is an
-    array.
+    last: the oracle is `f.floats` (for a swapped callable, `value` and
+    `gradient` on an array, the gradient's `.tolist()`), the move `_move`,
+    and only `final_x` is an array.
     """
     xs = x.tolist()
     f_val, gs = f.floats(xs)

@@ -31,23 +31,18 @@ class Objective:
     by the certifier).  `f_star`/`x_star` are filled in when the optimum is
     known analytically, otherwise left None.
 
-    `value_grad(x)` returns `(value(x), gradient(x))`, bit for bit, and
-    `floats(xs)` the same pair for a point given as a list of Python floats,
-    the gradient as a list too (the descent loop's oracle).  A composition
-    (radial, coordinate-wise, ridge) writes `value`, `floats` and two
-    batched kernels over the rows of an (n, d) array, `values_grads` and
-    `hessians`, once for all its builders; `_fused` adds `value_grad(x)`,
-    `floats` on the array's list, `gradient(x) = value_grad(x)[1]`,
-    `hessian(x)`, the batch of one, and the kernel.  `value_grad` and
-    `floats` are the fused ones while `value` and `gradient` are the
-    builder's, and `batch` is `(values_grads, hessians)` while `hessian` is
-    too (`_at_points` and `_values_grads` take it, bit for bit the
-    per-point calls).  Without a kernel, or once a
-    callable is swapped (say by `dataclasses.replace`), they fall back to
-    per-point calls of the fields, so wrapped or corrupted oracles are
-    always the ones called.  `floats` falls back to
-    `value_grad(np.array(xs))` and `.tolist()`, as it does where a kernel
-    stops after `value_grad`.
+    Three forms are derived from the three oracles, bit for bit their
+    separate calls: `floats(xs)`, the value and the gradient at a point
+    given as a list of Python floats, the gradient a list too (the loops'
+    oracle); and over the rows of an (n, d) array `values_grads(X)`, the
+    values and the stacked gradients, and `hessians(X)`, the stacked
+    Hessians.  `_fused` makes `kernel` = (value, gradient, hessian, floats,
+    values_grads, hessians); while the three fields are still its first
+    three, the derived forms are its last three.  Otherwise (no kernel,
+    or a callable swapped by `dataclasses.replace`) they loop over the
+    fields: `floats` calls `value` and `gradient` on `np.array(xs)`, and
+    each batch form makes one call per row, so wrapped or corrupted
+    oracles are always the ones called.
     """
 
     dim: int
@@ -62,23 +57,24 @@ class Objective:
     kernel: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        value, gradient, kernel = self.value, self.gradient, self.kernel
-        own = kernel is not None and kernel[:2] == (value, gradient)
-        if own:
-            fused = kernel[2]
-        else:
-            def fused(x):
-                return value(x), gradient(x)
-        if own and len(kernel) > 3:
-            floats = kernel[3]
+        value, gradient, hessian, kernel = self.value, self.gradient, self.hessian, self.kernel
+        if kernel is not None and kernel[:3] == (value, gradient, hessian):
+            floats, values_grads, hessians = kernel[3:]
         else:
             def floats(xs):
-                v, g = fused(np.array(xs))
-                return v, g.tolist()
-        object.__setattr__(self, "value_grad", fused)
+                x = np.array(xs)
+                return value(x), gradient(x).tolist()
+
+            def values_grads(X):
+                pairs = [(value(x), gradient(x)) for x in X]
+                return (np.array([v for v, _ in pairs], dtype=float),
+                        np.array([g for _, g in pairs], dtype=float).reshape(X.shape))
+
+            def hessians(X):
+                return np.array([hessian(x) for x in X], dtype=float)
         object.__setattr__(self, "floats", floats)
-        batch = own and kernel[4:5] == (self.hessian,)
-        object.__setattr__(self, "batch", kernel[5:] if batch else None)
+        object.__setattr__(self, "values_grads", values_grads)
+        object.__setattr__(self, "hessians", hessians)
 
     def check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -88,21 +84,17 @@ class Objective:
 
 
 def _fused(value, floats, values_grads, hessians) -> dict:
-    """Objective fields for a value, the fused oracle on Python floats and
-    the batched kernels: value_grad is floats on the array's list, the
-    gradient value_grad's, the Hessian the batch of one."""
-    def value_grad(x):
-        v, grad = floats(np.asarray(x, dtype=float).tolist())
-        return v, np.array(grad)
-
+    """Objective fields for a composition's value, fused oracle on Python
+    floats and batched kernels: the gradient is floats' on the point's
+    list, the Hessian the batch of one, and the kernel holds all six."""
     def gradient(x):
-        return value_grad(x)[1]
+        return np.array(floats(np.asarray(x, dtype=float).tolist())[1])
 
     def hessian(x):
         return hessians(np.asarray(x, dtype=float)[None])[0]
 
     return {"value": value, "gradient": gradient, "hessian": hessian,
-            "kernel": (value, gradient, value_grad, floats, hessian, values_grads, hessians)}
+            "kernel": (value, gradient, hessian, floats, values_grads, hessians)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,27 +178,6 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 # Rows a chunked pass (a records view, certify_smoothness, the fd-gradient
 # check) handles at a time, so no temporary grows with the number of rows.
 ROWS_PER_CHUNK = 256
-
-
-def _at_points(f: Objective, oracle: str, points: np.ndarray) -> np.ndarray:
-    """f's `oracle` ("value", "gradient" or "hessian") at each row of
-    `points`, stacked: from f.batch if f has one, else one call per point."""
-    if f.batch is None:
-        call = getattr(f, oracle)
-        return np.array([call(x) for x in points], dtype=float)
-    if oracle == "hessian":
-        return f.batch[1](points)
-    return f.batch[0](points)[oracle == "gradient"]
-
-
-def _values_grads(f: Objective, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and gradients at the rows of `points`: from f.batch if f has
-    one, else one value_grad call per point."""
-    if f.batch is not None:
-        return f.batch[0](points)
-    pairs = [f.value_grad(x) for x in points]
-    return (np.array([v for v, _ in pairs], dtype=float),
-            np.array([g for _, g in pairs], dtype=float).reshape(points.shape))
 
 
 # A 1-D profile h is three functions of a radius r on Python floats, where an
@@ -389,14 +360,14 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
         return _sum(terms), grad
 
     def values_grads(X):
-        terms, grads = _values_grads(line, X.reshape(-1, 1))
+        terms, grads = line.values_grads(X.reshape(-1, 1))
         terms = terms.tolist()
         values = [_sum(terms[i:i + dim]) for i in range(0, len(terms), dim)]
         return np.array(values, dtype=float), grads.reshape(X.shape)
 
     def hessians(X):
         hess = np.zeros((len(X), dim, dim))
-        diag = _at_points(line, "hessian", X.reshape(-1, 1))
+        diag = line.hessians(X.reshape(-1, 1))
         hess.reshape(len(X), -1)[:, :: dim + 1] = diag.reshape(X.shape)
         return hess
 
@@ -456,8 +427,8 @@ def certify_smoothness(
     points = sample_ball(rng, f.dim, region_radius, n_samples)
     with np.errstate(all="ignore"):
         violations = np.concatenate([
-            spectral_norm(_at_points(f, "hessian", chunk)) - params.l0
-            - params.l1 * _row_norms(_at_points(f, "gradient", chunk))
+            spectral_norm(f.hessians(chunk)) - params.l0
+            - params.l1 * _row_norms(f.values_grads(chunk)[1])
             for chunk in (points[i:i + ROWS_PER_CHUNK]
                           for i in range(0, n_samples, ROWS_PER_CHUNK))])
     # argmax takes the first NaN, else the first of the largest

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SmoothnessParams, phi, phi_star
-from .problems import (ROWS_PER_CHUNK, Objective, _at_points, _row_dots, _row_norms,
-                       _values_grads, sample_ball)
+from .problems import ROWS_PER_CHUNK, Objective, _row_dots, _row_norms, sample_ball
 from .first_order import Trace
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
@@ -133,9 +132,9 @@ def fd_gradient_check(
         # steps[j, m] = h_j * e_m; a chunk at a time, so no array grows with d^2
         x, steps = points[i:i + per, None, :], h[i:i + per, None, None] * np.eye(d)
         probes = np.concatenate([x + steps, x - steps], axis=1).reshape(-1, d)
-        vals = _at_points(f, "value", probes).reshape(-1, 2 * d)
+        vals = f.values_grads(probes)[0].reshape(-1, 2 * d)
         fd[i:i + per] = (vals[:, :d] - vals[:, d:]) / (2.0 * h[i:i + per, None])
-    grads = _at_points(f, "gradient", points).reshape(points.shape)
+    grads = f.values_grads(points)[1]
     err = _row_norms(fd - grads) / (1.0 + _row_norms(grads))
     margins = _Margins(tol=0.0)
     margins.add_all(rel_tol - err, lambda i: f"x={points[i].tolist()}")
@@ -159,7 +158,7 @@ def _pair_sample(f: Objective, n_pairs=1000, max_sep=2.0, seed=0, radius=5.0):
     lru_cache keys f(a, b) and f(a, b=...) apart."""
     _check_sample("n_pairs", n_pairs, radius, seed)
     xs, ys = _sample_pairs(np.random.default_rng(seed), f.dim, n_pairs, max_sep, radius)
-    sample = (xs, ys, *_values_grads(f, xs), *_values_grads(f, ys))
+    sample = (xs, ys, *f.values_grads(xs), *f.values_grads(ys))
     for a in sample:
         a.flags.writeable = False
     return sample

@@ -34,7 +34,7 @@ def quadratic(dim=2):
 
 
 def counting(f, calls):
-    """`f` without its fused kernel, appending ("v" or "g", x) to `calls` per call."""
+    """`f` without its kernel, appending ("v" or "g", x) to `calls` per call."""
     def value(x):
         calls.append(("v", x))
         return f.value(x)
@@ -53,14 +53,14 @@ def array_search(f, v, x, f_x):
     grad_x = f.gradient(x)
     if _dot(grad_x, direction) <= 0.0:
         return x, f_x, grad_x
-    f_v, grad_v = f.value_grad(v)
+    f_v, grad_v = f.value(v), f.gradient(v)
     if f_v <= f_x:
         return v, f_v, grad_v
     lo, hi = 0.0, 1.0
     for _ in range(LS_MAX_PROBES):
         beta = 0.5 * (lo + hi)
         y = v + beta * direction
-        f_y, grad_y = f.value_grad(y)
+        f_y, grad_y = f.value(y), f.gradient(y)
         if not math.isfinite(f_y) or f_y > f_x:
             lo = beta
         elif _dot(grad_y, direction) > 0.0:
@@ -125,7 +125,7 @@ class TestSegmentLineSearch:
         np.testing.assert_array_equal(res.grad_y, x)
 
     def test_probe_two_short_circuits(self):
-        """f(v) <= f(x) takes y = v after one value_grad at v."""
+        """f(v) <= f(x) takes y = v after one floats call at v."""
         calls = []
         f = counting(quadratic(), calls)
         v = [-1.0, 0.0]
@@ -134,7 +134,7 @@ class TestSegmentLineSearch:
         np.testing.assert_array_equal(res.y, v)
         np.testing.assert_array_equal(res.grad_y, v)
 
-    def test_v_first_takes_v_after_one_value_grad(self):
+    def test_v_first_takes_v_after_one_floats_call(self):
         calls = []
         f = counting(quadratic(), calls)
         v = [-1.0, 0.0]
@@ -413,7 +413,7 @@ class TestOracleLedger:
     ], ids=["fig3", "exp_phi"])
     def test_rows_match_counted_calls(self, monkeypatch, f, x0, l_const, flips_back):
         calls, searches = [], []
-        counted = counting(f, calls)  # no fused kernel: a value_grad is two calls
+        counted = counting(f, calls)  # no kernel: a floats call is a value and a gradient call
         search = agmsdr_mod.segment_line_search
 
         def logged(f, v, x, f_x, v_first):

@@ -12,8 +12,6 @@ import pytest
 from gensmooth.cli import PROBLEMS, SHIPPED_FOR_VERIFY, main, parse_problem
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import (
-    _at_points,
-    _values_grads,
     affine_logistic,
     certify_smoothness,
     exp_phi,
@@ -141,18 +139,17 @@ class TestBatchedMatchesPerPoint:
     @pytest.mark.parametrize("name", BUILDERS)
     def test_values_gradients_and_hessians(self, name):
         f = BUILDERS[name]()
-        assert f.batch is not None
-        values_grads, hessians = f.batch
+        assert (f.values_grads, f.hessians) == f.kernel[4:]  # the builder's kernels
+        loops = wrapped(f)  # the same forms as one call per row
         checked = 0
         for X in point_blocks(f.dim, seed=len(name)):
             want_vg = outcome(lambda X: (stacked(f.value)(X),
                                          stacked(f.gradient)(X).reshape(X.shape)), X)
-            assert outcome(values_grads, X) == want_vg
-            assert outcome(_values_grads, f, X) == want_vg
-            for oracle in ("value", "gradient", "hessian"):
-                want = outcome(stacked(getattr(f, oracle)), X)
-                assert outcome(_at_points, f, oracle, X) == want
-            assert outcome(hessians, X) == outcome(stacked(f.hessian), X)
+            assert outcome(f.values_grads, X) == want_vg
+            assert outcome(loops.values_grads, X) == want_vg
+            want = outcome(stacked(f.hessian), X)
+            assert outcome(f.hessians, X) == want
+            assert outcome(loops.hessians, X) == want
             checked += isinstance(want_vg, tuple)
         assert checked >= 24  # the moderate blocks at least
 
@@ -161,10 +158,10 @@ class TestBatchedMatchesPerPoint:
         f = exp_phi(d, SmoothnessParams(1.0, 1.0))
         X = np.zeros((3, d))
         X[1, 0] = 800.0  # l1 * ||x|| past ln(DBL_MAX)
-        for fn in (f.value, f.gradient, f.hessian, f.value_grad):
+        for fn in (f.value, f.gradient, f.hessian, lambda x: f.floats(x.tolist())):
             with pytest.raises(OverflowError):
                 fn(X[1])
-        for batched in f.batch:
+        for batched in (f.values_grads, f.hessians):
             with pytest.raises(OverflowError):
                 batched(X)
         with pytest.raises(OverflowError):
@@ -183,11 +180,13 @@ def test_radial_and_coordinatewise_share_the_power_profile(p):
     entries *= rng.choice([-1.0, 1.0], entries.size)
     X = np.append(entries, [0.0, -0.0])[:, None]
     radial, coordinatewise = power_norm(1, p, 1.0), separable_pnorm(1, p, 1.0)
-    for oracle in ("value", "gradient", "hessian", "value_grad"):
+    for oracle in ("value", "gradient", "hessian", "floats"):
         one, other = getattr(radial, oracle), getattr(coordinatewise, oracle)
         for x in X:
-            assert outcome(one, x) == outcome(other, x), (oracle, x.tolist())
-    for one, other in zip(radial.batch, coordinatewise.batch):
+            arg = x.tolist() if oracle == "floats" else x
+            assert outcome(one, arg) == outcome(other, arg), (oracle, x.tolist())
+    for one, other in zip((radial.values_grads, radial.hessians),
+                          (coordinatewise.values_grads, coordinatewise.hessians)):
         assert outcome(one, X) == outcome(other, X)
 
 
@@ -211,27 +210,25 @@ def counted(f, name, calls):
                          ids=["power_norm", "exp_phi", "separable_pnorm", "affine_logistic",
                               "logistic"])
 def test_a_swapped_oracle_is_the_one_called(build, name):
-    """Swapping any one of value, gradient and hessian turns the batched
-    path off: the samplers and the certifier call the swapped callable, once
-    per point, and get the same bits."""
+    """Swapping any one of value, gradient and hessian turns every kernel
+    off: the samplers and the certifier call the swapped callable, once per
+    point, and get the same bits."""
     f = build()
     calls = []
     g = counted(f, name, calls)
-    assert g.batch is None
+    assert g.values_grads is not f.values_grads and g.hessians is not f.hessians
     X = sample_ball(np.random.default_rng(2), f.dim, 3.0, 7)
-    for oracle in ("value", "gradient", "hessian"):
-        calls.clear()
-        assert _at_points(g, oracle, X).tobytes() == _at_points(f, oracle, X).tobytes()
-        assert len(calls) == (7 if oracle == name else 0)
-    calls.clear()
-    got, want = _values_grads(g, X), _values_grads(f, X)
+    got, want = g.values_grads(X), f.values_grads(X)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-    assert len(calls) == (7 if name != "hessian" else 0)  # a hessian swap: per point, fused
+    assert len(calls) == (7 if name != "hessian" else 0)  # a value and a gradient per row
+    calls.clear()
+    assert g.hessians(X).tobytes() == f.hessians(X).tobytes()
+    assert len(calls) == (7 if name == "hessian" else 0)
     calls.clear()
     got, want = (certify_smoothness(h, f.params, 3.0, 300, seed=1) for h in (g, f))
     assert repr(got.max_violation) == repr(want.max_violation)
     assert got.violating_point.tobytes() == want.violating_point.tobytes()
-    assert len(calls) == (300 if name != "value" else 0)  # certify takes no values
+    assert len(calls) == 300  # a value, a gradient and a Hessian per point
 
 
 # One builder of each `cli.PROBLEMS` name at a dimension d (logistic is 1-D).
@@ -265,13 +262,13 @@ def test_floats_builders_cover_every_problem():
 
 
 @pytest.mark.parametrize("name,d", FLOATS_CASES, ids=[f"{n}-{d}" for n, d in FLOATS_CASES])
-def test_floats_is_value_grad_bit_for_bit(name, d):
-    """`floats` on a point's list of Python floats gives value_grad's value
-    and every gradient entry, bit for bit, as a list of Python floats: at
-    the origin, at -0.0 entries, where power_norm's value overflows to inf,
-    and at seeded points from 1e-300 to 1e300.  As a builder's value_grad
-    is its floats on the array's list, both are also held to the batch of
-    one, the numpy form of the same formula."""
+def test_floats_is_value_and_gradient_bit_for_bit(name, d):
+    """`floats` on a point's list of Python floats gives the separate
+    calls' value and every gradient entry, bit for bit, as a list of Python
+    floats: at the origin, at -0.0 entries, where power_norm's value
+    overflows to inf, and at seeded points from 1e-300 to 1e300.  As a
+    builder's gradient is its floats on the array's list, both are also
+    held to the batch of one, the numpy form of the same formula."""
     f = FLOATS_BUILDERS[name](d)
     special = np.zeros((4, d))
     special[1] = -0.0  # the origin with every sign bit set
@@ -282,8 +279,8 @@ def test_floats_is_value_grad_bit_for_bit(name, d):
         assert f.value(special[3]) == math.inf
     for x in [*special, *np.concatenate(point_blocks(d, seed=d, n_blocks=12, rows=2))]:
         got = floats_outcome(f.floats, x.tolist())
-        assert got == floats_outcome(f.value_grad, x), (name, x.tolist())
-        batch_of_one = floats_outcome(lambda x: [a[0] for a in f.batch[0](x[None])], x)
+        assert got == floats_outcome(lambda x: (f.value(x), f.gradient(x)), x), (name, x.tolist())
+        batch_of_one = floats_outcome(lambda x: [a[0] for a in f.values_grads(x[None])], x)
         assert got == batch_of_one, (name, x.tolist())
     assert type(f.floats(special[2].tolist())[1]) is list
 
@@ -291,13 +288,13 @@ def test_floats_is_value_grad_bit_for_bit(name, d):
 @pytest.mark.parametrize("name", ["value", "gradient", "hessian"])
 @pytest.mark.parametrize("d", [2, 9])
 def test_a_swapped_oracle_is_the_one_floats_calls(d, name):
-    """A `dataclasses.replace`d value or gradient makes `floats` call the
-    swapped callables, once each per point, for the same bits; a swapped
-    Hessian leaves the builder's floats in place."""
+    """A `dataclasses.replace`d value, gradient or Hessian turns the
+    builder's `floats` off: it calls value and gradient, the swapped one
+    among them, once each per point, for the same bits."""
     f = power_norm(d, 4, 1.0)
     calls = []
     g = counted(f, name, calls)
-    assert (g.floats is f.floats) == (name == "hessian")
+    assert g.floats is not f.floats
     for x in sample_ball(np.random.default_rng(3), d, 3.0, 5):
         calls.clear()
         assert floats_outcome(g.floats, x.tolist()) == floats_outcome(f.floats, x.tolist())

@@ -261,6 +261,16 @@ DESCENT_CSV_GOLDEN = [
      "58a1072b2438d238e67a952045eef7c429c6a424650b0fbac2c1681a55dd7fc7"),
 ]
 
+# The golden rows whose bytes follow glibc's exp, expm1, log and pow: under
+# GLIBC_TUNABLES=glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F (the variants for a CPU
+# without FMA) they fail, and nothing else does (see the README).
+LIBM = pytest.mark.libm
+DESCENT_LIBM = {(_PN, "gd:rule=optimal"), (_PN, "gd:rule=simplified"),
+                (_PN, "gd:rule=clipped"), (_PN, "gd:rule=optimal,f_star=-1"),
+                (_SP, "gd:rule=optimal"), (_SP, "gd:rule=simplified"),
+                (_SP, "gd:rule=clipped"), (_SP, "ngd:r_hat=20,schedule=linear"),
+                ("logistic:l1=0.5", "gd:rule=optimal")}
+
 
 class TestRunExperiment:
     def test_csv_matches_trace_length(self, tmp_path):
@@ -350,11 +360,13 @@ class TestRunExperiment:
             # hand-over on the gradient target: logistic has no f_star
             ("logistic:l1=0.5", "two_stage:", 3.0, 2000, 675, 6,
              "2faf5d94defad0b2632b886f68d9c90d9f19c37ab34f5c20377fa49785402e37"),
-            ("power_norm:d=2,p=6,l1=1", "agmsdr:", 2.0, 2000, 672, 0,
-             "fe1ca67b9f0bbf1b96bbc2a26ee1eb7e9a8a69784f16c9573d6bd35c8b646e08"),
+            pytest.param("power_norm:d=2,p=6,l1=1", "agmsdr:", 2.0, 2000, 672, 0,
+                         "fe1ca67b9f0bbf1b96bbc2a26ee1eb7e9a8a69784f16c9573d6bd35c8b646e08",
+                         marks=LIBM),
             # a non-radial objective off the axis, stopped by the budget
-            (_SP, "two_stage:", [3.0, -4.0, 5.0], 2000, 679, 11,
-             "21d00529da21d89245c9368b211b507b11b6233c7fa1773f2d8771cbf6328a04"),
+            pytest.param(_SP, "two_stage:", [3.0, -4.0, 5.0], 2000, 679, 11,
+                         "21d00529da21d89245c9368b211b507b11b6233c7fa1773f2d8771cbf6328a04",
+                         marks=LIBM),
         ],
         ids=["two_stage_gap", "two_stage_grad", "agmsdr", "two_stage_separable"],
     )
@@ -373,7 +385,9 @@ class TestRunExperiment:
         assert hashlib.sha256(data).hexdigest() == digest
 
     @pytest.mark.parametrize(
-        "problem, method, x0, termination, lines, digest", DESCENT_CSV_GOLDEN,
+        "problem, method, x0, termination, lines, digest",
+        [pytest.param(*g, marks=LIBM) if g[:2] in DESCENT_LIBM else g
+         for g in DESCENT_CSV_GOLDEN],
         ids=[f"{p.split(':')[0]}-{m}" for p, m, *_ in DESCENT_CSV_GOLDEN],
     )
     def test_descent_csv_golden(self, problem, method, x0, termination, lines, digest,
@@ -776,6 +790,7 @@ class TestPresets:
         got = [cfg.to_json() for cfg in preset_figure(which, "out")]
         assert json.dumps(got) == json.dumps(want)
 
+    @LIBM
     def test_csv_digests_at_budget_300(self, tmp_path, capsys):
         """Every preset run's CSV, byte for byte, at a budget of 300."""
         for which in PRESETS:

@@ -5,10 +5,12 @@ as np.add.reduce of the products and `_norm` as np.sqrt of that dot (a
 matrix raveled first), every power of a norm as numpy's scalar `**`, every
 outer product as np.outer on each call, and separable_pnorm as the same
 reduction over one-dimensional power terms.
-The logistic references keep the oracles' math.exp sigmoid.  Values, gradients, value_grad and Hessians
-must agree in every bit, and raise the same exceptions, at seeded points of
-scale 1e-170 to 1e300 and at signed zeros, subnormals, infinities, nan and
-1.7e308, given as arrays and as lists.
+The logistic references keep the oracles' math.exp sigmoid.  Values,
+gradients and Hessians must agree in every bit, and raise the same
+exceptions, at seeded points of scale 1e-170 to 1e300 and at signed zeros,
+subnormals, infinities, nan and 1.7e308, given as arrays and as lists; so
+must `floats` at the point's list and `values_grads` and `hessians` at the
+point as one row, the reference's being its per-point calls.
 """
 
 import math
@@ -50,11 +52,6 @@ def ref_power_norm(dim, p, l1):
             return np.zeros(dim)
         return np.multiply(r ** (p - 2), x)
 
-    def value_grad(x):
-        r = ref_norm(x)
-        grad = np.zeros(dim) if r == 0.0 else np.multiply(r ** (p - 2), x)
-        return float(r**p / p), grad
-
     def hessian(x):
         r = ref_norm(x)
         if r == 0.0:
@@ -63,7 +60,7 @@ def ref_power_norm(dim, p, l1):
         return r ** (p - 2) * (np.eye(dim) + (p - 2) * np.outer(u, u))
 
     return Objective(dim=dim, value=value, gradient=gradient, hessian=hessian,
-                     params=SmoothnessParams(1.0, l1), kernel=(value, gradient, value_grad))
+                     params=SmoothnessParams(1.0, l1))
 
 
 def ref_exp_phi(dim, params):
@@ -83,13 +80,6 @@ def ref_exp_phi(dim, params):
         s = l1 * r
         return np.multiply(l0 * (math.expm1(s) / s) if s else l0, x)
 
-    def value_grad(x):
-        r = ref_norm(x)
-        s = l1 * r
-        e = math.expm1(s)
-        grad = np.zeros(dim) if r == 0.0 else np.multiply(l0 * (e / s) if s else l0, x)
-        return float(l0 / l1**2 * (e - s)), grad
-
     def hessian(x):
         r = ref_norm(x)
         s = l1 * r
@@ -100,7 +90,7 @@ def ref_exp_phi(dim, params):
         return l0 * q * (np.eye(dim) + (math.exp(s) / q - 1.0) * np.outer(u, u))
 
     return Objective(dim=dim, value=value, gradient=gradient, hessian=hessian,
-                     params=params, kernel=(value, gradient, value_grad))
+                     params=params)
 
 
 def ref_sigmoid(t):
@@ -119,16 +109,12 @@ def ref_affine_logistic(a, b, l1):
     def gradient(x):
         return ref_sigmoid(ref_dot(a, x) + b) * a
 
-    def value_grad(x):
-        t = ref_dot(a, x) + b
-        return float(np.logaddexp(0.0, t)), ref_sigmoid(t) * a
-
     def hessian(x):
         s = ref_sigmoid(ref_dot(a, x) + b)
         return s * (1.0 - s) * np.outer(a, a)
 
     return Objective(dim=a.size, value=value, gradient=gradient, hessian=hessian,
-                     params=SmoothnessParams(1.0, l1), kernel=(value, gradient, value_grad))
+                     params=SmoothnessParams(1.0, l1))
 
 
 def ref_logistic(l1):
@@ -138,15 +124,12 @@ def ref_logistic(l1):
     def gradient(x):
         return np.array([ref_sigmoid(x[0])])
 
-    def value_grad(x):
-        return value(x), gradient(x)
-
     def hessian(x):
         s = ref_sigmoid(x[0])
         return s * (1.0 - s) * np.outer([1.0], [1.0])
 
     return Objective(dim=1, value=value, gradient=gradient, hessian=hessian,
-                     params=SmoothnessParams(1.0, l1), kernel=(value, gradient, value_grad))
+                     params=SmoothnessParams(1.0, l1))
 
 
 def ref_separable_pnorm(dim, p, l1):
@@ -157,12 +140,8 @@ def ref_separable_pnorm(dim, p, l1):
     def value(x):
         return float(np.add.reduce([part.value(x[b]) for b in blocks]))
 
-    def value_grad(x):
-        pairs = [part.value_grad(x[b]) for b in blocks]
-        return float(np.add.reduce([v for v, _ in pairs])), np.concatenate([g for _, g in pairs])
-
     def gradient(x):
-        return value_grad(x)[1]
+        return np.concatenate([part.gradient(x[b]) for b in blocks])
 
     def hessian(x):
         out = np.zeros((dim, dim))
@@ -171,7 +150,7 @@ def ref_separable_pnorm(dim, p, l1):
         return out
 
     return Objective(dim=dim, value=value, gradient=gradient, hessian=hessian,
-                     params=SmoothnessParams(1.0, l1), kernel=(value, gradient, value_grad))
+                     params=SmoothnessParams(1.0, l1))
 
 
 SCALES = (1e-170, 1e-150, 1e-100, 1e-20, 1e-3, 1.0, 1e3, 1e20, 1e77, 1e100, 1e154,
@@ -209,11 +188,12 @@ def outcome(fn, x):
 def mismatches(new, ref, dim, seed):
     bad = []
     for x in points(dim, seed):
-        for arg in (x, x.tolist()):
-            for op in ("value", "gradient", "value_grad", "hessian"):
-                got, want = outcome(getattr(new, op), arg), outcome(getattr(ref, op), arg)
-                if got != want:
-                    bad.append((op, type(arg).__name__, x.tolist(), got, want))
+        calls = [(op, arg) for arg in (x, x.tolist()) for op in ("value", "gradient", "hessian")]
+        calls += [("floats", x.tolist()), ("values_grads", x[None]), ("hessians", x[None])]
+        for op, arg in calls:
+            got, want = outcome(getattr(new, op), arg), outcome(getattr(ref, op), arg)
+            if got != want:
+                bad.append((op, type(arg).__name__, x.tolist(), got, want))
     return bad
 
 
@@ -275,7 +255,7 @@ def test_norm_matches_numpy_scalar_reference(dim):
 def test_exp_phi_overflow_still_raises():
     f = exp_phi(2, SmoothnessParams(1.0, 1.0))
     x = np.array([800.0, 0.0])
-    for op in (f.value, f.gradient, f.value_grad, f.hessian):
+    for op in (f.value, f.gradient, lambda x: f.floats(x.tolist()), f.hessian):
         with pytest.raises(OverflowError):
             op(x)
 
@@ -289,8 +269,9 @@ def test_exp_phi_gradient_is_finite_where_its_value_is(x0):
     x = np.array([x0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value, grad = f.value_grad(x)
-        values, grads = f.batch[0](x[None])
+        value, grad = f.floats(x.tolist())
+        grad = np.array(grad)
+        values, grads = f.values_grads(x[None])
         hessian = f.hessian(x)
         assert [f.value(x), values[0]] == [value, value] and math.isfinite(value)
         for g in (grad, f.gradient(x), grads[0]):

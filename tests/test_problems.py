@@ -168,11 +168,12 @@ class TestAffineLogistic:
                                       (affine_logistic(np.ones(8), 0.0, 1.0), [1.0]),
                                       (affine_logistic(np.ones(8), 0.0, 1.0), np.ones(9))],
                              ids=["logistic", "d8_one_entry", "d8_nine_entries"])
-    @pytest.mark.parametrize("oracle", ["value", "value_grad", "gradient"])
+    @pytest.mark.parametrize("oracle", ["value", "floats", "gradient"])
     def test_a_point_of_the_wrong_length_is_refused(self, f, x, oracle):
         """A direct oracle call does not truncate or broadcast the point."""
+        point = np.array(x, dtype=float)
         with pytest.raises(ValueError, match="dot of"):
-            getattr(f, oracle)(np.array(x))
+            getattr(f, oracle)(point.tolist() if oracle == "floats" else point)
 
 
 class TestExpPhi:
@@ -278,7 +279,7 @@ class TestHessianBuffers:
         try:
             f = build()
             x = np.full(f.dim, 1e-3)
-            f.value(x), f.gradient(x), f.value_grad(x)
+            f.value(x), f.gradient(x), f.floats(x.tolist())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -1,4 +1,4 @@
-"""The columnar trace, its records view, and the fused value_grad oracle."""
+"""The columnar trace, its records view, and the fused oracle `floats`."""
 
 import math
 import struct
@@ -286,7 +286,14 @@ def _same_pair(got, want):
     assert got[1].dtype == want[1].dtype and got[1].tobytes() == want[1].tobytes()
 
 
-class TestValueGrad:
+def _floats(f, x):
+    """f.floats at x's list, its gradient (a list of Python floats) as an array."""
+    value, grad = f.floats(np.asarray(x, dtype=float).tolist())
+    assert type(grad) is list and all(type(t) is float for t in grad)
+    return value, np.array(grad)
+
+
+class TestFloats:
     @pytest.mark.parametrize("spec", SHIPPED_FOR_VERIFY)
     def test_bitwise_equal_to_two_calls(self, spec):
         f = parse_problem(spec)
@@ -295,12 +302,12 @@ class TestValueGrad:
         points += [np.zeros(f.dim), np.zeros(f.dim).tolist(), (points[1]).tolist()]
         with np.errstate(all="ignore"):
             for x in points:
-                _same_pair(f.value_grad(x), (f.value(x), f.gradient(x)))
+                _same_pair(_floats(f, x), (f.value(x), f.gradient(x)))
 
     def test_overflowing_point(self):
         f = power_norm(2, 8, 1)
         with np.errstate(all="ignore"):
-            got = f.value_grad(np.array([1e60, 0.0]))
+            got = _floats(f, [1e60, 0.0])
             _same_pair(got, (f.value(np.array([1e60, 0.0])), f.gradient(np.array([1e60, 0.0]))))
         assert got[0] == math.inf
 
@@ -310,17 +317,17 @@ class TestValueGrad:
         with pytest.raises(OverflowError):
             f.value(x)
         with pytest.raises(OverflowError):
-            f.value_grad(x)
+            f.floats(x.tolist())
         near = np.array([709.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the gradient does not overflow
-            got = f.value_grad(near)
+            got = _floats(f, near)
             _same_pair(got, (f.value(near), f.gradient(near)))
         assert np.isfinite(got[1]).all()
 
     @pytest.mark.parametrize("swapped", ["value", "gradient"])
     def test_replaced_oracle_falls_back(self, swapped):
-        """A swapped value or gradient is what value_grad calls, and the runs
+        """A swapped value or gradient is what floats calls, and the runs
         match an objective built from the same callables without a kernel."""
         calls = []
 
@@ -331,6 +338,7 @@ class TestValueGrad:
             return wrapper
 
         swapped_f = replace(PN, **{swapped: counted(getattr(PN, swapped))})
+        assert swapped_f.floats is not PN.floats
         bare = Objective(dim=2, value=swapped_f.value, gradient=swapped_f.gradient,
                          f_star=PN.f_star, x_star=PN.x_star, params=PN.params)
         x0 = np.array([6.0, -8.0])
@@ -349,7 +357,10 @@ class TestValueGrad:
         seen = []
         f = Objective(dim=1, value=lambda x: seen.append("v") or 1.0,
                       gradient=lambda x: seen.append("g") or np.zeros(1))
-        assert f.value_grad(np.zeros(1))[0] == 1.0 and seen == ["v", "g"]
+        assert f.floats([0.0]) == (1.0, [0.0]) and seen == ["v", "g"]
+        values, grads = f.values_grads(np.zeros((2, 1)))
+        assert values.tolist() == [1.0, 1.0] and grads.tolist() == [[0.0], [0.0]]
+        assert seen == ["v", "g"] * 3
 
 
 TRACE_RUNS = {

@@ -26,6 +26,7 @@ from gensmooth.problems import (
     separable_pnorm,
 )
 from gensmooth import first_order
+from gensmooth import cli as cli_mod
 from gensmooth import verify as verify_mod
 from gensmooth.cli import RunConfig, run_config, run_verify_suite
 from gensmooth.first_order import StepRule, Trace, gd_run, ngd_run
@@ -183,16 +184,26 @@ class TestSharedPairSample:
             assert got.worst_case_input == want.worst_case_input
 
     def test_suite_evaluates_one_sample_per_objective(self, monkeypatch):
-        points = {}
-        evaluate = verify_mod._values_grads
+        """Each objective's kernel sees the 2000 pair ends once, besides the
+        fd-gradient check's 50 points and their 2*d probes each."""
+        points, dims = {}, {}
+        parse = cli_mod.parse_problem
 
-        def counted(f, xs):
-            points[f.name] = points.get(f.name, 0) + len(xs)
-            return evaluate(f, xs)
+        def counted(spec):
+            f = parse(spec)
+            evaluate, dims[f.name] = f.values_grads, f.dim
 
-        monkeypatch.setattr(verify_mod, "_values_grads", counted)
+            def values_grads(X):
+                points[f.name] = points.get(f.name, 0) + len(X)
+                return evaluate(X)
+
+            object.__setattr__(f, "values_grads", values_grads)
+            return f
+
+        monkeypatch.setattr(cli_mod, "parse_problem", counted)
         run_verify_suite(scope="lemmas", seed=0)
-        assert list(points.values()) == [2000] * 7
+        assert len(points) == 7
+        assert points == {name: 2000 + 50 * (1 + 2 * d) for name, d in dims.items()}
 
     @pytest.mark.parametrize("check", [check_smoothness_envelopes, check_convex_lower_bounds])
     @pytest.mark.parametrize("other", [
