@@ -98,11 +98,10 @@ class IterRecord:
     ls_evals: int | None = None
 
 
-# Trace columns, one entry per record, in IterRecord order.  The OPTIONAL
-# ones can be None on a row, which the trace's `missing` mask records, so a
-# None and a NaN stay apart.
-COLUMNS = ("k", "f_val", "f_gap", "grad_norm", "step_len", "oracle_calls", "stage",
-           "support_dist", "dist_opt", "f_y", "a_capital", "zeta_star", "ls_evals")
+# Trace columns, one entry per record: IterRecord's fields, in order.  The
+# OPTIONAL ones can be None on a row, which the trace's `missing` mask
+# records, so a None and a NaN stay apart.
+COLUMNS = IterRecord.__slots__
 OPTIONAL = ("f_gap", "grad_norm", "support_dist", "dist_opt", "f_y", "a_capital",
             "zeta_star", "ls_evals")
 ARRAYS = (*COLUMNS, "missing")  # everything a trace holds per row

@@ -159,6 +159,14 @@ def _pow(r: float, e: float) -> float:
         return math.inf
 
 
+def _expm1(t: float) -> float:
+    """math.expm1(t) on a Python float, where an overflow reads inf as in `_pow`."""
+    try:
+        return math.expm1(t)
+    except OverflowError:
+        return math.inf
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """_dot of each row pair of two 2-D float64 arrays, bit for bit: the same
     reduction along each row of the C-ordered products (of F-ordered ones it

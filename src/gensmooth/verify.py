@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SmoothnessParams, phi, phi_star
-from .problems import ROWS_PER_CHUNK, Objective, _row_dots, _row_norms, sample_ball
+from .problems import ROWS_PER_CHUNK, Objective, _expm1, _pow, _row_dots, _row_norms, sample_ball
 from .first_order import Trace
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
@@ -194,19 +194,20 @@ def check_smoothness_envelopes(
     sides degrade to the familiar a*s and a*s^2/2.
     """
     xs, ys, fx, gx, fy, gy = _pair_sample(f, n_pairs, max_sep, seed, radius)
-    a = p.l0 + p.l1 * _row_norms(gx)
-    s = _row_norms(ys - xs)
-    if p.l1 > 0:
-        # math.expm1 per case: numpy's SIMD expm1 differs from libm in the
-        # last bit on some hosts
-        growth = np.array([math.expm1(t) for t in (p.l1 * s).tolist()])
-        grad_bound = a * growth / p.l1
-        taylor_bound = a * phi(p.l1 * s) / p.l1**2
-    else:
-        grad_bound = a * s
-        taylor_bound = 0.5 * a * s * s
-    m1 = grad_bound - _row_norms(gy - gx)
-    m2 = taylor_bound - np.abs(fy - fx - _row_dots(gx, ys - xs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = p.l0 + p.l1 * _row_norms(gx)
+        s = _row_norms(ys - xs)
+        if p.l1 > 0:
+            # the growth term is libm's expm1 per case (`_expm1`, inf past an
+            # overflow); the Taylor bound's phi takes numpy's expm1, which
+            # differs from libm's in the last bit on some hosts
+            grad_bound = a * np.array([_expm1(t) for t in (p.l1 * s).tolist()]) / p.l1
+            taylor_bound = a * phi(p.l1 * s) / p.l1**2
+        else:
+            grad_bound = a * s
+            taylor_bound = 0.5 * a * s * s
+        m1 = grad_bound - _row_norms(gy - gx)
+        m2 = taylor_bound - np.abs(fy - fx - _row_dots(gx, ys - xs))
     margins = _Margins(tol=SAMPLER_TOL)
     margins.add_all(_case_min(m1, m2), _pair_case(xs, ys))
     return margins.report(f"smoothness_envelopes[{f.name}]", seed=seed)
@@ -268,25 +269,17 @@ def kernel_bound_checks(n_grid: int = 10**4, tol: float = 1e-12) -> list[CheckRe
     - g^2/(2+g) <= phi_star(g) <= g^2/2 on [0, 100]
     - ln-bracket 2g/(2+g) <= ln(1+g) <= g on [0, 100]
     """
-    reports = []
-
     t = np.linspace(0.0, 3.0, n_grid, endpoint=False)
-    margins = _Margins(tol=tol)
-    margins.add_all(t * t / (2.0 - 2.0 * t / 3.0) - phi(t), lambda i: f"t={t[i]}")
-    reports.append(margins.report("kernel_phi_upper"))
-
     g = np.linspace(0.0, 100.0, n_grid)
-    ps = phi_star(g)
-    margins = _Margins(tol=tol)
-    margins.add_all(np.minimum(ps - g * g / (2.0 + g), g * g / 2.0 - ps),
-                    lambda i: f"g={g[i]}")
-    reports.append(margins.report("kernel_conjugate_sandwich"))
-
-    ln = np.log1p(g)
-    margins = _Margins(tol=tol)
-    margins.add_all(np.minimum(ln - 2.0 * g / (2.0 + g), g - ln), lambda i: f"g={g[i]}")
-    reports.append(margins.report("kernel_log_bracket"))
-
+    ps, ln, g2 = phi_star(g), np.log1p(g), g * g
+    reports = []
+    for name, var, grid, slack in (
+            ("kernel_phi_upper", "t", t, t * t / (2.0 - 2.0 * t / 3.0) - phi(t)),
+            ("kernel_conjugate_sandwich", "g", g, np.minimum(ps - g2 / (2.0 + g), g2 / 2.0 - ps)),
+            ("kernel_log_bracket", "g", g, np.minimum(ln - 2.0 * g / (2.0 + g), g - ln))):
+        margins = _Margins(tol=tol)
+        margins.add_all(slack, lambda i: f"{var}={grid[i]}")
+        reports.append(margins.report(name))
     return reports
 
 
@@ -294,11 +287,10 @@ def conjugate_grid_consistency(n_samples: int = 100, seed: int = 0) -> CheckRepo
     """phi_star(g) must match max_t {g*t - phi(t)} over a fine t-grid."""
     rng = np.random.default_rng(seed)
     gs = CONJUGATE_G_MAX * rng.random(n_samples)
+    t_grids = (np.linspace(0.0, math.log1p(g) + 0.5, 40001) for g in gs)  # one at a time
+    errs = [abs(float(phi_star(g)) - float(np.max(g * t - phi(t)))) for g, t in zip(gs, t_grids)]
     margins = _Margins(tol=CONJUGATE_GRID_TOL)
-    for g in gs:
-        t_grid = np.linspace(0.0, math.log1p(g) + 0.5, 40001)
-        grid_max = float(np.max(g * t_grid - phi(t_grid)))
-        margins.add(CONJUGATE_GRID_TOL - abs(float(phi_star(g)) - grid_max), f"g={g}")
+    margins.add_all(CONJUGATE_GRID_TOL - np.array(errs), lambda i: f"g={gs[i]}")
     return margins.report("kernel_conjugate_grid", seed=seed)
 
 
@@ -308,9 +300,9 @@ def _running_min(values: np.ndarray) -> np.ndarray:
 
 
 def _squares(values: np.ndarray) -> np.ndarray:
-    """v ** 2 per entry by Python's float power, which rounds as libm's pow
-    (not always as v*v) and raises OverflowError on a finite overflow."""
-    return np.array([v ** 2 for v in values.tolist()])
+    """v ** 2 per entry through `_pow`: Python's float power, which rounds as
+    libm's pow (not always as v*v), with a finite overflow read as inf."""
+    return np.array([_pow(v, 2) for v in values.tolist()])
 
 
 def _add_rows(margins: _Margins, k: np.ndarray, *kinds, tol: float | None = None):
@@ -531,6 +523,7 @@ def rate_monitor(
 
     Monitors read the trace's columns.  A margin whose entry is missing on
     a row is skipped, or the monitor raises; a NaN entry is a failing margin.
+    Squares go through `problems._pow`, so an overflow is an inf or NaN margin.
     """
     if bound not in MONITOR_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}")

@@ -17,6 +17,7 @@ from gensmooth.kernels import SmoothnessParams, phi, phi_star
 from gensmooth.problems import (
     Objective,
     _norm,
+    _pow,
     affine_logistic,
     certify_smoothness,
     exp_phi,
@@ -659,6 +660,27 @@ class TestNanMargins:
         assert np.isnan(got[3:]).all()
 
 
+class TestOverflowMargins:
+    """A check reads a finite overflow as inf, as the oracles do (`_pow`,
+    `_expm1`): the overflow shows as a margin, never as an exception."""
+
+    def test_polyak_monitor_on_a_diverged_trace(self):
+        trace = gd_run(power_norm(2, 4, 1), StepRule("polyak", f_star=-1e160),
+                       np.array([1.0, 0.0]), 50)
+        assert (trace.termination, len(trace)) == ("Diverged", 2)
+        rep = rate_monitor(trace, "polyak", params=SmoothnessParams(1.0, 1.0), r=1.0)
+        assert rep.line() == "rate_polyak\t1\t1\t-inf\t0"
+        assert rep.worst_case_input == "k=0"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_envelopes_past_the_growth_terms_overflow(self):
+        f, p = power_norm(2, 4, 1), SmoothnessParams(1.0, 400.0)
+        xs, ys = _pair_sample(f, 200, 2.0, 0, 5.0)[:2]
+        assert (p.l1 * np.linalg.norm(ys - xs, axis=1) > 710.0).any()  # expm1 overflows
+        rep = check_smoothness_envelopes(f, p, n_pairs=200, seed=0)
+        assert rep.line().split("\t")[1:4] == ["200", "0", "0.1574098518116025"]
+
+
 # The per-case loops that the batched samplers and the certifier replaced,
 # kept as the reference they must match bit for bit, each dot taken in the
 # library's fixed order (numpy's reduction).  They differ only on NaN
@@ -894,8 +916,8 @@ def _ref_rate_monitor(trace, bound, params, f0, r, r_hat, l_const, tol=1e-9,
         for prev, nxt in pairwise(recs):
             if prev.dist_opt is None or not prev.grad_norm:
                 continue
-            drop = (prev.f_gap / prev.grad_norm) ** 2
-            margins.add(prev.dist_opt**2 - drop - nxt.dist_opt**2, f"k={prev.k}")
+            drop = _pow(prev.f_gap / prev.grad_norm, 2)
+            margins.add(_pow(prev.dist_opt, 2) - drop - _pow(nxt.dist_opt, 2), f"k={prev.k}")
         _ref_gap_threshold(margins, recs, eps_grid, threshold, use_best=True)
         return margins.report("rate_polyak")
     if bound == "accelerated":
@@ -905,7 +927,7 @@ def _ref_rate_monitor(trace, bound, params, f0, r, r_hat, l_const, tol=1e-9,
             if rec.f_y is not None:
                 margins.add(rec.f_val - rec.f_y, f"f(y)<=f(x) at k={rec.k}")
                 margins.add(rec.f_y - nxt.f_val, f"f(x+)<=f(y) at k={rec.k}")
-                required = rec.grad_norm**2 / (2.0 * l_const)
+                required = _pow(rec.grad_norm, 2) / (2.0 * l_const)
                 margins.add(rec.f_y - nxt.f_val - required, f"step progress k={rec.k}")
         for rec in recs:
             if rec.k >= 1:
@@ -999,7 +1021,8 @@ class TestColumnMonitorsMatchRows:
 
     def test_squares_follow_python_power(self):
         """pow(v, 2) and v*v differ in the last bit for some v; the monitors
-        square as Python does, and a finite square that overflows raises."""
+        square as Python does, through `_pow`, so a finite square that
+        overflows reads inf."""
         base = gd_run(power_norm(2, 4, 1), StepRule(variant="polyak"), np.array([1.0, 0.0]), 2)
         v = next(v for v in np.linspace(0.3, 0.4, 10**4).tolist() if v ** 2 != v * v)
         for x in (v, 1e200):
@@ -1009,3 +1032,5 @@ class TestColumnMonitorsMatchRows:
             trace = Trace(columns=cols, termination="BudgetExhausted", method="gd:polyak")
             self.same(trace, "polyak", params=SmoothnessParams(1.0, 1.0), f0=1.0, r=1.0,
                       r_hat=1.0, l_const=1.0)
+        rep = rate_monitor(trace, "polyak", params=SmoothnessParams(1.0, 1.0), r=1.0)
+        assert (rep.n_failures, rep.worst_case_input) == (0, "eps=0.1")  # 1e200**2 reads inf
