@@ -128,14 +128,15 @@ def fd_gradient_check(
     h = 1e-6 * (1.0 + _row_norms(points))
     d, fd = f.dim, np.empty_like(points)
     per = max(1, ROWS_PER_CHUNK // (2 * d))  # points whose 2*d probes make a chunk
-    for i in range(0, n_points, per):
-        # steps[j, m] = h_j * e_m; a chunk at a time, so no array grows with d^2
-        x, steps = points[i:i + per, None, :], h[i:i + per, None, None] * np.eye(d)
-        probes = np.concatenate([x + steps, x - steps], axis=1).reshape(-1, d)
-        vals = f.values_grads(probes)[0].reshape(-1, 2 * d)
-        fd[i:i + per] = (vals[:, :d] - vals[:, d:]) / (2.0 * h[i:i + per, None])
-    grads = f.values_grads(points)[1]
-    err = _row_norms(fd - grads) / (1.0 + _row_norms(grads))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf gives a NaN margin
+        for i in range(0, n_points, per):
+            # steps[j, m] = h_j * e_m; a chunk at a time, so no array grows with d^2
+            x, steps = points[i:i + per, None, :], h[i:i + per, None, None] * np.eye(d)
+            probes = np.concatenate([x + steps, x - steps], axis=1).reshape(-1, d)
+            vals = f.values_grads(probes)[0].reshape(-1, 2 * d)
+            fd[i:i + per] = (vals[:, :d] - vals[:, d:]) / (2.0 * h[i:i + per, None])
+        grads = f.values_grads(points)[1]
+        err = _row_norms(fd - grads) / (1.0 + _row_norms(grads))
     margins = _Margins(tol=0.0)
     margins.add_all(rel_tol - err, lambda i: f"x={points[i].tolist()}")
     return margins.report(f"fd_gradient[{f.name}]", seed=seed)
@@ -158,7 +159,8 @@ def _pair_sample(f: Objective, n_pairs=1000, max_sep=2.0, seed=0, radius=5.0):
     lru_cache keys f(a, b) and f(a, b=...) apart."""
     _check_sample("n_pairs", n_pairs, radius, seed)
     xs, ys = _sample_pairs(np.random.default_rng(seed), f.dim, n_pairs, max_sep, radius)
-    sample = (xs, ys, *f.values_grads(xs), *f.values_grads(ys))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf or NaN entry
+        sample = (xs, ys, *f.values_grads(xs), *f.values_grads(ys))
     for a in sample:
         a.flags.writeable = False
     return sample
@@ -214,14 +216,18 @@ def check_smoothness_envelopes(
 
 
 def _conjugate_term(s: np.ndarray, a: np.ndarray, l1: float) -> np.ndarray:
-    # (a/l1^2) * phi_star(l1*s/a) per case, with the l1 -> 0 limit s^2/(2a)
+    # (a/l1^2) * phi_star(l1*s/a) per case, with the l1 -> 0 limit s^2/(2a);
+    # phi_star of an inf argument is inf and of a NaN one NaN
     out = np.where(s > 0, math.inf, 0.0)  # the a <= 0 cases
     pos = ~(a <= 0)
     sp, ap = s[pos], a[pos]
     if l1 == 0.0:
         out[pos] = sp * sp / (2.0 * ap)
     else:
-        out[pos] = ap / l1**2 * phi_star(l1 * sp / ap)
+        arg = l1 * sp / ap
+        finite = np.isfinite(arg)
+        arg[finite] = phi_star(arg[finite])
+        out[pos] = ap / l1**2 * arg
     return out
 
 
@@ -246,17 +252,18 @@ def check_convex_lower_bounds(
     if not f.convex:
         raise ValueError(f"objective {f.name!r} is not marked convex")
     xs, ys, fx, gx, fy, gy = _pair_sample(f, n_pairs, max_sep, seed, radius)
-    a_x = p.l0 + p.l1 * _row_norms(gx)
-    a_y = p.l0 + p.l1 * _row_norms(gy)
-    s = _row_norms(gy - gx)
-    bregman = fy - fx - _row_dots(gx, ys - xs)
-    conj_y, conj_x = _conjugate_term(np.stack([s, s]), np.stack([a_y, a_x]), p.l1)
-    m1 = bregman - conj_y
-    m2 = _row_dots(gx - gy, xs - ys) - (conj_y + conj_x)
-    denom = 2.0 * a_y + p.l1 * s
-    m3 = np.where(s == 0, 0.0, -math.inf)  # the denom <= 0 cases
-    pos = denom > 0
-    m3[pos] = bregman[pos] - s[pos] * s[pos] / denom[pos]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_x = p.l0 + p.l1 * _row_norms(gx)
+        a_y = p.l0 + p.l1 * _row_norms(gy)
+        s = _row_norms(gy - gx)
+        bregman = fy - fx - _row_dots(gx, ys - xs)
+        conj_y, conj_x = _conjugate_term(np.stack([s, s]), np.stack([a_y, a_x]), p.l1)
+        m1 = bregman - conj_y
+        m2 = _row_dots(gx - gy, xs - ys) - (conj_y + conj_x)
+        denom = 2.0 * a_y + p.l1 * s
+        m3 = np.where(s == 0, 0.0, -math.inf)  # the denom <= 0 cases
+        pos = denom > 0
+        m3[pos] = bregman[pos] - s[pos] * s[pos] / denom[pos]
     margins = _Margins(tol=SAMPLER_TOL)
     margins.add_all(_case_min(m1, m2, m3), _pair_case(xs, ys))
     return margins.report(f"convex_lower_bounds[{f.name}]", seed=seed)
@@ -283,14 +290,39 @@ def kernel_bound_checks(n_grid: int = 10**4, tol: float = 1e-12) -> list[CheckRe
     return reports
 
 
+def _linspace_into(out: np.ndarray, steps: np.ndarray, stop: float) -> np.ndarray:
+    """np.linspace(0.0, stop, len(out)) written into `out`, bit for bit: the
+    float index `steps` times stop/(len(out) - 1), then the exact endpoint."""
+    np.multiply(steps, stop / (len(out) - 1), out=out)
+    out[-1] = stop
+    return out
+
+
+def _conjugate_grid_errors(gs: np.ndarray) -> np.ndarray:
+    """|phi_star(g) - max_t {g*t - phi(t)}| per g, with t on
+    np.linspace(0.0, log1p(g) + 0.5, 40001); one grid and one work array
+    serve every g."""
+    steps = np.arange(40001.0)
+    t, work = np.empty_like(steps), np.empty_like(steps)
+    errs = np.empty_like(gs)
+    for i, g in enumerate(gs):
+        _linspace_into(t, steps, math.log1p(g) + 0.5)
+        np.multiply(g, t, out=work)
+        work -= phi(t)
+        errs[i] = abs(float(phi_star(g)) - float(work.max()))
+    return errs
+
+
 def conjugate_grid_consistency(n_samples: int = 100, seed: int = 0) -> CheckReport:
-    """phi_star(g) must match max_t {g*t - phi(t)} over a fine t-grid."""
-    rng = np.random.default_rng(seed)
-    gs = CONJUGATE_G_MAX * rng.random(n_samples)
-    t_grids = (np.linspace(0.0, math.log1p(g) + 0.5, 40001) for g in gs)  # one at a time
-    errs = [abs(float(phi_star(g)) - float(np.max(g * t - phi(t)))) for g, t in zip(gs, t_grids)]
+    """phi_star(g) must match max_t {g*t - phi(t)} over a fine t-grid.
+
+    The grid and the work array are allocated once per call and refilled
+    for each sampled g: a fresh 320 KB temporary per sample would be handed
+    back to the system when freed and faulted back in by the next sample.
+    """
+    gs = CONJUGATE_G_MAX * np.random.default_rng(seed).random(n_samples)
     margins = _Margins(tol=CONJUGATE_GRID_TOL)
-    margins.add_all(CONJUGATE_GRID_TOL - np.array(errs), lambda i: f"g={gs[i]}")
+    margins.add_all(CONJUGATE_GRID_TOL - _conjugate_grid_errors(gs), lambda i: f"g={gs[i]}")
     return margins.report("kernel_conjugate_grid", seed=seed)
 
 

@@ -33,9 +33,13 @@ from gensmooth.cli import RunConfig, run_config, run_verify_suite
 from gensmooth.first_order import StepRule, Trace, gd_run, ngd_run
 from gensmooth.agmsdr import agmsdr_run, two_stage_run
 from gensmooth.verify import (
+    CONJUGATE_G_MAX,
+    CONJUGATE_GRID_TOL,
     MONITOR_BOUNDS,
     CheckReport,
     _case_min,
+    _conjugate_grid_errors,
+    _linspace_into,
     _Margins,
     _pair_sample,
     _sample_pairs,
@@ -331,6 +335,51 @@ class TestKernelGridChecks:
     def test_conjugate_grid_consistency(self):
         report = conjugate_grid_consistency(n_samples=50, seed=3)
         assert report.n_failures == 0
+
+    @pytest.mark.parametrize("kernel, scaled", [("phi_star", 1 + 1e-5), ("phi", 1 - 1e-5)])
+    def test_conjugate_grid_catches_a_scaled_kernel(self, monkeypatch, kernel, scaled):
+        """The check reads phi and phi_star from the verify module on every
+        call, so a kernel patched there is the one it checks."""
+        original = getattr(verify_mod, kernel)
+        monkeypatch.setattr(verify_mod, kernel, lambda x: original(x) * scaled)
+        report = conjugate_grid_consistency(n_samples=50, seed=3)
+        assert report.n_failures > 0
+        assert report.worst_margin < -CONJUGATE_GRID_TOL
+
+
+# The per-g form that the held buffers replaced, kept as the reference they
+# must match bit for bit: a fresh grid and fresh temporaries for each g.
+
+def _ref_conjugate_grid(n_samples, seed):
+    gs = CONJUGATE_G_MAX * np.random.default_rng(seed).random(n_samples)
+    errs = []
+    for g in gs:
+        t = np.linspace(0, math.log1p(g) + 0.5, 40001)
+        errs.append(abs(float(phi_star(g)) - float(np.max(g * t - phi(t)))))
+    errs = np.array(errs)
+    margins = _Margins(tol=CONJUGATE_GRID_TOL)
+    margins.add_all(CONJUGATE_GRID_TOL - errs, lambda i: f"g={gs[i]}")
+    return gs, errs, margins.report("kernel_conjugate_grid", seed=seed)
+
+
+class TestConjugateGridHeldBuffers:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n_samples", [1, 2, 100])
+    def test_matches_the_per_g_form(self, seed, n_samples):
+        gs, errs, ref = _ref_conjugate_grid(n_samples, seed)
+        assert _conjugate_grid_errors(gs).tobytes() == errs.tobytes()
+        got = conjugate_grid_consistency(n_samples=n_samples, seed=seed)
+        assert got == ref
+        assert got.line() == ref.line()
+
+    def test_held_grid_is_linspace(self):
+        stops = np.append(0.5 + 2.5 * np.random.default_rng(0).random(1000),
+                          math.log1p(CONJUGATE_G_MAX) + 0.5)
+        steps = np.arange(40001.0)
+        t = np.empty_like(steps)
+        for stop in stops.tolist():
+            want = np.linspace(0.0, stop, 40001)
+            assert _linspace_into(t, steps, stop).tobytes() == want.tobytes()
 
 
 class TestRateMonitors:
@@ -679,6 +728,25 @@ class TestOverflowMargins:
         assert (p.l1 * np.linalg.norm(ys - xs, axis=1) > 710.0).any()  # expm1 overflows
         rep = check_smoothness_envelopes(f, p, n_pairs=200, seed=0)
         assert rep.line().split("\t")[1:4] == ["200", "0", "0.1574098518116025"]
+
+    def test_lower_bounds_past_the_gradients_overflow(self):
+        """An inf or NaN gradient gives a NaN margin, as in the envelope
+        check on the same sample, where phi_star used to refuse it."""
+        f, p = power_norm(2, 4, 1), SmoothnessParams(1.0, 1.0)
+        lower = check_convex_lower_bounds(f, p, n_pairs=50, seed=0, radius=1e110)
+        envelopes = check_smoothness_envelopes(f, p, n_pairs=50, seed=0, radius=1e110)
+        assert lower.line().split("\t")[1:4] == ["50", "50", "nan"]
+        assert envelopes.line().split("\t")[1:4] == ["50", "50", "nan"]
+        assert lower.worst_case_input == envelopes.worst_case_input
+
+    def test_fd_gradient_past_the_values_overflow(self):
+        rep = fd_gradient_check(power_norm(2, 4, 1), n_points=20, seed=0, radius=1e100)
+        assert rep.line().split("\t")[1:4] == ["20", "20", "nan"]
+
+    def test_lower_bounds_past_the_dots_overflow(self):
+        rep = check_convex_lower_bounds(power_norm(2, 4, 1), SmoothnessParams(1.0, 1.0),
+                                        n_pairs=50, seed=0, radius=1e100)
+        assert rep.line().split("\t")[1:4] == ["50", "50", "nan"]
 
 
 # The per-case loops that the batched samplers and the certifier replaced,
