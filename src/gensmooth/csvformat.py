@@ -6,11 +6,16 @@ which `_digits` computes as a double-double: Dekker's exact split product
 |v| times its tail.  That is within 2**-47 of the exact product, which lies
 in [1e16, 1e17), so N is certain wherever the fraction is more than 2**-30
 from 1/2.  A layout table then places the digits, sign, point and exponent
-of each %g cell.  `%` formats every other entry, as it does 0, inf, NaN,
-every |v| outside [_FAST_MIN, _FAST_MAX] (where a partial product could
-leave the normal range), integers beyond 2**53, and every entry of a chunk
-shorter than SHORT_CHUNK rows, where the numpy passes cost more than they
-save.
+of each %g cell.  An integer 0 <= v < 10**8 is one 8-byte word of its
+digits, two 4-digit lookups shifted right past the leading zeros.  Each
+column has its own slot width: 24 bytes for a %g cell, 8 for an integer
+word, each then its separator.  A column with the bits and shown rows of
+an earlier one (f_gap is f_val whenever f_star is 0) copies its cells.
+`%` formats every other entry, as it does 0, inf, NaN, every |v| outside
+[_FAST_MIN, _FAST_MAX] (where a partial product could leave the normal
+range), integers that are negative or 10**8 and beyond, and every entry of
+a chunk shorter than SHORT_CHUNK rows, where the numpy passes cost more
+than they save.
 
 `cli.write_csv` imports this module on its first write, so a process that
 writes no CSV neither compiles it nor builds its tables.
@@ -22,7 +27,7 @@ from itertools import chain
 
 import numpy as np
 
-SHORT_CHUNK = 128
+SHORT_CHUNK = 64
 _FAST_MIN, _FAST_MAX = 1e-280, 1e280
 _X_MIN, _X_MAX = -282, 282  # floor(log10|v|) on the fast range, with a margin
 
@@ -107,6 +112,11 @@ def _layout(kind: int, s: int) -> bytes:
 _LAYOUT = np.frombuffer(b"".join(_layout(kind, s) for kind in range(22) for s in range(18))
                         + b"\x14" * 25, np.uint8).reshape(-1, 25)
 _EMPTY = len(_LAYOUT) - 1
+# the bits an integer's 8-digit word shifts right by, 8 per leading zero:
+# entry lo for v = lo < 10**4 (0 keeps one digit), 10**4 + hi for
+# v // 10**4 = hi > 0
+_LEN4 = 1 + sum(np.arange(10**4) >= 10**k for k in range(1, 4))  # of 0..9999
+_SHIFT = np.concatenate([8 * (8 - _LEN4), 8 * (4 - _LEN4)]).astype(np.uint8)
 
 
 def _sources(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,6 +139,20 @@ def _sources(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return fast, source.view(np.uint8).ravel(), kind * 18 + s
 
 
+def _words(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(fast, word) of int64 entries: wherever fast, 0 <= v < 10**8, and the
+    eight bytes of word, a '<u8', are '%d' % v and then NULs."""
+    fast = v.view(np.uint64) < 10**8  # a negative v reads as 2**64 + v
+    hi = v // 10**4
+    lo = v - hi * 10**4  # in [0, 10**4) for every v: a product that wraps, wraps back
+    pair = np.empty(v.shape + (2,), np.uint32)
+    pair[..., 0] = _T4.take(hi, mode="clip")
+    pair[..., 1] = _T4.take(lo)
+    # the first byte of a '<u8' is its lowest, so the leading zeros shift out
+    shift = _SHIFT.take(np.where(hi, hi + 10**4, lo), mode="clip")
+    return fast, (pair.view("<u8")[..., 0] >> shift).astype("<u8", copy=False)
+
+
 def csv_rows(cols: list[np.ndarray], present: list[np.ndarray | None]) -> bytes:
     """Rows of CSV cells, one per entry of the equal-length columns `cols`:
     '%.17g' % v for float64 columns and '%d' % v for integer ones, and an
@@ -141,30 +165,46 @@ def csv_rows(cols: list[np.ndarray], present: list[np.ndarray | None]) -> bytes:
                  for spec, p in zip(specs, present)]
         text = "\n".join(map(",".join, zip(*cells))) + "\n"
         return (text % tuple(chain.from_iterable(zip(*(c.tolist() for c in cols))))).encode()
-    # a column with the bits of an earlier one (f_gap is f_val whenever
-    # f_star is 0) is formatted once: column j is cols[uniq[first[j]]]
+    # column j has the cells of column src[j], the first with its bits and
+    # shown rows (f_gap is f_val whenever f_star is 0); order lists the
+    # columns that are formatted, the %g ones first
     firsts: dict = {}
-    first = [firsts.setdefault((c.dtype.char, c.tobytes()), len(firsts)) for c in cols]
-    uniq = [first.index(i) for i in range(len(firsts))]
-    fast, source, key = _sources(np.array([cols[j] for j in uniq], np.float64).ravel())
-    fast = fast.reshape(len(uniq), n)
-    for i, j in enumerate(uniq):  # an integer must be exact as a float
-        if specs[j] == "%d":
-            fast[i] &= (cols[j] > -2**53) & (cols[j] < 2**53)
-    fast = fast[first]
-    shown = np.array([np.ones(n, bool) if p is None else p for p in present])
-    # an (n, columns, 25) table of cells, each NUL-padded and then its separator
-    keys = np.where(fast & shown, key.reshape(len(uniq), n)[first], _EMPTY)
-    table = np.empty((n, len(cols), 25), np.uint8)
-    starts = np.arange(0, 32 * n, 32)[:, None]  # the source rows of cols[uniq[0]]
-    for j, i in enumerate(first):
-        table[:, j] = source.take(_LAYOUT.take(keys[j], axis=0) + (starts + 32 * n * i))
-    table[:, :, -1] = ord(",")
-    table[:, -1, -1] = ord("\n")
-    js, rows = np.nonzero(~fast & shown)
-    if len(js):  # `%` formats the rest
+    src = [firsts.setdefault((c.dtype.char, c.tobytes(),
+                              None if p is None or p.all() else p.tobytes()), j)
+           for j, (c, p) in enumerate(zip(cols, present))]
+    order = sorted(firsts.values(), key=lambda j: specs[j] == "%d")
+    nf = sum(specs[j] == "%.17g" for j in order)
+    fast, source, key = _sources(np.array([cols[j] for j in order[:nf]], np.float64).ravel())
+    word_fast, words = _words(np.array([cols[j] for j in order[nf:]], np.int64).reshape(-1, n))
+    fast = np.concatenate([fast.reshape(nf, n), word_fast])
+    shown = np.ones_like(fast)
+    for i, j in enumerate(order):
+        if present[j] is not None:
+            shown[i] = present[j]
+    bad = shown & ~fast  # the cells `%` formats
+    fast &= shown
+    # a block of cells per formatted column, each cell NUL-padded: a %g cell
+    # in 24 bytes, an integer in its 8-byte word (24 bytes where `%` formats
+    # one of the column's cells)
+    starts = np.arange(0, 32 * nf * n, 32).reshape(nf, n, 1)  # each value's source row
+    layout = _LAYOUT.take(np.where(fast[:nf], key.reshape(nf, n), _EMPTY), axis=0)[..., :24]
+    cells = np.empty(layout.shape, np.uint8)
+    for i in range(nf):  # a column at a time, to hold the byte indices of one
+        source.take(layout[i] + starts[i], out=cells[i], mode="clip")  # "raise" buffers out
+    words *= fast[nf:]  # NULs where a cell is missing or `%` formats it
+    ints = words.view(np.uint8).reshape(-1, n, 8)
+    if bad[nf:].any():
+        ints = np.concatenate([ints, np.zeros((len(ints), n, 16), np.uint8)], axis=2)
+    blocks = dict(zip(order, [*cells, *ints]))
+    comma = np.full((n, 1), ord(","), np.uint8)
+    table = np.concatenate([b for j in src for b in (blocks[j], comma)], axis=1)
+    table[:, -1] = ord("\n")
+    if bad.any():  # `%` formats the rest
+        slots = np.cumsum([0] + [blocks[j].shape[1] + 1 for j in src])
+        js, rows = np.nonzero(bad[[order.index(j) for j in src]])
         text = "\0".join([specs[j] for j in js.tolist()]) % tuple(
             cols[j][r] for j, r in zip(js.tolist(), rows.tolist()))
-        cells = np.array(text.encode().split(b"\0"))
-        table[rows, js, :cells.itemsize] = cells.view(np.uint8).reshape(len(js), -1)
-    return table[table != 0].tobytes()
+        text = np.array(text.encode().split(b"\0"))
+        table[rows[:, None], slots[js][:, None] + np.arange(text.itemsize)] = (
+            text.view(np.uint8).reshape(len(js), -1))
+    return table.tobytes().translate(None, b"\0")

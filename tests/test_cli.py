@@ -462,7 +462,7 @@ class TestWriteCsv:
 
     def test_memory_does_not_grow_with_rows(self, tmp_path):
         """A 10^5-row trace is formatted CSV_CHUNK rows at a time: the peak
-        is that of one chunk (928 558 bytes measured with numpy 2.4)."""
+        is that of one chunk (789 998 bytes measured with numpy 2.4)."""
         f = parse_problem("power_norm:d=2,p=4,l1=1")
         trace = gd_run(f, StepRule("optimal", f.params), np.array([10.0, 0.0]), 10**5)
         assert len(trace) == 10**5 > 50 * CSV_CHUNK
@@ -600,6 +600,26 @@ class TestCsvRows:
                                  rng.integers(-1000, 1000, 500).astype(dtype)])
         got, want = percent_cells(values)
         assert got == want
+
+    def test_integer_words_beside_repeated_columns(self):
+        """One chunk of integer and float columns: the edges of the 8-digit
+        words and what lies past them, an int8 column, missing integer
+        cells, and a float column with the bits of another, shown on the
+        same rows (its cells are copied) and on other rows (they are not)."""
+        n = max(csvformat.SHORT_CHUNK, 256)
+        rng = np.random.default_rng(32)
+        info = np.iinfo(np.int64)
+        edges = [0, 1, 9, 10, 99, 10**7 - 1, 10**7, 10**8 - 1, 10**8, -1, info.min, info.max]
+        words = np.resize(np.array(edges, np.int64), n)
+        digits = 10 ** rng.integers(0, 9, n) - rng.integers(0, 2, n)  # every digit count
+        small = rng.integers(-128, 128, n).astype(np.int8)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n)
+        cols = [words, floats, digits, floats.copy(), small, floats.copy()]
+        present = [None, None, rng.random(n) < 0.7, None, None, rng.random(n) < 0.7]
+        want = "".join(",".join("" if p is not None and not p[r] else
+                                ("%.17g" if c.dtype.kind == "f" else "%d") % c[r]
+                                for c, p in zip(cols, present)) + "\n" for r in range(n))
+        assert csv_rows(cols, present).decode() == want
 
 
 # preset_figure(which, "out") row by row: (problem_spec, method_spec, radius,
