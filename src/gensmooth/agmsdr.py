@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .kernels import SmoothnessParams
 from .problems import Objective, _dot, _norm
-from .first_order import (ARRAYS, DIVERGENCE_GUARD, StepRule, Trace, _move, _trace, gd_run,
+from .first_order import (ARRAYS, DIVERGENCE_GUARD, StepRule, Trace, _trace, gd_run,
                           stepsize_simplified)
 
 # Largest rise f(x_{k+1}) - f(y_k) the accelerated loop tolerates as rounding.
@@ -49,8 +49,9 @@ class EstimateState:
     so the model minimizer is always x0 - lin_accum.  `affine_accum` is the
     matching scalar sum_i a_i * (f(y_{i-1}) - <grad f(y_{i-1}), y_{i-1}>),
     which makes the model value at the minimizer available in closed form.
-    `zeta_star_lower` caches that value; it certifies a_capital * f(x_k)
-    from above on convex problems.
+    `accumulate` keeps `minimizer` and that value, `zeta_star_lower`,
+    current; the latter certifies a_capital * f(x_k) from above on convex
+    problems.
     """
 
     x0: list
@@ -58,24 +59,32 @@ class EstimateState:
     lin_accum: list | None = None
     affine_accum: float = 0.0
     zeta_star_lower: float = 0.0
+    minimizer: list = field(init=False)
 
     def __post_init__(self):
         if self.lin_accum is None:
             self.lin_accum = [0.0] * len(self.x0)
-
-    @property
-    def minimizer(self) -> list:
-        return [a - s for a, s in zip(self.x0, self.lin_accum)]
-
-    def model_minimum(self) -> float:
-        s = self.lin_accum
-        return _dot(s, self.x0) - 0.5 * _dot(s, s) + self.affine_accum
+        self.minimizer = [a - s for a, s in zip(self.x0, self.lin_accum)]
 
     def accumulate(self, a: float, y: list, f_y: float, grad_y: list):
         self.a_capital += a
-        self.lin_accum = [s + a * g for s, g in zip(self.lin_accum, grad_y)]
-        self.affine_accum += a * (f_y - _dot(grad_y, y))
-        self.zeta_star_lower = self.model_minimum()
+        x0 = self.x0
+        if len(x0) < 8:  # the three dots as _dot's loop, in one pass with the updates
+            s, v, gy, sx, ss = [], [], 0.0, 0.0, 0.0
+            for t, g, yi, b in zip(self.lin_accum, grad_y, y, x0):
+                t += a * g
+                s.append(t)
+                v.append(b - t)
+                gy += g * yi
+                sx += t * b
+                ss += t * t
+        else:
+            s = [t + a * g for t, g in zip(self.lin_accum, grad_y)]
+            v = [b - t for b, t in zip(x0, s)]
+            gy, sx, ss = _dot(grad_y, y), _dot(s, x0), _dot(s, s)
+        self.lin_accum, self.minimizer = s, v
+        self.affine_accum += a * (f_y - gy)
+        self.zeta_star_lower = sx - 0.5 * ss + self.affine_accum
 
 
 @dataclass(slots=True)
@@ -148,7 +157,8 @@ def agmsdr_run(f: Objective, x0: np.ndarray, l_const: float | None, budget: int,
     objective that can only mean the curvature constants are wrong.  A
     non-finite gradient norm at y_k ends the run `Diverged`.  An iteration
     starts only while the calls made are below `budget`, so the last one
-    may overrun the budget by its own calls.
+    may overrun the budget by its own calls.  The loop's names are bound
+    when the call starts; the move is `_descent`'s, entry by entry.
     """
     params = t_params if t_params is not None else f.params
     if params is None:
@@ -170,34 +180,41 @@ def agmsdr_run(f: Objective, x0: np.ndarray, l_const: float | None, budget: int,
     names = ("f_val", "a_capital", "zeta_star", "oracle_calls", "grad_norm", "step_len",
              "f_y", "ls_evals")
     rows = array("d")  # per record: the named columns, then x
+    append, value = rows.fromlist, f.value
+    line_search, stepsize = segment_line_search, stepsize_simplified
+    short = f.dim < 8  # _norm's loop, inline: one call fewer per iteration
     k = 0
     v_first = False  # v_k won the previous iteration's search
 
-    def arrival(g, step_len, f_y, evals):
-        """A row: the iterate on arrival, then this iteration's products."""
-        rows.fromlist([f_x, state.a_capital, state.zeta_star_lower, calls, g, step_len, f_y,
-                       evals, *x])
-
     while calls < budget:
         v = state.minimizer
-        ls = segment_line_search(f, v, x, f_x, v_first)
+        ls = line_search(f, v, x, f_x, v_first)
         y, f_y, grad_y, evals = ls.y, ls.f_y, ls.grad_y, ls.evals
         v_first = y is v
         calls += evals + 1
-        g = _norm(grad_y)
+        if short:
+            g = 0.0
+            for t in grad_y:
+                g += t * t
+            g = math.sqrt(g)
+        else:
+            g = _norm(grad_y)
         if not math.isfinite(g):
             termination = "Diverged"
             break
 
-        step_len = stepsize_simplified(g, params) * g if g > 0 else 0.0
-        x_next = _move(y, step_len, grad_y, g) if g > 0 else y
-        f_next = f.value(np.array(x_next))
+        if g > 0:
+            step_len = stepsize(g, params) * g
+            x_next = [yi - step_len * (gi / g) for yi, gi in zip(y, grad_y)]
+        else:
+            step_len, x_next = 0.0, y
+        f_next = value(np.array(x_next))
         calls += 1
         if f_next > f_y + MONOTONE_TOL:
             raise RuntimeError(f"descent step increased the value at iteration {k} ({f_y} -> "
                                f"{f_next}): curvature constants do not match the objective")
 
-        arrival(g, step_len, f_y, evals)
+        append([f_x, state.a_capital, state.zeta_star_lower, calls, g, step_len, f_y, evals, *x])
         k += 1
 
         a_next = (1.0 + math.sqrt(1.0 + 4.0 * l_const * state.a_capital)) / (2.0 * l_const)
@@ -211,7 +228,7 @@ def agmsdr_run(f: Objective, x0: np.ndarray, l_const: float | None, budget: int,
             termination = "Diverged"
             break
 
-    arrival(math.nan, 0.0, math.nan, 0)
+    append([f_x, state.a_capital, state.zeta_star_lower, calls, math.nan, 0.0, math.nan, 0, *x])
     final_x = np.array(x)
     x = v = ls = y = grad_y = x_next = state = None  # lists, 32 B an entry: free them now
     last = np.arange(k + 1) == k  # the closing row has no iteration products

@@ -129,8 +129,9 @@ def _sources(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     lead = top // 10**8
     mid, low = top - lead * 10**8, digits - top * 10**8
     words[:, 0] = _SIGN_0_LEAD.take(lead + 10 * np.signbit(values))
+    mid_hi, low_hi = mid // 10**4, low // 10**4  # x - x // m * m: x % m without int64 %
     s = 1  # significant digits: through the last group that is not 0
-    for k, group in enumerate((mid // 10**4, mid % 10**4, low // 10**4, low % 10**4)):
+    for k, group in enumerate((mid_hi, mid - mid_hi * 10**4, low_hi, low - low_hi * 10**4)):
         words[:, 1 + k] = _T4.take(group)
         s = np.where(group, 1 + 4 * k + _SIG.take(group), s)
     words[:, 5] = 0

@@ -275,46 +275,62 @@ def stepsize_polyak(f_val: float, f_star: float, grad_norm: float) -> float:
     return (f_val - f_star) / grad_norm**2
 
 
-def _move(xs: list, step: float, gs: list, g: float) -> list:
-    """x - step * (grad / g) from x and grad as lists, as a list, bit for bit
-    numpy's (IEEE / * - round the same in Python as in numpy's elementwise
-    loops), in less time than three ufunc dispatches on a short vector."""
-    return [xi - step * (gi / g) for xi, gi in zip(xs, gs)]
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _descent(
     f: Objective,
     x: np.ndarray,
     budget: int,
-    step_len: Callable[[int, float, float], float],
     method: str,
     f_star: float | None,
     grad_tol: float = 0.0,
     gap_tol: float | None = None,
+    *,
+    stepsize: Callable[..., float] | None = None,
+    params: SmoothnessParams | None = None,
+    beta: Callable[[int], float] | None = None,
 ) -> Trace:
     """The loop x <- x - s_k * grad/||grad|| shared by every plain method.
 
-    `step_len(k, g, f_val)` gives the move length s_k at a nonzero
-    gradient; an exactly stationary or a diverged iterate records a zero
-    step.  Record k costs k + 1 gradient calls.  The iterate and the
-    gradient stay lists of Python floats from the first oracle call to the
-    last: the oracle is `f.floats` (for a swapped callable, `value` and
-    `gradient` on an array, the gradient's `.tolist()`), the move `_move`,
-    and only `final_x` is an array.
+    At a nonzero gradient the move length s_k is `beta(k)` for the
+    normalized method, else eta*g with eta = `stepsize(g, params)`, or
+    `stepsize(f_val, f_star, g)` for Polyak's rule (no params); an exactly
+    stationary or a diverged iterate records a zero step.  Record k costs
+    k + 1 gradient calls.  The iterate and the gradient stay lists of
+    Python floats from the first oracle call to the last: the oracle is
+    `f.floats` (for a swapped callable, `value` and `gradient` on an
+    array, the gradient's `.tolist()`), the move x - s_k * (grad/g) is
+    taken entry by entry (bit for bit numpy's: IEEE / * - round the same in
+    Python as in numpy's elementwise loops), and only `final_x` is an
+    array.  The loop's names are bound when the call starts.
     """
+    floats, isfinite, sqrt = f.floats, math.isfinite, math.sqrt
+    short = f.dim < 8  # _norm's loop, inline: one call fewer per iteration
     xs = x.tolist()
-    f_val, gs = f.floats(xs)
-    if not math.isfinite(f_val):
+    f_val, gs = floats(xs)
+    if not isfinite(f_val):
         raise ValueError("objective is not finite at the starting point")
     rows = array("d")  # per record: f_val, grad_norm, step_len, oracle_calls, x, grad
+    append = rows.fromlist
     k = 0
     while True:
-        g = _norm(gs)
-        diverged = (not math.isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD
-                    or not math.isfinite(g))
-        step = step_len(k, g, f_val) if g > 0 and not diverged else 0.0
-        rows.fromlist([f_val, g, step, k + 1, *xs, *gs])
+        if short:
+            g = 0.0
+            for t in gs:
+                g += t * t
+            g = sqrt(g)
+        else:
+            g = _norm(gs)
+        diverged = not isfinite(f_val) or abs(f_val) > DIVERGENCE_GUARD or not isfinite(g)
+        if g > 0 and not diverged:
+            if beta is not None:
+                step = beta(k)
+            elif params is None:
+                step = stepsize(f_val, f_star, g) * g
+            else:
+                step = stepsize(g, params) * g
+        else:
+            step = 0.0
+        append([f_val, g, step, k + 1, *xs, *gs])
         if diverged:
             termination = "Diverged"
             break
@@ -330,8 +346,8 @@ def _descent(
         if k + 1 >= budget:
             termination = "BudgetExhausted"
             break
-        xs = _move(xs, step, gs, g)
-        f_val, gs = f.floats(xs)
+        xs = [xi - step * (gi / g) for xi, gi in zip(xs, gs)]
+        f_val, gs = floats(xs)
         k += 1
 
     return _trace(rows, ("f_val", "grad_norm", "step_len", "oracle_calls"), f, f_star, 1, {},
@@ -361,16 +377,14 @@ def gd_run(
     if gap_tol is not None and f_star is None:
         raise ValueError("gap_tol requires a known f_star")
 
-    if rule.variant == "polyak":
-        step_len = lambda k, g, f_val: stepsize_polyak(f_val, f_star, g) * g
-    else:
-        stepsize = {
-            "optimal": stepsize_optimal,
-            "simplified": stepsize_simplified,
-            "clipped": stepsize_clipped,
-        }[rule.variant]
-        step_len = lambda k, g, f_val: stepsize(g, rule.params) * g
-    return _descent(f, x, budget, step_len, f"gd:{rule.variant}", f_star, grad_tol, gap_tol)
+    stepsize = {
+        "optimal": stepsize_optimal,
+        "simplified": stepsize_simplified,
+        "clipped": stepsize_clipped,
+        "polyak": stepsize_polyak,
+    }[rule.variant]
+    return _descent(f, x, budget, f"gd:{rule.variant}", f_star, grad_tol, gap_tol,
+                    stepsize=stepsize, params=rule.params if rule.variant != "polyak" else None)
 
 
 def ngd_run(
@@ -400,14 +414,14 @@ def ngd_run(
             raise ValueError("fixed schedule requires horizon >= 1")
         # record K is reached after K+1 gradient calls
         budget = min(budget, horizon + 1)
-        beta = lambda k, g, f_val: r_hat / math.sqrt(horizon + 1)
+        beta = lambda k: r_hat / math.sqrt(horizon + 1)
     elif schedule == "sqrt":
-        beta = lambda k, g, f_val: r_hat / math.sqrt(k + 1)
+        beta = lambda k: r_hat / math.sqrt(k + 1)
     else:
-        beta = lambda k, g, f_val: r_hat / (k + 1)
+        beta = lambda k: r_hat / (k + 1)
 
     x = f.check_point(x0)
-    return _descent(f, x, budget, beta, f"ngd:{schedule}", f.f_star)
+    return _descent(f, x, budget, f"ngd:{schedule}", f.f_star, beta=beta)
 
 
 def best_iterate(trace: Trace) -> tuple[int, float]:

@@ -13,6 +13,7 @@ array, then a series overwrites the entries where it cancels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,14 @@ class SmoothnessParams:
 
 
 def _validated(x, name: str):
+    """x as a float array, refused if an entry is not finite, else if one
+    is negative: a NaN or an inf shows in the min or the max (each taken
+    from 0.0, so an empty array passes), a negative entry in the min."""
     arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    lo, hi = arr.min(initial=0.0), arr.max(initial=0.0)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{name} must be finite")
-    if np.any(arr < 0):
+    if lo < 0:
         raise ValueError(f"{name} must be nonnegative")
     return arr
 
@@ -56,10 +61,10 @@ def phi(t):
     arr = _validated(t, "t")
     out = np.expm1(arr, out=np.empty_like(arr))
     out -= arr
-    small = arr < _SERIES_CUTOFF
-    if small.any():
-        ts = arr[small]
-        out[small] = ts * ts * (0.5 + ts * (1.0 / 6.0 + ts / 24.0))
+    small = np.flatnonzero(arr < _SERIES_CUTOFF)
+    if small.size:
+        ts = arr.take(small)
+        np.put(out, small, ts * ts * (0.5 + ts * (1.0 / 6.0 + ts / 24.0)))
     return _as_input_kind(out, t)
 
 
@@ -72,11 +77,11 @@ def phi_star(g):
     out = np.log1p(arr, out=np.empty_like(arr))
     out *= 1.0 + arr
     out -= arr
-    small = arr < _SERIES_CUTOFF
-    if small.any():
-        gs = arr[small]
+    small = np.flatnonzero(arr < _SERIES_CUTOFF)
+    if small.size:
+        gs = arr.take(small)
         # alternating series g^2/2 - g^3/6 + g^4/12, truncation < g^5/20
-        out[small] = gs * gs * (0.5 + gs * (-1.0 / 6.0 + gs / 12.0))
+        np.put(out, small, gs * gs * (0.5 + gs * (-1.0 / 6.0 + gs / 12.0)))
     return _as_input_kind(out, g)
 
 

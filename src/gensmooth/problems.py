@@ -14,7 +14,6 @@ constants that are too small (the negative controls in the test suite).
 from __future__ import annotations
 
 import math
-from itertools import chain
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -130,9 +129,11 @@ def _dot(u, v) -> float:
         raise ValueError(f"cannot take the dot of {len(u)} and {len(v)} entries")
     if len(u) >= 8:
         return float(np.add.reduce(np.multiply(u, v)))
+    if type(u) is not list or type(v) is not list:  # the loops' lists pass straight on
+        u = u.tolist() if type(u) is np.ndarray else u
+        v = v.tolist() if type(v) is np.ndarray else v
     s = 0.0
-    for a, b in zip(u.tolist() if type(u) is np.ndarray else u,
-                    v.tolist() if type(v) is np.ndarray else v):
+    for a, b in zip(u, v):
         s += a * b
     return s
 
@@ -188,28 +189,53 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 ROWS_PER_CHUNK = 256
 
 
-# A 1-D profile h is three functions of a radius r on Python floats, where an
-# overflow reads inf as in `_pow` (exp's raises OverflowError past l1*r ~ 709.8,
-# as math.expm1 does): h(r); (h(r), c), the gradient of h(||x||) being c*x with
-# c = h'(r)/r; and (c, k), its Hessian being c*(I + k*u u^T) with u = x/r and
-# k = h''(r)/c - 1 (c*I at r = 0).  Only h(r) is on the value path.
+# A 1-D profile h is four functions of a radius r, where an overflow reads inf
+# as in `_pow` (exp's raises OverflowError past l1*r ~ 709.8, as math.expm1
+# does).  On a Python float: h(r), the value path's, and (h(r), c), the
+# gradient of h(||x||) being c*x with c = h'(r)/r.  On an array of radii, the
+# batched kernels': (h, c), and (c, k), the Hessian being c*(I + k*u u^T)
+# with u = x/r and k = h''(r)/c - 1 (c*I at r = 0).  The array forms call
+# libm (pow, expm1, exp) entry by entry on Python floats, as the float forms
+# do, and take the rest in numpy, whose + - * / round as Python's.
+def _pows(r: np.ndarray, e: float) -> np.ndarray:
+    """`_pow(t, e)` of each entry t of r, written inline as in `_power`."""
+    rs = r.tolist()
+    try:
+        return np.array([t ** e for t in rs])
+    except OverflowError:
+        return np.array([_pow(t, e) for t in rs])
+
+
 def _power(p: float) -> tuple:
-    """h(r) = r^p / p: c = r^(p-2) and k = p - 2."""
+    """h(r) = r^p / p: c = r^(p-2) and k = p - 2.  h and (h, c) take their
+    powers as `_pow` does, written inline: r ** e, and `_pow` itself once
+    one of them overflows."""
+    q = p - 2
+
     def value(r):
-        return _pow(r, p) / p
+        try:
+            return r ** p / p
+        except OverflowError:
+            return _pow(r, p) / p
 
     def value_coef(r):
-        return _pow(r, p) / p, _pow(r, p - 2)
+        try:
+            return r ** p / p, r ** q
+        except OverflowError:
+            return _pow(r, p) / p, _pow(r, q)
 
-    def coef_curv(r):
-        return _pow(r, p - 2), p - 2
+    def values_coefs(r):
+        return _pows(r, p) / p, _pows(r, q)
 
-    return value, value_coef, coef_curv
+    def coefs_curvs(r):
+        return _pows(r, q), q
+
+    return value, value_coef, values_coefs, coefs_curvs
 
 
 def _exp(l0: float, l1: float) -> tuple:
     """h(r) = (l0/l1^2) * (exp(s) - s - 1) at s = l1*r: c = l0*expm1(s)/s and
-    k = exp(s)/(expm1(s)/s) - 1, tending to l0 and 0 as s -> 0.  expm1(s) is
+    k = exp(s)/(expm1(s)/s) - 1, which are l0 and 0 at s = 0.  expm1(s) is
     divided by s before it meets x, so the gradient c*x overflows only where
     its norm l0*expm1(s)/l1 does."""
     scale = l0 / l1**2
@@ -222,21 +248,24 @@ def _exp(l0: float, l1: float) -> tuple:
         e = math.expm1(s)
         return scale * (e - s), l0 * (e / s) if s else l0
 
-    def coef_curv(r):
+    def values_coefs(r):
         s = l1 * r
-        if not s:
-            return l0, 0.0
-        q = math.expm1(s) / s
-        return l0 * q, math.exp(s) / q - 1.0
+        e = np.array([math.expm1(t) for t in s.tolist()])
+        return scale * (e - s), l0 * np.divide(e, s, out=np.ones_like(e), where=s != 0)
 
-    return value, value_coef, coef_curv
+    def coefs_curvs(r):
+        s = l1 * r
+        q = np.divide([math.expm1(t) for t in s.tolist()], s, out=np.ones_like(s), where=s != 0)
+        return l0 * q, np.array([math.exp(t) for t in s.tolist()]) / q - 1.0
+
+    return value, value_coef, values_coefs, coefs_curvs
 
 
 def _radial(dim: int, profile: tuple, **fields) -> Objective:
     """h(||x||) for a profile h, minimized at 0: every radial builder's oracles."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    h, value_coef, coef_curv = profile
+    h, value_coef, values_coefs, coefs_curvs = profile
 
     def value(x):
         return h(_norm(x))
@@ -248,18 +277,18 @@ def _radial(dim: int, profile: tuple, **fields) -> Objective:
 
     def values_grads(X):
         r = _row_norms(X)
-        vc = np.fromiter(chain.from_iterable(map(value_coef, r.tolist())), float).reshape(-1, 2)
-        grads = vc[:, 1:] * X
+        v, c = values_coefs(r)
+        grads = c[:, None] * X
         grads[r == 0.0] = 0.0
-        return vc[:, 0], grads
+        return v, grads
 
     def hessians(X):
         r = _row_norms(X)
-        ck = np.fromiter(chain.from_iterable(map(coef_curv, r.tolist())), float).reshape(-1, 2)
+        c, k = coefs_curvs(r)
         u = X / np.where(r == 0.0, 1.0, r)[:, None]
-        hess = ck[:, 1, None, None] * (u[:, :, None] * u[:, None, :])
+        hess = np.reshape(k, (-1, 1, 1)) * (u[:, :, None] * u[:, None, :])
         hess += np.eye(dim)  # in place: a stack is the largest array certify makes
-        hess *= ck[:, 0, None, None]
+        hess *= c[:, None, None]
         return hess
 
     return Objective(dim=dim, **_fused(value, floats, values_grads, hessians),
@@ -353,7 +382,7 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
     if dim < 1:
         raise ValueError("dim must be positive")
     line = power_norm(1, p, l1)
-    h, value_coef, _ = _power(p)
+    h, value_coef, *_ = _power(p)
 
     def value(x):
         return _sum([h(math.sqrt(t * t)) for t in np.asarray(x, dtype=float).tolist()])

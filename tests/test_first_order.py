@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from gensmooth.agmsdr import agmsdr_run
 from gensmooth.kernels import SmoothnessParams, phi, phi_star, psi
-from gensmooth.problems import Objective, power_norm
+from gensmooth.problems import Objective, _norm, power_norm
 from gensmooth import first_order
 from gensmooth.first_order import (
     StepRule,
@@ -357,36 +358,73 @@ class TestBestIterate:
 
 
 class TestMoveOnPythonFloats:
-    """`first_order._move` is the loops' x - step * (grad / g), bit for bit,
-    as a list of Python floats."""
+    """The loops' move x - step * (grad / g), taken entry by entry on lists
+    of Python floats, is numpy's, bit for bit, and their gradient norm is
+    `_norm`'s: one iteration of each loop on a table objective, which hands
+    it a drawn start, gradient and value and records the point it is next
+    asked at."""
 
     # subnormals, signed zeros and extremes, so that quotients and products
     # overflow to inf or underflow to zero or a subnormal
     SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
                1e308, -1e308, 1.7976931348623157e308, 1e-300, -1e-300, 1.0, -1.0)
 
+    def draws(self, rng, shape, top=307):
+        """Magnitudes from the subnormals to 10**top, a third of them special."""
+        out = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, top, shape)
+        special = rng.random(shape) < 1 / 3
+        out[special] = rng.choice(self.SPECIAL, special.sum())
+        return out
+
+    @pytest.mark.parametrize("loop", ["gd:polyak", "agmsdr"])
     @pytest.mark.parametrize("dim", [1, 2, 3, 7])
-    def test_bitwise_numpy_update(self, dim):
+    def test_bitwise_numpy_update(self, loop, dim):
         rng = np.random.default_rng(1300 + dim)
-        shape = (2000, 2 * dim + 2)  # x, grad, g and step per row
-        # magnitudes over the whole exponent range, a third of them special
-        draws = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 307, shape)
-        special = rng.random(draws.shape) < 1 / 3
-        draws[special] = rng.choice(self.SPECIAL, special.sum())
-        seen = set()
+        seen, moves = set(), 0
         with np.errstate(all="ignore"):
-            for row in draws:
-                x, grad = row[:dim], row[dim:2 * dim]
-                # as at the update: g finite and > 0, step a Python float >= 0
-                g, step = abs(float(row[-2])) or 5e-324, abs(float(row[-1]))
-                want = x - step * (grad / g)
-                moved = first_order._move(x.tolist(), step, grad.tolist(), g)
-                assert type(moved) is list and len(moved) == dim
-                assert all(type(v) is float for v in moved)
-                got = np.array(moved)
-                np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+            # gradients of a finite norm, mostly, and a quarter of them of
+            # like entries, where the order of the norm's sum shows; values
+            # below the divergence guard.  Four rows make sure of an inf step
+            # (Polyak's, then the accelerated loop's) and of a zero one from
+            # a -0.0 and a subnormal start.
+            e0 = np.eye(dim)[0]
+            edge = [(np.ones(dim), 1e-160 * e0, 1e140, 5e-324, 0.0),
+                    (np.ones(dim), 1e150 * e0, 1e140, 5e-324, 0.0),
+                    (np.full(dim, -0.0), 2.0 * e0, 5e-324, 1e308, 1e308),
+                    (np.full(dim, 1e-310), 2.0 * e0, 5e-324, 1e308, 1e308)]
+            for x0, grad, f0, l0, l1 in edge + list(zip(
+                    self.draws(rng, (400, dim)),
+                    np.concatenate([self.draws(rng, (300, dim), top=150),
+                                    rng.standard_normal((100, dim))]),
+                    10.0 ** rng.uniform(-320, 140, 400), 10.0 ** rng.uniform(-300, 300, 400),
+                    10.0 ** rng.uniform(-300, 300, 400))):
+                asked = []
+
+                def value(x):
+                    asked.append(x.copy())
+                    return f0 / len(asked)  # never rising, so the accelerated step is kept
+
+                f = Objective(dim=dim, value=value, gradient=lambda x: grad.copy(), f_star=0.0,
+                              params=SmoothnessParams(l0, l1))
+                if loop == "agmsdr":  # the first search returns x0, with its gradient
+                    trace = agmsdr_run(f, x0, 1.0, 2)
+                else:
+                    trace = gd_run(f, StepRule("polyak"), x0, 2)
+                g, step = float(trace.grad_norm[0]), float(trace.step_len[0])
+                # the loops' inline norm is _norm's (an inf one ends the
+                # accelerated loop before it writes the norm down)
+                norm = _norm(grad.tolist())
+                assert g == norm or math.isnan(g) and norm == math.inf
+                if not (0.0 < g < math.inf):  # no move: stationary or diverged
+                    continue
+                moved, want = asked[1], x0 - step * (grad / g)
+                np.testing.assert_array_equal(moved.view(np.int64), want.view(np.int64))
+                moves += 1
                 seen.update(("-0.0" if v == 0.0 and math.copysign(1.0, v) < 0 else
                              "inf" if math.isinf(v) else "nan" if math.isnan(v) else
                              "subnormal" if 0.0 < abs(v) < 2.2250738585072014e-308 else "")
-                            for v in got.tolist())
-        assert {"-0.0", "inf", "nan", "subnormal"} <= seen  # the edge cases were drawn
+                            for v in moved.tolist())
+        assert moves > 150
+        # the edge cases were reached (a NaN needs an inf step times a zero
+        # entry of a nonzero gradient: two entries at least)
+        assert {"-0.0", "inf", "subnormal"} | ({"nan"} if dim > 1 else set()) <= seen

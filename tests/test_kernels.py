@@ -145,12 +145,17 @@ EDGES = (0.0, -0.0, _SERIES_CUTOFF, float(np.nextafter(_SERIES_CUTOFF, 0.0)),
          1.7976931348623157e308)
 
 
+# Entries that a kernel refuses: a NaN and a negative entry, in either order.
+REFUSED = (np.array([0.5, -1.0, math.nan, 2e-6]), np.array([math.nan, 0.5, -1.0]))
+
+
 def kernel_inputs():
     rng = np.random.default_rng(5)
     edges = np.array(EDGES)
     out = [*EDGES, 0, 1, 3, 800, True, np.float64(1e-6), np.array(2e-5), np.array(0.0),
            [1e-6], [0, 1e-7, 2.0], list(EDGES), edges, edges.reshape(4, 5), edges[::3],
-           np.array([]), np.array([1e-6]), np.array([4.0])]
+           edges.reshape(4, 5).T, np.array([[0.0, 1e-6, 2.0], [3e-6, 0.5, 1e-7]]).T,
+           np.array([]), np.array([1e-6]), np.array([4.0]), *REFUSED]
     for n in (1, 7, 33, 1000):
         out += [3.0 * rng.random(n), 2.0 * _SERIES_CUTOFF * rng.random(n),
                 10.0 ** rng.uniform(-320, 2.9, n)]
@@ -161,13 +166,35 @@ def kernel_inputs():
                          ids=["phi", "phi_star"])
 def test_one_pass_matches_masked_form_bit_for_bit(kernel, reference):
     """The whole-array closed form with the series written over the small
-    entries gives the bits, the shape and the return type of the masked form."""
+    entries gives the bits, the shape and the return type of the masked form
+    (on an F-ordered array too); an input it refuses is refused for its NaN."""
     for x in kernel_inputs():
+        if any(x is bad for bad in REFUSED):
+            with pytest.raises(ValueError, match="must be finite"):
+                kernel(x)
+            continue
         with np.errstate(over="ignore"):
             got, want = kernel(x), reference(x)
         assert type(got) is type(want), repr(x)
         assert np.shape(got) == np.shape(want), repr(x)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), repr(x)
+
+
+@pytest.mark.parametrize("kernel", [phi, phi_star, lambda g: psi(g, SmoothnessParams(1.0, 1.0))],
+                         ids=["phi", "phi_star", "psi"])
+@pytest.mark.parametrize("bad, error", [
+    (np.array([1.0, -2.0, math.nan]), "must be finite"),
+    (np.array([math.nan, -2.0]), "must be finite"),
+    (np.array([-math.inf, 1.0]), "must be finite"),
+    (np.array([[1.0, -2.0], [3.0, math.inf]]).T, "must be finite"),
+    (np.array([1.0, -0.5, 2.0]), "must be nonnegative"),
+    (-5e-324, "must be nonnegative"),
+    (math.nan, "must be finite"),
+])
+def test_not_finite_is_refused_before_negative(kernel, bad, error):
+    """Each kernel names a NaN or an inf entry before a negative one."""
+    with pytest.raises(ValueError, match=error):
+        kernel(bad)
 
 
 @pytest.mark.parametrize("kernel", [phi, phi_star], ids=["phi", "phi_star"])

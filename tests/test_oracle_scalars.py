@@ -24,6 +24,7 @@ from gensmooth.problems import (
     Objective,
     _norm,
     _pow,
+    _power,
     affine_logistic,
     exp_phi,
     logistic_1d,
@@ -284,3 +285,22 @@ def test_pow_overflow_reads_inf_without_raising_or_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _pow(1e200, 4.0) == math.inf
+
+
+@pytest.mark.parametrize("p", [2.5, 3.5, 4.0, 6, 8, 40.0])
+def test_power_profile_takes_pows_powers(p):
+    """The power profile writes `_pow` inline, in its float forms and entry
+    by entry in its array forms; each gives `_pow`'s bits at every scale,
+    where only r**p overflows and where both powers do too."""
+    h, value_coef, values_coefs, coefs_curvs = _power(p)
+    rng = np.random.default_rng(int(4 * p))
+    radii = [0.0, 5e-324, 1e-310, 1.0, 2.0, 1e77, 1e154, 1e300, 1.7976931348623157e308,
+             math.inf, math.nan, *(10.0 ** rng.uniform(-320, 308, 2000)).tolist()]
+    values, coefs = [_pow(r, p) / p for r in radii], [_pow(r, p - 2) for r in radii]
+    for r, v, c in zip(radii, values, coefs):
+        assert outcome(value_coef, r) == outcome(lambda r: (v, c), r), r
+        assert outcome(h, r) == outcome(lambda r: v, r), r
+    want = (np.array(values).tobytes(), np.array(coefs).tobytes())
+    assert outcome(values_coefs, np.array(radii)) == want
+    c, k = coefs_curvs(np.array(radii))
+    assert c.tobytes() == want[1] and k == p - 2
