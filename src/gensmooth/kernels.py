@@ -92,9 +92,7 @@ def psi(g, p: SmoothnessParams):
     and, on convex problems, lower-bounds the function gap.
     """
     arr = _validated(g, "g")
-    denom = 2.0 * p.l0 + 3.0 * p.l1 * arr
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    out[pos] = arr[pos] * arr[pos] / denom[pos]
+    out = np.divide(arr * arr, 2.0 * p.l0 + 3.0 * p.l1 * arr, out=np.zeros_like(arr),
+                    where=arr > 0)
     return _as_input_kind(out, g)
 

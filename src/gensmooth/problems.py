@@ -14,7 +14,9 @@ constants that are too small (the negative controls in the test suite).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -168,6 +170,19 @@ def _expm1(t: float) -> float:
         return math.inf
 
 
+def _each(fn, a: np.ndarray) -> np.ndarray:
+    """fn of each entry of a 1-D array on Python floats: libm's rounding, not SIMD's."""
+    return np.array([fn(t) for t in a.tolist()])
+
+
+def _pows(r: np.ndarray, e: float) -> np.ndarray:
+    """`_pow(t, e)` of each entry t of r: `t ** e`, and `_pow` once one overflows."""
+    try:
+        return np.array([t ** e for t in r.tolist()])
+    except OverflowError:
+        return _each(partial(_pow, e=e), r)
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """_dot of each row pair of two 2-D float64 arrays, bit for bit: the same
     reduction along each row of the C-ordered products (of F-ordered ones it
@@ -189,48 +204,37 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 ROWS_PER_CHUNK = 256
 
 
-# A 1-D profile h is four functions of a radius r, where an overflow reads inf
-# as in `_pow` (exp's raises OverflowError past l1*r ~ 709.8, as math.expm1
-# does).  On a Python float: h(r), the value path's, and (h(r), c), the
-# gradient of h(||x||) being c*x with c = h'(r)/r.  On an array of radii, the
-# batched kernels': (h, c), and (c, k), the Hessian being c*(I + k*u u^T)
-# with u = x/r and k = h''(r)/c - 1 (c*I at r = 0).  The array forms call
-# libm (pow, expm1, exp) entry by entry on Python floats, as the float forms
-# do, and take the rest in numpy, whose + - * / round as Python's.
-def _pows(r: np.ndarray, e: float) -> np.ndarray:
-    """`_pow(t, e)` of each entry t of r, written inline as in `_power`."""
-    rs = r.tolist()
-    try:
-        return np.array([t ** e for t in rs])
-    except OverflowError:
-        return np.array([_pow(t, e) for t in rs])
+# A 1-D profile h is two functions of a radius r and a namespace M of libm
+# calls (pow, expm1, exp, and quot: e/s, 1 at s = 0), + - * / written inline:
+# (h, c), the gradient of h(||x||) being c*x with c = h'(r)/r, and (c, k), the
+# Hessian being c*(I + k*u u^T) with u = x/r and k = h''(r)/c - 1 (c*I at r = 0).
+class _FLOAT:
+    """On a Python float, C callables only (no Python frame); an overflow or 0/0 raises."""
+    pow, expm1, exp, quot = operator.pow, math.expm1, math.exp, operator.truediv
+
+
+class _EDGE:
+    """The float sites' retry: a power's overflow reads inf, quot 1 at 0; expm1 raises."""
+    pow, expm1, quot = _pow, math.expm1, lambda e, s: e / s if s else 1.0
+
+
+class _ARRAY:
+    """On an array of radii: libm entry by entry on Python floats, as on a float."""
+    pow, expm1, exp = _pows, partial(_each, math.expm1), partial(_each, math.exp)
+    quot = lambda e, s: np.divide(e, s, out=np.ones_like(e), where=s != 0)
 
 
 def _power(p: float) -> tuple:
-    """h(r) = r^p / p: c = r^(p-2) and k = p - 2.  h and (h, c) take their
-    powers as `_pow` does, written inline: r ** e, and `_pow` itself once
-    one of them overflows."""
+    """h(r) = r^p / p: c = r^(p-2) and k = p - 2."""
     q = p - 2
 
-    def value(r):
-        try:
-            return r ** p / p
-        except OverflowError:
-            return _pow(r, p) / p
+    def value_coef(r, M):
+        return M.pow(r, p) / p, M.pow(r, q)
 
-    def value_coef(r):
-        try:
-            return r ** p / p, r ** q
-        except OverflowError:
-            return _pow(r, p) / p, _pow(r, q)
+    def coefs_curvs(r, M):
+        return M.pow(r, q), q
 
-    def values_coefs(r):
-        return _pows(r, p) / p, _pows(r, q)
-
-    def coefs_curvs(r):
-        return _pows(r, q), q
-
-    return value, value_coef, values_coefs, coefs_curvs
+    return value_coef, coefs_curvs
 
 
 def _exp(l0: float, l1: float) -> tuple:
@@ -240,51 +244,49 @@ def _exp(l0: float, l1: float) -> tuple:
     its norm l0*expm1(s)/l1 does."""
     scale = l0 / l1**2
 
-    def value(r):
-        return scale * (math.expm1(l1 * r) - l1 * r)
-
-    def value_coef(r):
+    def value_coef(r, M, l0=l0):
         s = l1 * r
-        e = math.expm1(s)
-        return scale * (e - s), l0 * (e / s) if s else l0
+        e = M.expm1(s)
+        return scale * (e - s), l0 * M.quot(e, s)
 
-    def values_coefs(r):
-        s = l1 * r
-        e = np.array([math.expm1(t) for t in s.tolist()])
-        return scale * (e - s), l0 * np.divide(e, s, out=np.ones_like(e), where=s != 0)
+    def coefs_curvs(r, M):
+        q = value_coef(r, M, 1.0)[1]  # expm1(s)/s itself: 1.0 * q is q
+        return l0 * q, M.exp(l1 * r) / q - 1.0
 
-    def coefs_curvs(r):
-        s = l1 * r
-        q = np.divide([math.expm1(t) for t in s.tolist()], s, out=np.ones_like(s), where=s != 0)
-        return l0 * q, np.array([math.exp(t) for t in s.tolist()]) / q - 1.0
-
-    return value, value_coef, values_coefs, coefs_curvs
+    return value_coef, coefs_curvs
 
 
 def _radial(dim: int, profile: tuple, **fields) -> Objective:
     """h(||x||) for a profile h, minimized at 0: every radial builder's oracles."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    h, value_coef, values_coefs, coefs_curvs = profile
+    value_coef, coefs_curvs = profile
 
     def value(x):
-        return h(_norm(x))
+        r = _norm(x)
+        try:
+            return value_coef(r, _FLOAT)[0]
+        except ArithmeticError:
+            return value_coef(r, _EDGE)[0]
 
     def floats(xs):
         r = _norm(xs)
-        v, c = value_coef(r)
+        try:
+            v, c = value_coef(r, _FLOAT)
+        except ArithmeticError:
+            v, c = value_coef(r, _EDGE)
         return v, [0.0] * dim if r == 0.0 else [c * t for t in xs]
 
     def values_grads(X):
         r = _row_norms(X)
-        v, c = values_coefs(r)
+        v, c = value_coef(r, _ARRAY)
         grads = c[:, None] * X
         grads[r == 0.0] = 0.0
         return v, grads
 
     def hessians(X):
         r = _row_norms(X)
-        c, k = coefs_curvs(r)
+        c, k = coefs_curvs(r, _ARRAY)
         u = X / np.where(r == 0.0, 1.0, r)[:, None]
         hess = np.reshape(k, (-1, 1, 1)) * (u[:, :, None] * u[:, None, :])
         hess += np.eye(dim)  # in place: a stack is the largest array certify makes
@@ -374,27 +376,30 @@ def exp_phi(dim: int, params: SmoothnessParams) -> Objective:
 
 def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
     """(1/p) * sum_i |x_i|^p: `line = power_norm(1, p, l1)` at each coordinate,
-    so its constants are line's.  Value and gradient run one loop over the
-    coordinates with each term's arithmetic, in `floats`; the batched
-    kernels are line's over all coordinates at once, as (n*d, 1) rows, bit
-    for bit: a one-entry norm is sqrt(t*t), its dot.
+    so its constants are line's.  `floats` is one loop over the coordinates
+    with each term's arithmetic, and `value` its value; the batched kernels
+    are line's over all coordinates at once, as (n*d, 1) rows, bit for bit:
+    a one-entry norm is sqrt(t*t), its dot.
     """
     if dim < 1:
         raise ValueError("dim must be positive")
     line = power_norm(1, p, l1)
-    h, value_coef, *_ = _power(p)
-
-    def value(x):
-        return _sum([h(math.sqrt(t * t)) for t in np.asarray(x, dtype=float).tolist()])
+    value_coef = _power(p)[0]
 
     def floats(xs):
         terms, grad = [], []
         for t in xs:
             r = math.sqrt(t * t)
-            v, c = value_coef(r)
+            try:
+                v, c = value_coef(r, _FLOAT)
+            except ArithmeticError:
+                v, c = value_coef(r, _EDGE)
             terms.append(v)
             grad.append(0.0 if r == 0.0 else c * t)  # +0.0 at t = -0.0
         return _sum(terms), grad
+
+    def value(x):
+        return floats(np.asarray(x, dtype=float).tolist())[0]
 
     def values_grads(X):
         terms, grads = line.values_grads(X.reshape(-1, 1))

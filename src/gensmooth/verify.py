@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import SmoothnessParams, phi, phi_star
-from .problems import ROWS_PER_CHUNK, Objective, _expm1, _pow, _row_dots, _row_norms, sample_ball
+from .problems import (ROWS_PER_CHUNK, Objective, _each, _expm1, _pows, _row_dots, _row_norms,
+                       sample_ball)
 from .first_order import Trace
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
@@ -200,10 +201,10 @@ def check_smoothness_envelopes(
         a = p.l0 + p.l1 * _row_norms(gx)
         s = _row_norms(ys - xs)
         if p.l1 > 0:
-            # the growth term is libm's expm1 per case (`_expm1`, inf past an
-            # overflow); the Taylor bound's phi takes numpy's expm1, which
-            # differs from libm's in the last bit on some hosts
-            grad_bound = a * np.array([_expm1(t) for t in (p.l1 * s).tolist()]) / p.l1
+            # the growth term is libm's expm1 per case (`_each` of `_expm1`, inf
+            # past an overflow); the Taylor bound's phi takes numpy's expm1,
+            # which differs from libm's in the last bit on some hosts
+            grad_bound = a * _each(_expm1, p.l1 * s) / p.l1
             taylor_bound = a * phi(p.l1 * s) / p.l1**2
         else:
             grad_bound = a * s
@@ -331,12 +332,6 @@ def _running_min(values: np.ndarray) -> np.ndarray:
     return np.fmin.accumulate(np.fmin(values, math.inf))
 
 
-def _squares(values: np.ndarray) -> np.ndarray:
-    """v ** 2 per entry through `_pow`: Python's float power, which rounds as
-    libm's pow (not always as v*v), with a finite overflow read as inf."""
-    return np.array([_pow(v, 2) for v in values.tolist()])
-
-
 def _add_rows(margins: _Margins, k: np.ndarray, *kinds, tol: float | None = None):
     """Add margins row by row and, within a row, kind by kind, against `tol`
     as in `_Margins.add_all`.  A kind is (case format with a {k} field,
@@ -441,8 +436,8 @@ def _polyak(trace, tol, eps_grid, params, r) -> CheckReport:
     step = known[:-1] & trace.present("grad_norm")[:-1] & (grad_norm != 0)
     if not (trace.present("f_gap")[:-1][step].all() and known[1:][step].all()):
         raise TypeError("polyak contraction needs the gap at every step and dist_opt after it")
-    drop = _squares(gap[step] / grad_norm[step])
-    contraction = _squares(dist[:-1][step]) - drop - _squares(dist[1:][step])
+    drop = _pows(gap[step] / grad_norm[step], 2)
+    contraction = _pows(dist[:-1][step], 2) - drop - _pows(dist[1:][step], 2)
     margins = _Margins(tol=tol)
     _add_rows(margins, trace.k[:-1][step], ("k={k}", contraction, True))
     _gap_threshold_check(margins, trace, eps_grid, _descent_threshold(params, r), use_best=True)
@@ -463,7 +458,7 @@ def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
                         "and the gradient norm with every f(y)")
     f_y = trace.f_y[:-1][step]
     progress = f_y - f_val[1:][step]
-    required = _squares(trace.grad_norm[:-1][step]) / (2.0 * l_const)
+    required = _pows(trace.grad_norm[:-1][step], 2) / (2.0 * l_const)
     margins = _Margins(tol=tol)
     _add_rows(margins, k[:-1][step],
               ("f(y)<=f(x) at k={k}", f_val[:-1][step] - f_y, True),
@@ -555,7 +550,8 @@ def rate_monitor(
 
     Monitors read the trace's columns.  A margin whose entry is missing on
     a row is skipped, or the monitor raises; a NaN entry is a failing margin.
-    Squares go through `problems._pow`, so an overflow is an inf or NaN margin.
+    Squares are `problems._pows`' (libm's pow, not always v*v, and `_pow`'s
+    overflow rule), so an overflow is an inf or NaN margin.
     """
     if bound not in MONITOR_BOUNDS:
         raise ValueError(f"unknown bound {bound!r}")

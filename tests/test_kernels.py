@@ -103,6 +103,21 @@ class TestPsi:
         g = np.linspace(0.0, 100.0, 1001)
         assert np.all(np.diff(psi(g, p)) > 0)
 
+    @pytest.mark.parametrize("l0,l1", [(1.0, 1.0), (0.0, 2.0), (3.0, 0.0)])
+    def test_array_matches_each_scalar_and_masked_form(self, l0, l1):
+        """An array gives, entry by entry, the bits of each entry as a scalar
+        and of g*g/(2*l0 + 3*l1*g) evaluated on the positive entries alone."""
+        p = SmoothnessParams(l0, l1)
+        g = np.concatenate([EDGES, 10.0 ** np.random.default_rng(3).uniform(-320, 308, 1000)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = psi(g, p)
+            each = [psi(t, p) for t in g.tolist()]
+            want = np.zeros_like(g)
+            pos = g > 0
+            want[pos] = g[pos] * g[pos] / (2.0 * l0 + 3.0 * l1 * g[pos])
+        assert all(type(v) is float for v in each)
+        assert got.tobytes() == np.array(each).tobytes() == want.tobytes()
+
 
 class TestConjugacy:
     def test_grid_maximum_matches_conjugate(self):

@@ -14,6 +14,7 @@ point as one row, the reference's being its per-point calls.
 """
 
 import math
+import types
 import warnings
 
 import numpy as np
@@ -21,6 +22,9 @@ import pytest
 
 from gensmooth.kernels import SmoothnessParams
 from gensmooth.problems import (
+    _ARRAY,
+    _EDGE,
+    _FLOAT,
     Objective,
     _norm,
     _pow,
@@ -289,18 +293,27 @@ def test_pow_overflow_reads_inf_without_raising_or_warning():
 
 @pytest.mark.parametrize("p", [2.5, 3.5, 4.0, 6, 8, 40.0])
 def test_power_profile_takes_pows_powers(p):
-    """The power profile writes `_pow` inline, in its float forms and entry
-    by entry in its array forms; each gives `_pow`'s bits at every scale,
-    where only r**p overflows and where both powers do too."""
-    h, value_coef, values_coefs, coefs_curvs = _power(p)
+    """The power profile's (h, c) on a float, retried on `_EDGE` after an
+    overflow as the oracles retry it, and its (h, c) and (c, k) over
+    `_ARRAY` give `_pow`'s bits at every scale, where only r**p overflows
+    and where both powers do too.  `_FLOAT` holds no Python function, so
+    its calls open no frame in the loops' call budget."""
+    assert not any(isinstance(fn, types.FunctionType) for fn in vars(_FLOAT).values())
+    value_coef, coefs_curvs = _power(p)
+
+    def on_float(r):
+        try:
+            return value_coef(r, _FLOAT)
+        except ArithmeticError:
+            return value_coef(r, _EDGE)
+
     rng = np.random.default_rng(int(4 * p))
     radii = [0.0, 5e-324, 1e-310, 1.0, 2.0, 1e77, 1e154, 1e300, 1.7976931348623157e308,
              math.inf, math.nan, *(10.0 ** rng.uniform(-320, 308, 2000)).tolist()]
     values, coefs = [_pow(r, p) / p for r in radii], [_pow(r, p - 2) for r in radii]
     for r, v, c in zip(radii, values, coefs):
-        assert outcome(value_coef, r) == outcome(lambda r: (v, c), r), r
-        assert outcome(h, r) == outcome(lambda r: v, r), r
+        assert outcome(on_float, r) == outcome(lambda r: (v, c), r), r
     want = (np.array(values).tobytes(), np.array(coefs).tobytes())
-    assert outcome(values_coefs, np.array(radii)) == want
-    c, k = coefs_curvs(np.array(radii))
+    assert outcome(lambda r: value_coef(r, _ARRAY), np.array(radii)) == want
+    c, k = coefs_curvs(np.array(radii), _ARRAY)
     assert c.tobytes() == want[1] and k == p - 2
