@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .kernels import SmoothnessParams
-from .problems import Objective, _dot, _norm
+from .problems import SHORT_POINT, Objective, _dot, _list_ops, _norm
 from .first_order import (ARRAYS, DIVERGENCE_GUARD, StepRule, Trace, _trace, gd_run,
                           stepsize_simplified)
 
@@ -69,7 +69,7 @@ class EstimateState:
     def accumulate(self, a: float, y: list, f_y: float, grad_y: list):
         self.a_capital += a
         x0 = self.x0
-        if len(x0) < 8:  # the three dots as _dot's loop, in one pass with the updates
+        if len(x0) < SHORT_POINT:  # the three dots as _dot's loop, in one pass with the updates
             s, v, gy, sx, ss = [], [], 0.0, 0.0, 0.0
             for t, g, yi, b in zip(self.lin_accum, grad_y, y, x0):
                 t += a * g
@@ -182,7 +182,8 @@ def agmsdr_run(f: Objective, x0: np.ndarray, l_const: float | None, budget: int,
     rows = array("d")  # per record: the named columns, then x
     append, value = rows.fromlist, f.value
     line_search, stepsize = segment_line_search, stepsize_simplified
-    short = f.dim < 8  # _norm's loop, inline: one call fewer per iteration
+    move = _list_ops(f.dim)[1]
+    short = f.dim < SHORT_POINT  # _norm's loop, inline: one call fewer per iteration
     k = 0
     v_first = False  # v_k won the previous iteration's search
 
@@ -205,7 +206,7 @@ def agmsdr_run(f: Objective, x0: np.ndarray, l_const: float | None, budget: int,
 
         if g > 0:
             step_len = stepsize(g, params) * g
-            x_next = [yi - step_len * (gi / g) for yi, gi in zip(y, grad_y)]
+            x_next = move(y, step_len, grad_y, g)
         else:
             step_len, x_next = 0.0, y
         f_next = value(np.array(x_next))

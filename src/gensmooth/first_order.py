@@ -29,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from .kernels import SmoothnessParams
-from .problems import ROWS_PER_CHUNK, Objective, _norm, _row_dots, _row_norms
+from .problems import (ROWS_PER_CHUNK, SHORT_POINT, Objective, _list_ops, _norm, _row_dots,
+                       _row_norms)
 
 GD_VARIANTS = ("optimal", "simplified", "clipped", "polyak")
 NGD_SCHEDULES = ("fixed", "sqrt", "linear")
@@ -299,12 +300,12 @@ def _descent(
     Python floats from the first oracle call to the last: the oracle is
     `f.floats` (for a swapped callable, `value` and `gradient` on an
     array, the gradient's `.tolist()`), the move x - s_k * (grad/g) is
-    taken entry by entry (bit for bit numpy's: IEEE / * - round the same in
-    Python as in numpy's elementwise loops), and only `final_x` is an
-    array.  The loop's names are bound when the call starts.
+    `_list_ops`' `move`, entry by entry (bit for bit numpy's: IEEE / * -
+    round the same in Python as in numpy's elementwise loops), and only
+    `final_x` is an array.  The loop's names are bound when the call starts.
     """
-    floats, isfinite, sqrt = f.floats, math.isfinite, math.sqrt
-    short = f.dim < 8  # _norm's loop, inline: one call fewer per iteration
+    floats, isfinite, sqrt, move = f.floats, math.isfinite, math.sqrt, _list_ops(f.dim)[1]
+    short = f.dim < SHORT_POINT  # _norm's loop, inline: one call fewer per iteration
     xs = x.tolist()
     f_val, gs = floats(xs)
     if not isfinite(f_val):
@@ -346,7 +347,7 @@ def _descent(
         if k + 1 >= budget:
             termination = "BudgetExhausted"
             break
-        xs = [xi - step * (gi / g) for xi, gi in zip(xs, gs)]
+        xs = move(xs, step, gs, g)
         f_val, gs = floats(xs)
         k += 1
 
@@ -414,7 +415,8 @@ def ngd_run(
             raise ValueError("fixed schedule requires horizon >= 1")
         # record K is reached after K+1 gradient calls
         budget = min(budget, horizon + 1)
-        beta = lambda k: r_hat / math.sqrt(horizon + 1)
+        beta_fixed = r_hat / math.sqrt(horizon + 1)
+        beta = lambda k: beta_fixed
     elif schedule == "sqrt":
         beta = lambda k: r_hat / math.sqrt(k + 1)
     else:

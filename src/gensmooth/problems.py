@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -34,9 +34,9 @@ class Objective:
 
     Three forms are derived from the three oracles, bit for bit their
     separate calls: `floats(xs)`, the value and the gradient at a point
-    given as a list of Python floats, the gradient a list too (the loops'
-    oracle); and over the rows of an (n, d) array `values_grads(X)`, the
-    values and the stacked gradients, and `hessians(X)`, the stacked
+    given as a list of `dim` Python floats, the gradient a list too (the
+    loops' oracle); and over the rows of an (n, d) array `values_grads(X)`,
+    the values and the stacked gradients, and `hessians(X)`, the stacked
     Hessians.  `_fused` makes `kernel` = (value, gradient, hessian, floats,
     values_grads, hessians); while the three fields are still its first
     three, the derived forms are its last three.  Otherwise (no kernel,
@@ -122,14 +122,26 @@ def _sum(terms) -> float:
     return s
 
 
+# Below this many entries numpy's pairwise sum is a left-to-right loop, which
+# `_dot`, `_norm`, the loops' norm and `EstimateState.accumulate` run on the
+# Python floats.
+SHORT_POINT = 8
+
+# Below this many entries `_list_ops` writes a point's arithmetic out as
+# straight-line code, faster than the comprehensions at every d measured up
+# to 512; its compile, once per dimension and process, grows with d (about
+# 0.1 ms at d = 2, 2 ms at 128 and 26 ms at 1000).
+UNROLL_BELOW = 128
+
+
 def _dot(u, v) -> float:
     """<u, v> for two points (lists or 1-D arrays) in np.add.reduce(u * v)'s
     order, not BLAS's, whose ddot rounds as the kernel OpenBLAS picks for the
-    CPU (with fused multiply-adds or not).  Below 8 entries numpy's pairwise
-    sum is `_sum`'s left-to-right loop, run here over the Python floats."""
+    CPU (with fused multiply-adds or not).  Below SHORT_POINT entries numpy's
+    pairwise sum is `_sum`'s left-to-right loop, run here over the Python floats."""
     if len(u) != len(v):
         raise ValueError(f"cannot take the dot of {len(u)} and {len(v)} entries")
-    if len(u) >= 8:
+    if len(u) >= SHORT_POINT:
         return float(np.add.reduce(np.multiply(u, v)))
     if type(u) is not list or type(v) is not list:  # the loops' lists pass straight on
         u = u.tolist() if type(u) is np.ndarray else u
@@ -143,13 +155,44 @@ def _dot(u, v) -> float:
 def _norm(v) -> float:
     """sqrt(_dot(v, v)) as a Python float, a matrix's entries as one point;
     the short loop inlined, as calling _dot costs 0.4 us more at d <= 3."""
-    if len(v) < 8 and (type(v) is list or v.ndim == 1):
+    if len(v) < SHORT_POINT and (type(v) is list or v.ndim == 1):
         s = 0.0
         for t in v if type(v) is list else v.tolist():
             s += t * t
         return math.sqrt(s)
     v = np.ravel(v)
     return math.sqrt(_dot(v, v))
+
+
+def _scale(c, x):
+    return [c * t for t in x]
+
+
+def _move(x, s, g, n):
+    return [xi - s * (gi / n) for xi, gi in zip(x, g)]
+
+
+@cache
+def _list_ops(dim: int) -> tuple:
+    """(scale, move) on lists of `dim` Python floats: scale(c, x) is [c*x_i]
+    and move(x, s, g, n) is [x_i - s*(g_i/n)], each entry's IEEE operations
+    in that order, so numpy's bits.  Below UNROLL_BELOW entries both are
+    straight-line code, compiled once per dimension from source made of
+    `dim` alone (as namedtuple builds its methods); their unpacking refuses
+    a point of any other length with ValueError.  From UNROLL_BELOW on (and
+    for a dim below 1) they are the comprehensions `_scale` and `_move`,
+    which zip truncates."""
+    dim = operator.index(dim)
+    if not 0 < dim < UNROLL_BELOW:
+        return _scale, _move
+    xs, gs = ("".join(f"{v}{i}, " for i in range(dim)) for v in "xg")
+    source = (f"def scale(c, x):\n {xs}= x\n"
+              f" return [{', '.join(f'c * x{i}' for i in range(dim))}]\n"
+              f"def move(x, s, g, n):\n {xs}= x\n {gs}= g\n"
+              f" return [{', '.join(f'x{i} - s * (g{i} / n)' for i in range(dim))}]\n")
+    namespace = {}
+    exec(compile(source, f"<_list_ops({dim})>", "exec"), namespace)
+    return namespace["scale"], namespace["move"]
 
 
 def _pow(r: float, e: float) -> float:
@@ -261,6 +304,7 @@ def _radial(dim: int, profile: tuple, **fields) -> Objective:
     if dim < 1:
         raise ValueError("dim must be positive")
     value_coef, coefs_curvs = profile
+    scale, short, sqrt = _list_ops(dim)[0], dim < SHORT_POINT, math.sqrt
 
     def value(x):
         r = _norm(x)
@@ -270,12 +314,18 @@ def _radial(dim: int, profile: tuple, **fields) -> Objective:
             return value_coef(r, _EDGE)[0]
 
     def floats(xs):
-        r = _norm(xs)
+        if short:  # _norm's loop, inline: one call fewer per oracle call
+            r = 0.0
+            for t in xs:
+                r += t * t
+            r = sqrt(r)
+        else:
+            r = _norm(xs)
         try:
             v, c = value_coef(r, _FLOAT)
         except ArithmeticError:
             v, c = value_coef(r, _EDGE)
-        return v, [0.0] * dim if r == 0.0 else [c * t for t in xs]
+        return v, [0.0] * dim if r == 0.0 else scale(c, xs)
 
     def values_grads(X):
         r = _row_norms(X)
@@ -387,16 +437,16 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
     value_coef = _power(p)[0]
 
     def floats(xs):
-        terms, grad = [], []
+        total, grad = 0.0, []  # the value added up as `_sum` does
         for t in xs:
             r = math.sqrt(t * t)
             try:
                 v, c = value_coef(r, _FLOAT)
             except ArithmeticError:
                 v, c = value_coef(r, _EDGE)
-            terms.append(v)
+            total += v
             grad.append(0.0 if r == 0.0 else c * t)  # +0.0 at t = -0.0
-        return _sum(terms), grad
+        return total, grad
 
     def value(x):
         return floats(np.asarray(x, dtype=float).tolist())[0]

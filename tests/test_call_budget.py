@@ -46,22 +46,22 @@ SEP3 = separable_pnorm(3, 4.0, 1.0)
 START = np.array([6.0, 8.0])
 
 # make(budget) -> trace, and the most calls an iteration (a row) may make.
-# The loop, then per call to the oracle `floats`: itself, the norm, the
-# profile and the gradient's comprehension (the separable objective: a
-# profile call per coordinate and the sum); the step rule; the move's
-# comprehension.  A row of the accelerated loop where v_k keeps winning:
-# the search and its result, `floats` at v_k, `value` at the next iterate
-# (itself, the norm, the profile), the step rule, the move and the
-# state's two updates.
+# The loop, then per call to the oracle `floats`: itself, the profile and
+# the gradient's `scale` (the norm is inline below 8 entries; the separable
+# objective makes a profile call per coordinate and adds up in its loop);
+# the step rule; the move.  A row of the accelerated loop where v_k keeps
+# winning: the search and its result, `floats` at v_k (itself, the profile,
+# `scale`), `value` at the next iterate (itself, the norm, the profile),
+# the step rule, the move and the state's update.
 BUDGETS = {
-    **{f"gd:{rule}": (lambda n, rule=rule: gd_run(P4, StepRule(rule, P4.params), START, n), 6)
+    **{f"gd:{rule}": (lambda n, rule=rule: gd_run(P4, StepRule(rule, P4.params), START, n), 5)
        for rule in ("optimal", "simplified", "clipped", "polyak")},
     "gd:optimal separable_pnorm d=3": (
         lambda n: gd_run(SEP3, StepRule("optimal", SEP3.params), np.array([3.0, 4.0, 1.0]), n),
-        7),
-    "ngd:sqrt": (lambda n: ngd_run(P4, 3.0, "sqrt", START, n), 6),
+        6),
+    "ngd:sqrt": (lambda n: ngd_run(P4, 3.0, "sqrt", START, n), 5),
     "agmsdr v wins": (lambda n: agmsdr_run(power_norm(2, 6.0, 1.0), np.array([0.3, 0.4]), None,
-                                           n), 12),
+                                           n), 11),
 }
 
 
