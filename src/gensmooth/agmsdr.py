@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -69,30 +71,23 @@ class EstimateState:
     def accumulate(self, a: float, y: list, f_y: float, grad_y: list):
         self.a_capital += a
         x0 = self.x0
-        if len(x0) < SHORT_POINT:  # the three dots as _dot's loop, in one pass with the updates
-            s, v, gy, sx, ss = [], [], 0.0, 0.0, 0.0
-            for t, g, yi, b in zip(self.lin_accum, grad_y, y, x0):
-                t += a * g
-                s.append(t)
-                v.append(b - t)
-                gy += g * yi
-                sx += t * b
-                ss += t * t
-        else:
-            s = [t + a * g for t, g in zip(self.lin_accum, grad_y)]
-            v = [b - t for b, t in zip(x0, s)]
+        s, v, gy, sx, ss = [], [], 0.0, 0.0, 0.0  # the three dots as _dot's short loop
+        for t, g, yi, b in zip(self.lin_accum, grad_y, y, x0):
+            t += a * g
+            s.append(t)
+            v.append(b - t)
+            gy += g * yi
+            sx += t * b
+            ss += t * t
+        if len(x0) >= SHORT_POINT:  # _dot's pairwise order from there on
             gy, sx, ss = _dot(grad_y, y), _dot(s, x0), _dot(s, s)
         self.lin_accum, self.minimizer = s, v
         self.affine_accum += a * (f_y - gy)
         self.zeta_star_lower = sx - 0.5 * ss + self.affine_accum
 
 
-@dataclass(slots=True)
-class LineSearchResult:
-    y: list
-    f_y: float
-    grad_y: list
-    evals: int
+LineSearchResult = namedtuple("LineSearchResult", "y f_y grad_y evals")
+_result = partial(tuple.__new__, LineSearchResult)  # from a tuple of the four, in C: no frame
 
 
 def segment_line_search(f: Objective, v: list, x: list, f_x: float,
@@ -117,15 +112,15 @@ def segment_line_search(f: Objective, v: list, x: list, f_x: float,
     if v_first:
         f_v, grad_v = f.floats(v)
         if f_v <= f_x:
-            return LineSearchResult(v, f_v, grad_v, 1)
+            return _result((v, f_v, grad_v, 1))
     direction = [a - b for a, b in zip(x, v)]
     grad_x = f.gradient(np.array(x)).tolist()
     if _dot(grad_x, direction) <= 0.0:
-        return LineSearchResult(x, f_x, grad_x, 2 if v_first else 0)
+        return _result((x, f_x, grad_x, 2 if v_first else 0))
     if not v_first:
         f_v, grad_v = f.floats(v)
         if f_v <= f_x:
-            return LineSearchResult(v, f_v, grad_v, 2)
+            return _result((v, f_v, grad_v, 2))
     lo, hi = 0.0, 1.0
     for probe in range(1, LS_MAX_PROBES + 1):
         beta = 0.5 * (lo + hi)
@@ -136,8 +131,8 @@ def segment_line_search(f: Objective, v: list, x: list, f_x: float,
         elif _dot(grad_y, direction) > 0.0:
             hi = beta
         else:
-            return LineSearchResult(y, f_y, grad_y, 2 + 2 * probe)
-    return LineSearchResult(x, f_x, grad_x, 2 + 2 * LS_MAX_PROBES)
+            return _result((y, f_y, grad_y, 2 + 2 * probe))
+    return _result((x, f_x, grad_x, 2 + 2 * LS_MAX_PROBES))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -190,7 +185,7 @@ def agmsdr_run(f: Objective, x0: np.ndarray, l_const: float | None, budget: int,
     while calls < budget:
         v = state.minimizer
         ls = line_search(f, v, x, f_x, v_first)
-        y, f_y, grad_y, evals = ls.y, ls.f_y, ls.grad_y, ls.evals
+        y, f_y, grad_y, evals = ls
         v_first = y is v
         calls += evals + 1
         if short:

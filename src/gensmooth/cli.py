@@ -34,6 +34,7 @@ import numpy as np
 from .kernels import SmoothnessParams
 from .problems import (
     Objective,
+    _check_seed,
     affine_logistic,
     certify_smoothness,
     exp_phi,
@@ -269,10 +270,7 @@ def initial_point(f: Objective, cfg: RunConfig) -> np.ndarray:
     if cfg.x0 is not None and cfg.radius is not None:
         raise ValueError("config gives both x0 and radius: give one start")
     if cfg.x0 is not None:
-        x0 = np.asarray(cfg.x0, dtype=float)
-        if x0.shape != (f.dim,):
-            raise ValueError(f"x0 has dimension {x0.size}, problem wants {f.dim}")
-        return x0
+        return f.check_point(cfg.x0)
     if cfg.radius is None:
         raise ValueError("config needs either x0 or radius")
     x0 = np.zeros(f.dim)
@@ -342,8 +340,7 @@ def run_config(cfg: RunConfig) -> tuple[Objective, MethodSpec, Trace]:
     """The one run path: parse both specs, start at `initial_point`, run the method."""
     if cfg.budget < 0:
         raise ValueError(f"budget must be nonnegative, got {cfg.budget}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {cfg.seed}")
+    _check_seed(cfg.seed)
     f = parse_problem(cfg.problem_spec)
     method = parse_method(cfg.method_spec)
     x0 = initial_point(f, cfg)
@@ -456,8 +453,7 @@ def run_verify_suite(
     """
     if scope not in SCOPES:
         raise ValueError(f"unknown scope {scope!r}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_seed(seed)
     reports: list[verify_mod.CheckReport] = []
 
     if scope in ("kernels", "all"):

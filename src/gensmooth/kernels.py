@@ -56,16 +56,21 @@ def _as_input_kind(arr: np.ndarray, like) -> float | np.ndarray:
     return float(arr) if np.isscalar(like) or np.ndim(like) == 0 else arr
 
 
+def _with_series(out: np.ndarray, arr: np.ndarray, series, like) -> float | np.ndarray:
+    """out, its entries where arr is below the cancellation cutoff overwritten
+    by series of arr's there, as `like`'s kind."""
+    small = np.flatnonzero(arr < _SERIES_CUTOFF)
+    if small.size:
+        np.put(out, small, series(arr.take(small)))
+    return _as_input_kind(out, like)
+
+
 def phi(t):
     """exp(t) - t - 1 for t >= 0, series-evaluated below the cancellation cutoff."""
     arr = _validated(t, "t")
     out = np.expm1(arr, out=np.empty_like(arr))
     out -= arr
-    small = np.flatnonzero(arr < _SERIES_CUTOFF)
-    if small.size:
-        ts = arr.take(small)
-        np.put(out, small, ts * ts * (0.5 + ts * (1.0 / 6.0 + ts / 24.0)))
-    return _as_input_kind(out, t)
+    return _with_series(out, arr, lambda ts: ts * ts * (0.5 + ts * (1.0 / 6.0 + ts / 24.0)), t)
 
 
 def phi_star(g):
@@ -77,12 +82,8 @@ def phi_star(g):
     out = np.log1p(arr, out=np.empty_like(arr))
     out *= 1.0 + arr
     out -= arr
-    small = np.flatnonzero(arr < _SERIES_CUTOFF)
-    if small.size:
-        gs = arr.take(small)
-        # alternating series g^2/2 - g^3/6 + g^4/12, truncation < g^5/20
-        np.put(out, small, gs * gs * (0.5 + gs * (-1.0 / 6.0 + gs / 12.0)))
-    return _as_input_kind(out, g)
+    # alternating series g^2/2 - g^3/6 + g^4/12, truncation < g^5/20
+    return _with_series(out, arr, lambda gs: gs * gs * (0.5 + gs * (-1.0 / 6.0 + gs / 12.0)), g)
 
 
 def psi(g, p: SmoothnessParams):

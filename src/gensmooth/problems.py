@@ -195,22 +195,19 @@ def _list_ops(dim: int) -> tuple:
     return namespace["scale"], namespace["move"]
 
 
-def _pow(r: float, e: float) -> float:
-    """r ** e on a Python float, where an overflow reads inf, as numpy's
-    scalar power gives, instead of raising.  Kept scalar on purpose: numpy's
-    array power may take a SIMD pow that rounds differently from libm's."""
-    try:
-        return r ** e
-    except OverflowError:
-        return math.inf
+def _inf_past_overflow(fn: Callable) -> Callable:
+    """fn on Python floats, where an overflow reads inf, as numpy's scalar
+    gives, instead of raising.  Kept scalar on purpose: numpy's array forms
+    may take a SIMD pow or expm1 that rounds differently from libm's."""
+    def wrapped(*args):
+        try:
+            return fn(*args)
+        except OverflowError:
+            return math.inf
+    return wrapped
 
 
-def _expm1(t: float) -> float:
-    """math.expm1(t) on a Python float, where an overflow reads inf as in `_pow`."""
-    try:
-        return math.expm1(t)
-    except OverflowError:
-        return math.inf
+_pow, _expm1 = _inf_past_overflow(operator.pow), _inf_past_overflow(math.expm1)
 
 
 def _each(fn, a: np.ndarray) -> np.ndarray:
@@ -223,7 +220,7 @@ def _pows(r: np.ndarray, e: float) -> np.ndarray:
     try:
         return np.array([t ** e for t in r.tolist()])
     except OverflowError:
-        return _each(partial(_pow, e=e), r)
+        return np.array([_pow(t, e) for t in r.tolist()])
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -468,6 +465,25 @@ def separable_pnorm(dim: int, p: float, l1: float) -> Objective:
                      name=f"separable_pnorm(d={dim},p={p},l1={l1})")
 
 
+def _check_seed(seed: int):
+    """A seed is a nonnegative integer; a numpy Generator is refused too, as
+    its state moves on between calls while a sample cached on it would not."""
+    if not hasattr(type(seed), "__index__"):
+        raise TypeError(f"seed must be an integer, got {type(seed).__name__}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
+def _check_sample(name: str, n: int, seed: int = 0, radius: float | None = None,
+                  radius_name: str = "radius"):
+    """An empty sample or region would pass vacuously, so a sampler refuses it."""
+    _check_seed(seed)
+    if n < 1:
+        raise ValueError(f"{name} must be at least 1")
+    if radius is not None and not 0 < radius < math.inf:
+        raise ValueError(f"{radius_name} must be positive and finite")
+
+
 def sample_ball(rng: np.random.Generator, dim: int, radius: float, n: int) -> np.ndarray:
     """n points uniform in the closed ball of the given radius (rows)."""
     directions = rng.standard_normal((n, dim))
@@ -509,12 +525,7 @@ def certify_smoothness(
     """
     if f.hessian is None:
         raise ValueError(f"objective {f.name!r} does not provide a Hessian")
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if not 0 < region_radius < math.inf:
-        raise ValueError("region_radius must be positive and finite")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    _check_sample("n_samples", n_samples, seed, region_radius, "region_radius")
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, f.dim, region_radius, n_samples)
     with np.errstate(all="ignore"):

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import SmoothnessParams, phi, phi_star
-from .problems import (ROWS_PER_CHUNK, Objective, _each, _expm1, _pows, _row_dots, _row_norms,
-                       sample_ball)
+from .problems import (ROWS_PER_CHUNK, Objective, _check_sample, _each, _expm1, _pows, _row_dots,
+                       _row_norms, sample_ball)
 from .first_order import Trace
 
 DEFAULT_EPS_GRID = (1e-1, 1e-2, 1e-3)
@@ -102,15 +101,6 @@ def serialize_reports(reports: list[CheckReport]) -> str:
     return "".join(r.line() + "\n" for r in reports)
 
 
-def _check_sample(name: str, n: int, radius: float, seed: int):
-    """An empty sample would pass vacuously, so a sampler refuses it."""
-    operator.index(seed)  # a stateful Generator would hit a stale `_pair_sample` entry
-    if n < 1:
-        raise ValueError(f"{name} must be at least 1")
-    if not 0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
-
-
 def fd_gradient_check(
     f: Objective,
     n_points: int = 100,
@@ -123,7 +113,7 @@ def fd_gradient_check(
     Step h = 1e-6 * (1 + ||x||) per coordinate; the error is measured
     relative to 1 + ||grad|| so near-stationary points do not blow it up.
     """
-    _check_sample("n_points", n_points, radius, seed)
+    _check_sample("n_points", n_points, seed, radius)
     rng = np.random.default_rng(seed)
     points = sample_ball(rng, f.dim, radius, n_points)
     h = 1e-6 * (1.0 + _row_norms(points))
@@ -158,7 +148,7 @@ def _pair_sample(f: Objective, n_pairs=1000, max_sep=2.0, seed=0, radius=5.0):
     checks share the last sample, keyed on f's identity (Objective is
     eq=False) and the arguments, which they pass positionally because
     lru_cache keys f(a, b) and f(a, b=...) apart."""
-    _check_sample("n_pairs", n_pairs, radius, seed)
+    _check_sample("n_pairs", n_pairs, seed, radius)
     xs, ys = _sample_pairs(np.random.default_rng(seed), f.dim, n_pairs, max_sep, radius)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf or NaN entry
         sample = (xs, ys, *f.values_grads(xs), *f.values_grads(ys))
@@ -277,6 +267,7 @@ def kernel_bound_checks(n_grid: int = 10**4, tol: float = 1e-12) -> list[CheckRe
     - g^2/(2+g) <= phi_star(g) <= g^2/2 on [0, 100]
     - ln-bracket 2g/(2+g) <= ln(1+g) <= g on [0, 100]
     """
+    _check_sample("n_grid", n_grid)
     t = np.linspace(0.0, 3.0, n_grid, endpoint=False)
     g = np.linspace(0.0, 100.0, n_grid)
     ps, ln, g2 = phi_star(g), np.log1p(g), g * g
@@ -321,6 +312,7 @@ def conjugate_grid_consistency(n_samples: int = 100, seed: int = 0) -> CheckRepo
     for each sampled g: a fresh 320 KB temporary per sample would be handed
     back to the system when freed and faulted back in by the next sample.
     """
+    _check_sample("n_samples", n_samples, seed)
     gs = CONJUGATE_G_MAX * np.random.default_rng(seed).random(n_samples)
     margins = _Margins(tol=CONJUGATE_GRID_TOL)
     margins.add_all(CONJUGATE_GRID_TOL - _conjugate_grid_errors(gs), lambda i: f"g={gs[i]}")
@@ -381,29 +373,28 @@ def _gap_threshold_check(margins: _Margins, trace: Trace, eps_grid, threshold, u
             margins.add(-math.inf, f"eps={eps} never reached")
 
 
-def _min_grad(trace, tol, eps_grid, params, f0) -> CheckReport:
+def _min_grad(margins, trace, eps_grid, params, f0) -> tuple[str, bool]:
     if not trace.present("grad_norm").all():
         raise ValueError("min_grad monitor requires gradient norms on every record")
     if params.l0 > 0 and f0 < 0:
         raise ValueError("min_grad monitor needs a nonnegative initial gap f0")
     k1 = trace.k + 1
     limit = np.sqrt(2.0 * params.l0 * f0 / k1) + 3.0 * params.l1 * f0 / k1
-    margins = _Margins(tol=tol)
     _add_rows(margins, trace.k, ("K={k}", limit - _running_min(trace.grad_norm), True))
-    return margins.report("rate_min_grad")
+    return "rate_min_grad", False
 
 
-def _convex_gap(trace, tol, eps_grid, params, r) -> CheckReport:
-    margins = _Margins(tol=tol)
+def _convex_gap(margins, trace, eps_grid, params, r) -> tuple[str, bool]:
     _gap_threshold_check(margins, trace, eps_grid, _descent_threshold(params, r), use_best=False)
-    return margins.report("rate_convex_gap", informational=(trace.method == "gd:clipped"))
+    return "rate_convex_gap", trace.method == "gd:clipped"
 
 
-def _normalized(trace, tol, eps_grid, params, r, r_hat) -> CheckReport:
+def _normalized(margins, trace, eps_grid, params, r, r_hat) -> tuple[str, bool]:
+    if not 0 < r_hat < math.inf:
+        raise ValueError("r_hat must be positive and finite")
     known = trace.present("support_dist")
     if not known.any():
         raise ValueError("normalized monitor requires recorded support distances (known x_star)")
-    margins = _Margins(tol=tol)
     k = trace.k
     if trace.method == "ngd:fixed":
         horizon = int(k[-1])
@@ -415,7 +406,7 @@ def _normalized(trace, tol, eps_grid, params, r, r_hat) -> CheckReport:
             eps = params.l0 * r_bar**2 / horizon
             best_gap = min(trace.f_gap[trace.present("f_gap")].tolist())
             margins.add(eps - best_gap, f"gap at K={horizon}")
-        return margins.report("rate_normalized_fixed")
+        return "rate_normalized_fixed", False
     running = _running_min(np.where(known, trace.support_dist, math.nan))  # NaN is skipped
     at16 = np.flatnonzero(k == 16)
     if at16.size and math.isfinite(running[at16[0]]):
@@ -425,10 +416,10 @@ def _normalized(trace, tol, eps_grid, params, r, r_hat) -> CheckReport:
         logs = np.array([math.log(j + 1) for j in k[late].tolist()])
         envelope = c * logs / np.sqrt(k[late] + 1)
         _add_rows(margins, k[late], ("K={k}", envelope - running[late], True))
-    return margins.report("rate_normalized_decay", informational=True)
+    return "rate_normalized_decay", True
 
 
-def _polyak(trace, tol, eps_grid, params, r) -> CheckReport:
+def _polyak(margins, trace, eps_grid, params, r) -> tuple[str, bool]:
     dist, known = trace.dist_opt, trace.present("dist_opt")
     grad_norm, gap = trace.grad_norm[:-1], trace.f_gap[:-1]
     # a row with a known dist_opt and a nonzero gradient steps, and needs its
@@ -438,13 +429,12 @@ def _polyak(trace, tol, eps_grid, params, r) -> CheckReport:
         raise TypeError("polyak contraction needs the gap at every step and dist_opt after it")
     drop = _pows(gap[step] / grad_norm[step], 2)
     contraction = _pows(dist[:-1][step], 2) - drop - _pows(dist[1:][step], 2)
-    margins = _Margins(tol=tol)
     _add_rows(margins, trace.k[:-1][step], ("k={k}", contraction, True))
     _gap_threshold_check(margins, trace, eps_grid, _descent_threshold(params, r), use_best=True)
-    return margins.report("rate_polyak")
+    return "rate_polyak", False
 
 
-def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
+def _accelerated(margins, trace, eps_grid, l_const, r) -> tuple[str, bool]:
     if not 0 < l_const < math.inf:
         raise ValueError("l_const must be positive and finite")
     if not trace.present("a_capital")[0]:
@@ -459,7 +449,6 @@ def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
     f_y = trace.f_y[:-1][step]
     progress = f_y - f_val[1:][step]
     required = _pows(trace.grad_norm[:-1][step], 2) / (2.0 * l_const)
-    margins = _Margins(tol=tol)
     _add_rows(margins, k[:-1][step],
               ("f(y)<=f(x) at k={k}", f_val[:-1][step] - f_y, True),
               ("f(x+)<=f(y) at k={k}", progress, True),
@@ -472,11 +461,10 @@ def _accelerated(trace, tol, eps_grid, l_const, r) -> CheckReport:
                trace.present("f_gap")[later]))
     _add_rows(margins, k, ("certificate k={k}", trace.zeta_star - a_capital * f_val, True),
               tol=1e-7)
-    return margins.report("rate_accelerated")
+    return "rate_accelerated", False
 
 
-def _two_stage(trace, tol, eps_grid, params, r) -> CheckReport:
-    margins = _Margins(tol=tol)
+def _two_stage(margins, trace, eps_grid, params, r) -> tuple[str, bool]:
     stage1, stage2 = np.flatnonzero(trace.stage == 1), np.flatnonzero(trace.stage == 2)
     if params.l1 > 0 and stage1.size:
         if not trace.present("grad_norm")[stage1[-1]]:
@@ -497,10 +485,12 @@ def _two_stage(trace, tol, eps_grid, params, r) -> CheckReport:
             hit = _first_hit(trace, eps)
             if hit is not None:
                 margins.add(limit - int(trace.oracle_calls[hit]), f"oracle calls to eps={eps}")
-    return margins.report("rate_two_stage")
+    return "rate_two_stage", False
 
 
-# bound -> (check, keyword arguments it needs besides tol and eps_grid)
+# bound -> (check, keyword arguments it needs besides the margins, the trace
+# and eps_grid); a check adds its cases to the margins and returns its
+# report's name and whether the report is informational
 MONITOR_BOUNDS = {
     "min_grad": (_min_grad, ("params", "f0")),
     "convex_gap": (_convex_gap, ("params", "r")),
@@ -560,5 +550,8 @@ def rate_monitor(
     if any(given[name] is None for name in needs):
         listed = ", ".join(needs[:-1]) + " and " + needs[-1]
         raise ValueError(f"{bound} monitor needs {listed}")
+    margins = _Margins(tol=tol)
     with np.errstate(all="ignore"):  # inf - inf and the like give NaN margins
-        return check(trace, tol, eps_grid, **{name: given[name] for name in needs})
+        check_name, informational = check(margins, trace, eps_grid,
+                                          **{name: given[name] for name in needs})
+    return margins.report(check_name, informational=informational)

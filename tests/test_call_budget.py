@@ -50,9 +50,9 @@ START = np.array([6.0, 8.0])
 # the gradient's `scale` (the norm is inline below 8 entries; the separable
 # objective makes a profile call per coordinate and adds up in its loop);
 # the step rule; the move.  A row of the accelerated loop where v_k keeps
-# winning: the search and its result, `floats` at v_k (itself, the profile,
-# `scale`), `value` at the next iterate (itself, the norm, the profile),
-# the step rule, the move and the state's update.
+# winning: the search, whose result is built in C (no frame), `floats` at
+# v_k (itself, the profile, `scale`), `value` at the next iterate (itself,
+# the norm, the profile), the step rule, the move and the state's update.
 BUDGETS = {
     **{f"gd:{rule}": (lambda n, rule=rule: gd_run(P4, StepRule(rule, P4.params), START, n), 5)
        for rule in ("optimal", "simplified", "clipped", "polyak")},
@@ -61,7 +61,7 @@ BUDGETS = {
         6),
     "ngd:sqrt": (lambda n: ngd_run(P4, 3.0, "sqrt", START, n), 5),
     "agmsdr v wins": (lambda n: agmsdr_run(power_norm(2, 6.0, 1.0), np.array([0.3, 0.4]), None,
-                                           n), 11),
+                                           n), 10),
 }
 
 
